@@ -56,6 +56,16 @@ def _parse_range(text: str) -> list[int]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def _parse_order(text: str) -> MonomialOrder:
     try:
         return MonomialOrder.parse(text)
@@ -74,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in ranges:
             p.add_argument(f"--{name}", type=_parse_range, required=True)
         if budget:
-            p.add_argument("--budget", type=int, default=None)
+            p.add_argument("--budget", type=_positive_int, default=None)
         if fmt:
             p.add_argument(
                 "--format", choices=("text", "csv", "json"), default="text"
@@ -100,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("square", help="square a subspace read from a file")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--order", type=_parse_order, default=MonomialOrder.lex())
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
@@ -116,13 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None,
                    help=f"one of: {', '.join(sorted(SUITES))} (repeatable; default all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=50)
 
     p = sub.add_parser("conjecture", help="scan restrictions of power-free spans")
     add_common(p, budget=False, fmt=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=4)
+    p.add_argument("--trials", type=_positive_int, default=4)
 
     return top
 
@@ -434,7 +443,7 @@ def _cmd_check(args) -> int:
             names.extend(s.strip() for s in item.split(",") if s.strip())
     else:
         names = list(SUITES)
-    opts = SuiteOptions(seed=args.seed, trials=args.trials, budget=args.budget)
+    opts = SuiteOptions(seed=args.seed, trials=args.trials)
     return _print_results(run_suites(names, opts))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import Iterator
 
 from .errors import InvalidInputError
@@ -174,11 +174,6 @@ LEX = MonomialOrder.lex()
 GRLEX = MonomialOrder.grlex()
 
 
-def compare(M, T, order: MonomialOrder = LEX) -> int:
-    """Compare two monomials of equal degree under the given order."""
-    return order.compare(M, T)
-
-
 def dim_component(n: int, d: int) -> int:
     """Dimension of the space of degree-d forms in n variables."""
     if n < 1 or d < 0:
@@ -321,10 +316,3 @@ def expand(M) -> frozenset[Monomial]:
         exps[j - 1] += 1
         out.append(Monomial(exps))
     return frozenset(out)
-
-
-def coefficient_norm(M) -> int:
-    """Multinomial weight d! / (a_1! ... a_n!) of the monomial."""
-    from math import factorial
-
-    return factorial(sum(M)) // prod(factorial(e) for e in M)

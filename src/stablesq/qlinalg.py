@@ -87,7 +87,10 @@ class RationalSubspace:
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
         q = dim_component(n, d)
-        mat = [[Fraction(x) for x in r] for r in rows]
+        try:
+            mat = [[Fraction(x) for x in r] for r in rows]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"bad coefficient: {exc}") from exc
         for r in mat:
             if len(r) != q:
                 raise InvalidInputError(
@@ -155,7 +158,7 @@ def rational_subspace_from_json(data: dict) -> RationalSubspace:
     try:
         order = MonomialOrder.parse(data.get("order", "lex"))
         return RationalSubspace(int(data["n"]), int(data["d"]), data["rows"], order)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 
 

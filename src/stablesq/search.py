@@ -66,7 +66,7 @@ def compute_m(
         raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
     if budget is None:
         budget = default_budget()
-    idx = square_index(n, d, 2 * k)
+    idx = square_index(n, d)
     best = -1
     count = 0
     witnesses: list[MonomialSubspace] = []
@@ -135,10 +135,9 @@ def _u_y_tables(n: int, d: int):
     monomials outside U^2 is sum of u over S plus the y bonus, because a
     pair both of whose members lie in S would force a pure power into S.
     """
-    idx = square_index(n, d, 4)
     u: dict = {}
     y: dict = {}
-    for nd, pairs in idx.entries:
+    for _, pairs in square_index(n, d).entries_upto(4):
         if len(pairs) == 1:
             (M, N) = pairs[0]
             for X in {M, N}:
@@ -229,7 +228,7 @@ def compute_m0_monomial(
             f"subsets, over the budget {budget}",
             seen=0,
         )
-    idx = square_index(n, d, 2 * k)
+    idx = square_index(n, d)
     best = -1
     count = 0
     wits = []

@@ -1,12 +1,13 @@
-"""Monomial subspaces of a graded component and products between them.
+"""Monomial subspaces of a graded component and their squares.
 
 A subspace is stored by its complement: the set of degree-d monomials NOT
-in the space.  Codimension, products, and Hilbert functions all read off
+in the space.  Codimension, squares, and Hilbert functions all read off
 the complement, which stays small in the regimes of interest.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Iterable
 
@@ -125,7 +126,7 @@ class MonomialSubspace:
 def subspace_from_json(data: dict) -> MonomialSubspace:
     try:
         return MonomialSubspace(int(data["n"]), int(data["d"]), data["complement"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad subspace record: {exc}") from exc
 
 
@@ -136,18 +137,14 @@ def subspace_from_text(text: str) -> MonomialSubspace:
     header = lines[0].split()
     if len(header) != 3:
         raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n d codim'")
-    n, d, k = (int(x) for x in header)
-    comp = []
-    for ln in lines[1:]:
-        exps = tuple(int(x) for x in ln.split())
-        comp.append(exps)
+    try:
+        n, d, k = (int(x) for x in header)
+        comp = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
+    except ValueError as exc:
+        raise InvalidInputError(f"non-integer entry in subspace text: {exc}") from exc
     if len(comp) != k:
         raise InvalidInputError(f"header announces codim {k} but {len(comp)} rows follow")
     return MonomialSubspace(n, d, comp)
-
-
-def codim(U: MonomialSubspace) -> int:
-    return U.codim
 
 
 def is_base_point_free(U: MonomialSubspace) -> bool:
@@ -166,50 +163,6 @@ def is_base_point_free(U: MonomialSubspace) -> bool:
     return True
 
 
-def _product_complement(
-    n: int,
-    SU: frozenset,
-    SV: frozenset,
-    dU: int,
-    dV: int,
-    budget: int | None,
-) -> list[tuple[int, ...]]:
-    comp = []
-    seen = 0
-    for T in _basis_tuples(n, dU + dV):
-        seen += 1
-        if budget is not None and seen > budget:
-            raise BudgetExceededError(
-                f"product scan exceeded budget {budget} "
-                f"(at least {seen} candidates in degree {dU + dV})",
-                seen=seen,
-            )
-        for M in divisors_of_degree(T, dU):
-            if M in SU:
-                continue
-            N = tuple(b - a for a, b in zip(M, T))
-            if N not in SV:
-                break  # M * N realizes T inside the product
-        else:
-            comp.append(T)
-    return comp
-
-
-def product(
-    U: MonomialSubspace, V: MonomialSubspace, budget: int | None = None
-) -> MonomialSubspace:
-    """The subspace U * V of degree d_U + d_V spanned by pairwise products.
-
-    A monomial T lies outside the product exactly when every factorization
-    T = M * N with deg M = d_U has M outside U or N outside V, so the scan
-    short-circuits at the first factorization that works.
-    """
-    if U.n != V.n:
-        raise InvalidInputError(f"mixed variable counts {U.n} and {V.n}")
-    comp = _product_complement(U.n, U.complement, V.complement, U.d, V.d, budget)
-    return MonomialSubspace(U.n, U.d + V.d, comp)
-
-
 def product_naive(U: MonomialSubspace, V: MonomialSubspace) -> MonomialSubspace:
     """Product by expanding all member pairs.  Slow; kept as a cross-check."""
     if U.n != V.n:
@@ -221,7 +174,20 @@ def product_naive(U: MonomialSubspace, V: MonomialSubspace) -> MonomialSubspace:
 
 
 def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
-    return product(U, U, budget=budget)
+    """The subspace U * U of degree 2d, read off the SquareIndex of (n, d).
+
+    Every degree-2d monomial is a candidate for the complement, so the
+    budget bounds their number: the square raises BudgetExceededError
+    exactly when dim A(n)_2d exceeds it.
+    """
+    candidates = dim_component(U.n, 2 * U.d)
+    if budget is not None and candidates > budget:
+        raise BudgetExceededError(
+            f"square in degree {2 * U.d} has {candidates} candidate monomials, "
+            f"over the budget {budget}",
+            seen=candidates,
+        )
+    return MonomialSubspace(U.n, 2 * U.d, square_index(U.n, U.d).missing(U.complement))
 
 
 def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunction:
@@ -294,62 +260,64 @@ def restrict_vars(U: MonomialSubspace, m: int) -> MonomialSubspace:
 
 
 class SquareIndex:
-    """Precomputed cover structure for fast codim(U^2) over many U.
+    """Cover structure that reads off U^2 for every U of degree d in n variables.
 
     For T of degree 2d the degree-d divisors split into pairs {M, T/M}
     (a pair may be a single self-paired monomial).  T lies outside U^2
-    exactly when every pair meets the complement of U, so T can only
-    contribute when its divisor count is at most twice the codimension.
-    Entries are restricted to divisor count <= cap and scanning a larger
-    cap than needed never changes the count, only the speed.
+    exactly when every pair meets the complement of U, so T can only be
+    missing when its divisor count is at most twice the codimension.
+    `entries` holds (T, pairs) for the T of least divisor count, sorted
+    by that count, and grows whenever a query needs a larger count, so
+    an answer never depends on the queries asked before it.  The pairs
+    point at the shared degree-d basis tuples, which keeps the index small.
     """
 
-    __slots__ = ("n", "d", "cap", "entries")
+    __slots__ = ("n", "d", "entries", "_ranked", "_counts", "_canon")
 
-    def __init__(self, n: int, d: int, cap: int):
-        if n < 1 or d < 1 or cap < 1:
-            raise InvalidInputError(f"need n, d, cap >= 1, got {n}, {d}, {cap}")
+    def __init__(self, n: int, d: int):
+        if n < 1 or d < 0:
+            raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
         self.n = n
         self.d = d
-        self.cap = cap
-        entries = []
-        for T in _basis_tuples(n, 2 * d):
-            nd = count_divisors(T, d)
-            if nd > cap:
-                continue
-            divisors = list(divisors_of_degree(T, d))
+        self.entries: list[tuple[tuple[int, ...], tuple]] = []
+        self._ranked = sorted(_basis_tuples(n, 2 * d), key=lambda T: count_divisors(T, d))
+        self._counts = [count_divisors(T, d) for T in self._ranked]
+        self._canon = {t: t for t in _basis_tuples(n, d)}
+
+    def entries_upto(self, count: int) -> list:
+        """The entries (T, pairs) of every T with at most `count` degree-d
+        divisors, after growing the index to hold them."""
+        stop = bisect_right(self._counts, count)
+        entries, canon = self.entries, self._canon
+        for T in self._ranked[len(entries) : stop]:
             pairs = []
             seen = set()
-            for M in divisors:
-                if M in seen:
-                    continue
-                N = tuple(b - a for a, b in zip(M, T))
-                seen.add(M)
-                seen.add(N)
-                pairs.append((M, N))
-            entries.append((nd, tuple(pairs)))
-        entries.sort(key=lambda e: e[0])
-        self.entries = tuple(entries)
+            for M in divisors_of_degree(T, self.d):
+                if M not in seen:
+                    N = tuple(b - a for a, b in zip(M, T))
+                    seen.update((M, N))
+                    pairs.append((canon[M], canon[N]))
+            entries.append((T, tuple(pairs)))
+        return entries[:stop]
 
-    def codim_square(self, complement) -> int:
-        """Number of degree-2d monomials outside U^2, for U with this complement."""
-        cover = 0
-        limit = 2 * len(complement)
-        if limit > self.cap:
-            raise InvalidInputError(
-                f"index built with cap {self.cap} cannot serve codimension {len(complement)}"
-            )
-        for nd, pairs in self.entries:
-            if nd > limit:
-                break
+    def missing(self, complement) -> list[tuple[int, ...]]:
+        """The degree-2d monomials outside U^2, for U with this complement."""
+        out = []
+        for T, pairs in self.entries_upto(2 * len(complement)):
             for M, N in pairs:
                 if M not in complement and N not in complement:
                     break
             else:
-                cover += 1
-        return cover
+                out.append(T)
+        return out
+
+    def codim_square(self, complement) -> int:
+        """Number of degree-2d monomials outside U^2, for U with this complement."""
+        return len(self.missing(complement))
 
 
-@lru_cache(maxsize=64)
-def square_index(n: int, d: int, cap: int) -> SquareIndex:
-    return SquareIndex(n, d, cap)
+@lru_cache(maxsize=4)
+def square_index(n: int, d: int) -> SquareIndex:
+    """The shared SquareIndex of (n, d).  A few shapes stay cached, since
+    callers such as the lifting checks alternate between several."""
+    return SquareIndex(n, d)

@@ -186,3 +186,40 @@ def test_bad_json_subspace_exits_2(tmp_path, capsys):
 
 def test_conjecture_no_cells_exits_2(capsys):
     assert main(["conjecture", "--n", "2", "--d", "2", "--k", "2"]) == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse exits on a bad flag
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "name, content, args",
+    [
+        ("u.txt", "3 2 1\n1 x 1\n", ()),
+        ("u.txt", "3 two 1\n1 1 0\n", ()),
+        ("u.json", {"n": 3, "d": 2, "rows": [["1/0", "0", "0", "0", "0", "1"]]}, ()),
+        ("u.json", {"n": 3, "d": 2, "rows": [["x", "0", "0", "0", "0", "1"]]}, ()),
+        ("u.json", {"n": "x", "d": 2, "complement": []}, ()),
+        ("u.txt", "2 2 1\n2 0\n", ("--budget", "0")),
+        ("u.txt", "2 2 1\n2 0\n", ("--budget", "-3")),
+        (None, None, ("m", "--n", "3", "--d", "2", "--k", "1", "--budget", "0")),
+        (None, None, ("check", "--suite", "random", "--trials", "0")),
+        (None, None, ("check", "--trials", "-1")),
+        (None, None, ("check", "--budget", "5")),
+        (None, None, ("conjecture", "--n", "3", "--d", "3", "--k", "1", "--trials", "0")),
+    ],
+)
+def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):
+    if name is None:
+        argv = list(args)
+    else:
+        f = tmp_path / name
+        f.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = ["square", str(f), *args]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -29,7 +29,7 @@ from stablesq.subspace import (
     MonomialSubspace,
     ideal_hilbert_function,
     is_base_point_free,
-    product,
+    square,
     variable_quotient,
 )
 
@@ -105,7 +105,7 @@ def test_product_rational_matches_monomial_product():
             for comp in combinations(basis, size):
                 U = MonomialSubspace(n, d, comp)
                 got = product_rational(monomial_span(U), monomial_span(U))
-                want = product(U, U)
+                want = square(U)
                 assert got.dim == want.dim
                 assert got == monomial_span(want)
 

@@ -2,7 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesq.errors import BudgetExceededError, InvalidInputError
@@ -13,7 +13,6 @@ from stablesq.subspace import (
     ideal_hilbert_function,
     is_base_point_free,
     lift,
-    product,
     product_naive,
     restrict_vars,
     square,
@@ -61,33 +60,53 @@ def test_serialization_round_trips():
         subspace_from_text("2 2 1\n1 0\n")  # row degree mismatch
 
 
-def test_product_matches_naive_oracle_exhaustive():
-    basis = _basis_tuples(2, 2)
-    smalls = [
-        MonomialSubspace(2, 2, c)
-        for size in range(0, 4)
-        for c in combinations(basis, size)
-    ]
-    for U in smalls:
-        for V in smalls:
-            assert product(U, V).complement == product_naive(U, V).complement
+def test_square_matches_naive_oracle_exhaustive():
+    for n, d in ((1, 0), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        basis = _basis_tuples(n, d)
+        for size in range(len(basis) + 1):
+            for comp in combinations(basis, size):
+                U = MonomialSubspace(n, d, comp)
+                assert square(U).complement == product_naive(U, U).complement
 
 
-@given(complements(3, 2, 4), complements(3, 3, 4))
-def test_product_matches_naive_oracle_random(U, V):
-    assert product(U, V).complement == product_naive(U, V).complement
+@st.composite
+def any_subspace(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 3))
+    basis = _basis_tuples(n, d)
+    k = draw(st.integers(0, len(basis)))
+    return MonomialSubspace(n, d, draw(st.permutations(basis))[:k])
 
 
-@given(complements(3, 2, 3))
+@settings(max_examples=300, deadline=None)
+@given(any_subspace())
+def test_square_matches_naive_oracle_random(U):
+    assert square(U).complement == product_naive(U, U).complement
+
+
+@given(complements(3, 2, 6))
 def test_square_index_matches_product(U):
-    idx = square_index(3, 2, 6)
-    assert idx.codim_square(U.complement) == square(U).codim
+    idx = square_index(3, 2)
+    want = product_naive(U, U)
+    assert idx.codim_square(U.complement) == want.codim
+    assert set(idx.missing(U.complement)) == want.complement
 
 
-def test_square_index_rejects_large_complements():
-    idx = SquareIndex(2, 2, 2)
+def test_square_index_grows_on_demand():
+    n, d = 4, 3
+    basis = _basis_tuples(n, d)
+    idx = SquareIndex(n, d)
+    sizes = []
+    for k in (3, 1, 10):
+        comp = frozenset(basis[-k:])
+        U = MonomialSubspace(n, d, comp)
+        want = product_naive(U, U).complement
+        assert set(idx.missing(comp)) == want
+        assert set(SquareIndex(n, d).missing(comp)) == want
+        sizes.append(len(idx.entries))
+    assert sizes[0] == sizes[1] < sizes[2]
     with pytest.raises(InvalidInputError):
-        idx.codim_square(frozenset({(2, 0), (1, 1)}))  # needs cap >= 4
+        SquareIndex(0, 2)
 
 
 def test_square_edge_subspaces():
@@ -95,11 +114,16 @@ def test_square_edge_subspaces():
     assert square(MonomialSubspace.zero(2, 2)).codim == dim_component(2, 4)
 
 
-def test_product_budget():
-    U = MonomialSubspace.full(3, 3)
-    with pytest.raises(BudgetExceededError) as err:
-        product(U, U, budget=3)
-    assert err.value.seen >= 3
+def test_square_budget():
+    # the budget bounds the degree-2d candidates, whatever U is
+    for U in (MonomialSubspace.full(3, 3), MonomialSubspace.zero(3, 3)):
+        size = dim_component(3, 6)
+        for budget in (1, size - 1):
+            with pytest.raises(BudgetExceededError) as err:
+                square(U, budget=budget)
+            assert err.value.seen == size
+        for budget in (size, size + 1):
+            assert square(U, budget=budget) == square(U)
 
 
 def _ideal_complement_oracle(U, t):
@@ -174,7 +198,8 @@ def test_square_known_codimensions():
 
 
 def test_square_index_cache_consistency():
-    a = square_index(3, 2, 4)
-    b = square_index(3, 2, 4)
-    assert a is b
-    assert square_index(3, 2, 6) is not a
+    a = square_index(3, 2)
+    assert square_index(3, 2) is a
+    assert square_index(3, 3) is not a
+    assert square(MonomialSubspace(3, 2, [(2, 0, 0)])).codim == 3
+    assert square_index(3, 2) is a and a.entries

@@ -51,6 +51,16 @@ def test_reduced_trials_still_pass():
         assert r.passed, r.line()
 
 
+def test_zero_trials_fail():
+    results = {r.name: r for r in run_suites(["random"], SuiteOptions(trials=0))}
+    empty = [r for r in results.values() if r.checked == 0]
+    assert len(empty) == 5
+    for r in empty:
+        assert not r.passed
+        assert r.line().startswith("FAIL") and "no instances checked" in r.line()
+    assert results["colon-base-point-example"].passed
+
+
 def test_conjecture_scan_cell_filter():
     # k outside 1..min(d-1, n-1, 2) yields no cells
     assert conjecture_scan([3], [3], [3]) == []

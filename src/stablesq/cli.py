@@ -13,8 +13,8 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-from . import tables
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import MonomialOrder, dim_component
@@ -24,11 +24,7 @@ from .qlinalg import (
     rational_subspace_from_json,
     square_rational,
 )
-from .search import (
-    compute_m,
-    compute_m0_monomial,
-    table_cell,
-)
+from .search import compute_m, compute_m0_monomial, verify_table
 from .stable import enumerate_strongly_stable
 from .subspace import (
     MonomialSubspace,
@@ -94,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--diff-paper", action="store_true",
                    help="compare against the bundled reference table")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("m", help="max codim U^2 over strongly stable subspaces")
     add_common(p)
@@ -140,30 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # table
 
 
-def _cell_worker(cell):
-    n, d, k, budget = cell
-    return (n, d, k), table_cell(n, d, k, budget=budget)
-
-
-def _compute_cells(ns, ds, ks, budget, threads):
-    jobs = [(n, d, k, budget) for n in ns for d in ds for k in ks]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return dict(pool.map(_cell_worker, jobs, chunksize=4))
-    return dict(map(_cell_worker, jobs))
-
-
 def _cmd_table(args) -> int:
-    cells = _compute_cells(args.n, args.d, args.k, args.budget, args.threads)
-    mismatches = []
-    compared = 0
-    if args.diff_paper:
-        for (n, d, k), value in cells.items():
-            if tables.covered(n, d, k):
-                compared += 1
-                expected = tables.published_value(n, d, k)
-                if value != expected:
-                    mismatches.append(((n, d, k), value, expected))
+    run = partial(verify_table, args.n, args.d, args.k, args.budget, args.diff_paper)
+    if args.threads > 1:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            report = run(map=partial(pool.map, chunksize=4))
+    else:
+        report = run()
+    cells, mismatches, compared = report.cells, report.mismatches, report.compared
 
     if args.format == "json":
         payload = {
@@ -187,12 +167,11 @@ def _cmd_table(args) -> int:
         out.writerow(header)
         for (n, d, k), v in sorted(cells.items()):
             row = [n, d, k, "" if v is None else v]
-            if args.diff_paper:
-                if tables.covered(n, d, k):
-                    e = tables.published_value(n, d, k)
-                    row += ["" if e is None else e, v == e]
-                else:
-                    row += ["", ""]
+            if (n, d, k) in report.published:
+                e = report.published[(n, d, k)]
+                row += ["" if e is None else e, v == e]
+            elif args.diff_paper:
+                row += ["", ""]
             out.writerow(row)
     else:
         flagged = {cell for cell, _, _ in mismatches}

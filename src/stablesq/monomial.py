@@ -85,13 +85,6 @@ def monomial_from_text(text: str, n: int) -> Monomial:
     return Monomial(exps)
 
 
-def monomial_from_json(data, n: int | None = None) -> Monomial:
-    M = Monomial(data)
-    if n is not None and len(M) != n:
-        raise InvalidInputError(f"expected {n} exponents, got {len(M)}")
-    return M
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A comparison rule for monomials of equal degree.

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import add
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
@@ -171,7 +172,7 @@ def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list[Fraction]:
             M = Monomial(key)
             if M.degree != d or len(M) != n:
                 raise InvalidInputError(f"{M!r} is not a degree-{d} monomial in {n} variables")
-            out[idx[M]] += Fraction(val)
+            out[idx[M]] = Fraction(val)
         return out
     out = [Fraction(x) for x in vector]
     if len(out) != q:
@@ -206,22 +207,29 @@ def apolar_perp(vectors, n: int, d: int, order: MonomialOrder = LEX) -> Rational
     return RationalSubspace(n, d, kernel, order)
 
 
-def _multiply_vectors(
-    a: list[Fraction],
-    b: list[Fraction],
-    colsA,
-    colsB,
-    idxC: dict,
-    qC: int,
-) -> list[Fraction]:
-    out = [Fraction(0)] * qC
-    nzA = [(colsA[i], x) for i, x in enumerate(a) if x != 0]
-    nzB = [(colsB[j], y) for j, y in enumerate(b) if y != 0]
-    for M, x in nzA:
-        for N, y in nzB:
-            T = Monomial(tuple(p + r for p, r in zip(M, N)))
-            out[idxC[T]] += x * y
+def multiply_forms(f: dict, g: dict) -> dict:
+    """Product of two forms given as {exponent tuple: coefficient} dicts."""
+    out: dict = {}
+    for M, x in f.items():
+        for N, y in g.items():
+            T = tuple(map(add, M, N))
+            out[T] = out.get(T, 0) + x * y
     return out
+
+
+def _linear_form(l) -> dict:
+    n = len(l)
+    return {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(l) if c != 0}
+
+
+def linear_multiples(l, n: int, d: int, order: MonomialOrder = LEX) -> list[dict]:
+    """The forms l*mu for mu in the degree d-1 basis: multiplication by l."""
+    lform = _linear_form(l)
+    return [multiply_forms(lform, {mu: 1}) for mu in _columns(n, d - 1, order)]
+
+
+def _form(row, cols) -> dict:
+    return {M: x for M, x in zip(cols, row) if x != 0}
 
 
 def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
@@ -237,12 +245,10 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
             f"product would live in dimension {qC}, over the guard {PRODUCT_DIM_GUARD}",
             seen=qC,
         )
-    colsA, colsB = U.columns, V.columns
-    idxC = _column_index(U.n, dC, U.order)
-    rows = [
-        _multiply_vectors(a, b, colsA, colsB, idxC, qC) for a in U.rows for b in V.rows
-    ]
-    return RationalSubspace(U.n, dC, rows, U.order)
+    forms_U = [_form(a, U.columns) for a in U.rows]
+    forms_V = [_form(b, V.columns) for b in V.rows]
+    products = [multiply_forms(f, g) for f in forms_U for g in forms_V]
+    return span(products, U.n, dC, U.order)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:
@@ -265,21 +271,14 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     if all(x == 0 for x in lvec):
         raise InvalidInputError("the zero form does not define a colon space")
     n, d, order = U.n, U.d, U.order
-    cols_lo = _columns(n, d - 1, order)
-    idx_hi = _column_index(n, d, order)
     q_hi = dim_component(n, d)
-    m = len(cols_lo)
+    multiples = linear_multiples(lvec, n, d, order)
+    m = len(multiples)
     # row for mu: l * mu reduced mod U, augmented with the identity to track
     # which combinations of the mu's land inside U
     aug = []
-    for r, mu in enumerate(cols_lo):
-        vec = [Fraction(0)] * q_hi
-        for i, li in enumerate(lvec):
-            if li != 0:
-                shifted = tuple(
-                    e + (1 if j == i else 0) for j, e in enumerate(mu)
-                )
-                vec[idx_hi[Monomial(shifted)]] += li
+    for r, lmu in enumerate(multiples):
+        vec = _as_vector(lmu, n, d, order)
         for row, p in zip(U.rows, U.pivots):
             if vec[p] != 0:
                 f = vec[p]
@@ -299,25 +298,11 @@ def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFu
     n, d, order = U.n, U.d, U.order
     values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
     if max_degree >= d:
+        linear = monomial_span(MonomialSubspace.full(n, 1), order)
         current = U
         values.append(current.codim)
-        for i in range(d, max_degree):
-            cols_lo = current.columns
-            idx_hi = _column_index(n, i + 1, order)
-            q_hi = dim_component(n, i + 1)
-            rows = []
-            for row in current.rows:
-                for v in range(n):
-                    vec = [Fraction(0)] * q_hi
-                    for c, x in enumerate(row):
-                        if x != 0:
-                            M = cols_lo[c]
-                            shifted = tuple(
-                                e + (1 if j == v else 0) for j, e in enumerate(M)
-                            )
-                            vec[idx_hi[Monomial(shifted)]] += x
-                    rows.append(vec)
-            current = RationalSubspace(n, i + 1, rows, order)
+        for _ in range(d, max_degree):
+            current = product_rational(current, linear)
             values.append(current.codim)
     return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
 
@@ -467,31 +452,19 @@ def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
         raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
     if lvec[-1] == 0:
         raise InvalidInputError("last coefficient must be nonzero to eliminate")
-    sub = {
-        tuple(1 if j == i else 0 for j in range(n - 1)): -lvec[i] / lvec[-1]
-        for i in range(n - 1)
-        if lvec[i] != 0
-    }
-    vec = _as_vector(vector, n, d, order)
-    cols = _columns(n, d, order)
-    idx_lo = _column_index(n - 1, d, order)
-    out = [Fraction(0)] * dim_component(n - 1, d)
-    for c, x in enumerate(vec):
-        if x == 0:
-            continue
-        M = cols[c]
-        term = {tuple(M[:-1]): x}
-        for _ in range(M[-1]):
-            nxt: dict = {}
-            for expo, coef in term.items():
-                for sexpo, scoef in sub.items():
-                    key = tuple(a + b for a, b in zip(expo, sexpo))
-                    nxt[key] = nxt.get(key, Fraction(0)) + coef * scoef
-            term = nxt
-        for expo, coef in term.items():
-            if coef != 0:
-                out[idx_lo[Monomial(expo)]] += coef
-    return out
+    # f = sum of f_e * x_n^e with f_e free of x_n, and x_n = s on l = 0
+    parts: dict = {}
+    for M, x in zip(_columns(n, d, order), _as_vector(vector, n, d, order)):
+        if x != 0:
+            parts.setdefault(M[-1], {})[M[:-1]] = x
+    s = _linear_form([-x / lvec[-1] for x in lvec[:-1]])
+    # Horner's rule: f(x', s) = (...(f_top * s + f_top-1) * s + ...) + f_0
+    g: dict = {}
+    for e in range(max(parts, default=0), -1, -1):
+        g = multiply_forms(g, s)
+        for T, c in parts.get(e, {}).items():
+            g[T] = g.get(T, 0) + c
+    return [g.get(M, Fraction(0)) for M in _columns(n - 1, d, order)]
 
 
 def random_subspace(
@@ -522,7 +495,9 @@ def random_subspace(
 
 
 def random_linear_form(n: int, rng: random.Random, bound: int = 100) -> list[int]:
-    while True:
+    """Random nonzero linear form; zero samples are redrawn up to 100 times."""
+    for _ in range(100):
         l = [rng.randint(-bound, bound) for _ in range(n)]
         if any(x != 0 for x in l):
             return l
+    raise InvalidInputError("could not sample a nonzero linear form in 100 tries")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError
@@ -284,11 +285,19 @@ def verify_degree_stability(
 
 @dataclass(frozen=True)
 class TableReport:
-    """Computed m-values over a grid, with the diff against the bundled table."""
+    """Computed m-values over a grid and the bundled value of each compared cell."""
 
     cells: dict
-    mismatches: list = field(default_factory=list)
-    compared: int = 0
+    published: dict = field(default_factory=dict)
+
+    @property
+    def compared(self) -> int:
+        return len(self.published)
+
+    @property
+    def mismatches(self) -> list:
+        cells = self.cells
+        return [(c, cells[c], e) for c, e in self.published.items() if cells[c] != e]
 
     @property
     def matches(self) -> int:
@@ -306,24 +315,21 @@ def table_cell(n: int, d: int, k: int, budget: int | None = None) -> int | None:
     return compute_m(n, d, k, budget=budget).value
 
 
+def _grid_cell(cell: tuple, budget: int | None) -> int | None:
+    return table_cell(*cell, budget=budget)
+
+
 def verify_table(
-    n_range, d_range, k_range, budget: int | None = None, diff: bool = True
+    n_range, d_range, k_range, budget: int | None = None, diff: bool = True, map=map
 ) -> TableReport:
-    """Recompute a grid of m-values and compare with the bundled reference."""
-    cells = {}
-    mismatches = []
-    compared = 0
-    for n in n_range:
-        for d in d_range:
-            for k in k_range:
-                value = table_cell(n, d, k, budget=budget)
-                cells[(n, d, k)] = value
-                if diff and tables.covered(n, d, k):
-                    compared += 1
-                    expected = tables.published_value(n, d, k)
-                    if value != expected:
-                        mismatches.append(((n, d, k), value, expected))
-    return TableReport(cells, mismatches, compared)
+    """Recompute a grid of m-values and compare with the bundled reference;
+    `map` runs the cells, so a process pool's map spreads them out."""
+    grid = list(product(n_range, d_range, k_range))
+    cells = dict(zip(grid, map(partial(_grid_cell, budget=budget), grid)))
+    published = {
+        c: tables.published_value(*c) for c in grid if diff and tables.covered(*c)
+    }
+    return TableReport(cells, published)
 
 
 def extremal_matches_search(n: int, d: int, k: int, budget: int | None = None) -> bool:

@@ -123,9 +123,16 @@ class MonomialSubspace:
         return "\n".join(lines) + "\n"
 
 
+def _distinct(complement: list) -> list:
+    if len(set(complement)) != len(complement):
+        raise InvalidInputError("complement lists a monomial more than once")
+    return complement
+
+
 def subspace_from_json(data: dict) -> MonomialSubspace:
     try:
-        return MonomialSubspace(int(data["n"]), int(data["d"]), data["complement"])
+        comp = _distinct([tuple(M) for M in data["complement"]])
+        return MonomialSubspace(int(data["n"]), int(data["d"]), comp)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad subspace record: {exc}") from exc
 
@@ -144,7 +151,7 @@ def subspace_from_text(text: str) -> MonomialSubspace:
         raise InvalidInputError(f"non-integer entry in subspace text: {exc}") from exc
     if len(comp) != k:
         raise InvalidInputError(f"header announces codim {k} but {len(comp)} rows follow")
-    return MonomialSubspace(n, d, comp)
+    return MonomialSubspace(n, d, _distinct(comp))
 
 
 def is_base_point_free(U: MonomialSubspace) -> bool:

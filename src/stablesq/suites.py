@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
 
 from .errors import InvalidInputError
 from .gram import face_gap, face_profile, nonsingular_face_bound, singular_face_dim
 from .macaulay import gotzmann_persists, green_restriction_bound, macaulay_growth_bound
-from .monomial import Monomial, _basis_tuples, dim_component, expand, pivot
+from .monomial import Monomial, _basis_tuples, dim_component, expand, multiply, pivot
 from .qlinalg import (
     apolar_perp,
     eliminate_variable,
     has_base_point,
     hilbert_function_rational,
     initial_subspace,
+    linear_multiples,
+    multiply_forms,
     power_in_span,
     product_rational,
     quotient_by_linear_form,
@@ -94,6 +97,31 @@ def _rng(opts: SuiteOptions, name: str) -> random.Random:
     return random.Random(f"{opts.seed}:{name}")
 
 
+RESAMPLE_TRIES = 100
+
+
+def _redraw(draw, good, bad: list, what: str):
+    """The first of up to RESAMPLE_TRIES draws that is good, and the number
+    of draws rejected before it.  When none is, a failure naming `what`
+    goes to `bad` and the draw is None."""
+    for rejected in range(RESAMPLE_TRIES):
+        x = draw()
+        if good(x):
+            return x, rejected
+    bad.append(f"{what}: all {RESAMPLE_TRIES} draws rejected")
+    return None, RESAMPLE_TRIES
+
+
+def _free_subspace(n: int, d: int, k: int, rng: random.Random, bad: list):
+    """A random codimension-k subspace without base points, via _redraw."""
+    return _redraw(
+        lambda: random_subspace(n, d, k, rng, bound=9),
+        lambda U: not has_base_point(U),
+        bad,
+        f"n={n} d={d} k={k}: base point free subspace",
+    )
+
+
 def _stable_family(n_range, d_range, k_max: int):
     for n in n_range:
         for d in d_range:
@@ -136,19 +164,7 @@ def check_power_complement_square_rational(opts: SuiteOptions) -> CheckResult:
     for n, d in ((3, 2), (3, 3), (4, 2)):
         for _ in range(5):
             l = random_linear_form(n, rng, bound=5)
-            power = {tuple(d if j == i else 0 for j in range(n)): 0 for i in range(n)}
-            # expand (sum l_i x_i)^d by repeated multiplication
-            form: dict = {tuple([0] * n): 1}
-            for _ in range(d):
-                nxt: dict = {}
-                for expo, c in form.items():
-                    for i, li in enumerate(l):
-                        if li:
-                            key = tuple(
-                                e + (1 if j == i else 0) for j, e in enumerate(expo)
-                            )
-                            nxt[key] = nxt.get(key, 0) + c * li
-                form = nxt
+            form = reduce(multiply_forms, [linear_multiples(l, n, 1)[0]] * d)  # l^d
             U = apolar_perp([form], n, d)
             c = square_rational(U).codim
             checked += 1
@@ -165,11 +181,8 @@ def check_shift_stays_stable() -> CheckResult:
     bad = []
     checked = 0
     for U in _stable_family(range(2, 5), range(2, 5), 6):
-        shifted = [
-            tuple(e + (1 if j == 0 else 0) for j, e in enumerate(M))
-            for M in U.complement
-        ]
-        V = MonomialSubspace(U.n, U.d + 1, shifted)
+        x1 = (1,) + (0,) * (U.n - 1)
+        V = MonomialSubspace(U.n, U.d + 1, [multiply(M, x1) for M in U.complement])
         checked += 1
         if not is_strongly_stable(V):
             bad.append(f"n={U.n} d={U.d} comp={sorted(U.complement)}")
@@ -299,10 +312,10 @@ def check_codim1_rational(opts: SuiteOptions) -> CheckResult:
     resamples = 0
     for n, d, allowed in ((3, 2, {0, 2}), (4, 2, {0, 2}), (3, 3, {0, 1})):
         for _ in range(max(5, opts.trials // 5)):
-            U = random_subspace(n, d, 1, rng, bound=9)
-            while has_base_point(U):
-                resamples += 1
-                U = random_subspace(n, d, 1, rng, bound=9)
+            U, rejected = _free_subspace(n, d, 1, rng, bad)
+            resamples += rejected
+            if U is None:
+                continue
             c = square_rational(U).codim
             checked += 1
             if c not in allowed:
@@ -731,13 +744,8 @@ def check_mixed_basis_hilbert() -> CheckResult:
     if hf.values != (1, 4, 10, 15, 15, 7, 1):
         bad.append(f"hilbert values {hf.values}")
     base = square_rational(U).codim
-    cubes5 = [
-        {k + (0,): v for k, v in vec.items()} for vec in cubes4
-    ]
-    extra = [
-        {tuple(e + (1 if j == 4 else 0) for j, e in enumerate(M)): 1}
-        for M in _basis_tuples(5, 2)
-    ]
+    cubes5 = [{k + (0,): v for k, v in vec.items()} for vec in cubes4]
+    extra = linear_multiples([0, 0, 0, 0, 1], 5, 3)
     U1 = span(cubes5 + extra, 5, 3)
     lifted = square_rational(U1).codim
     if lifted != base + 7:
@@ -775,10 +783,7 @@ def check_generic_restriction(opts: SuiteOptions) -> CheckResult:
         ok = False
         for _ in range(6):
             l = random_linear_form(n, rng, bound=9)
-            rows = list(U.rows) + [
-                _linear_times_basis(l, mu, n, d) for mu in _basis_tuples(n, d - 1)
-            ]
-            c = span(rows, n, d).codim
+            c = span(list(U.rows) + linear_multiples(l, n, d), n, d).codim
             if c <= bound:
                 ok = True
                 break
@@ -789,15 +794,6 @@ def check_generic_restriction(opts: SuiteOptions) -> CheckResult:
     return _done(
         "generic-restriction-bound", bad, checked, resamples=resamples, seed=opts.seed
     )
-
-
-def _linear_times_basis(l, mu, n: int, d: int) -> dict:
-    out: dict = {}
-    for i, li in enumerate(l):
-        if li:
-            key = tuple(e + (1 if j == i else 0) for j, e in enumerate(mu))
-            out[key] = out.get(key, 0) + li
-    return out
 
 
 def check_generic_colon(opts: SuiteOptions) -> CheckResult:
@@ -816,10 +812,7 @@ def check_generic_colon(opts: SuiteOptions) -> CheckResult:
         ok = False
         for _ in range(6):
             l = random_linear_form(n, rng, bound=9)
-            rows = list(U.rows) + [
-                _linear_times_basis(l, mu, n, d) for mu in _basis_tuples(n, d - 1)
-            ]
-            filled = span(rows, n, d).codim == 0
+            filled = span(list(U.rows) + linear_multiples(l, n, d), n, d).codim == 0
             V = quotient_by_linear_form(U, l)
             if filled and V.codim == k:
                 ok = True
@@ -852,9 +845,7 @@ def check_generic_image_dim(opts: SuiteOptions) -> CheckResult:
         ok = False
         for _ in range(6):
             l = random_linear_form(n, rng, bound=9)
-            l_rows = [
-                _linear_times_basis(l, mu, n, d) for mu in _basis_tuples(n, d - 1)
-            ]
+            l_rows = linear_multiples(l, n, d)
             big = span(list(W.rows) + l_rows, n, d)
             image_dim = big.dim - span(l_rows, n, d).dim
             if image_dim == k:
@@ -881,14 +872,19 @@ def check_colon_degree_reduction(opts: SuiteOptions) -> CheckResult:
         n = 3
         d = rng.choice((3, 4))
         k = rng.randint(1, 2)
-        U = random_subspace(n, d, k, rng, bound=9)
-        while has_base_point(U):
-            resamples += 1
-            U = random_subspace(n, d, k, rng, bound=9)
-        V = quotient_by_linear_form(U, random_linear_form(n, rng, bound=9))
-        while V.codim != k:
-            resamples += 1
-            V = quotient_by_linear_form(U, random_linear_form(n, rng, bound=9))
+        U, rejected = _free_subspace(n, d, k, rng, bad)
+        resamples += rejected
+        if U is None:
+            continue
+        V, rejected = _redraw(
+            lambda: quotient_by_linear_form(U, random_linear_form(n, rng, bound=9)),
+            lambda V: V.codim == k,
+            bad,
+            f"n={n} d={d} k={k}: colon space of codim {k}",
+        )
+        resamples += rejected
+        if V is None:
+            continue
         cU2 = square_rational(U).codim
         cUV = product_rational(U, V).codim
         cV2 = square_rational(V).codim
@@ -905,9 +901,9 @@ def check_colon_degree_reduction(opts: SuiteOptions) -> CheckResult:
 def check_colon_base_point_example(opts: SuiteOptions) -> CheckResult:
     """The colon space can pick up a base point even when the original
     subspace has none: the perp of {x^2 y, x^2 z, x y^2} in degree 3."""
+    name = "colon-base-point-example"
     rng = _rng(opts, "colon-example")
     bad = []
-    resamples = 0
     W = [{(2, 1, 0): 1}, {(2, 0, 1): 1}, {(1, 2, 0): 1}]
     U = apolar_perp(W, 3, 3)
     if U.codim != 3:
@@ -915,10 +911,14 @@ def check_colon_base_point_example(opts: SuiteOptions) -> CheckResult:
     # the annihilator is spanned by power-free monomials, so U is base
     # point free: a power of a linear form supported on r variables
     # always involves pure-power monomials
-    V = quotient_by_linear_form(U, random_linear_form(3, rng, bound=9))
-    while V.dim != 3:
-        resamples += 1
-        V = quotient_by_linear_form(U, random_linear_form(3, rng, bound=9))
+    V, resamples = _redraw(
+        lambda: quotient_by_linear_form(U, random_linear_form(3, rng, bound=9)),
+        lambda V: V.dim == 3,
+        bad,
+        "colon space of dimension 3",
+    )
+    if V is None:
+        return _done(name, bad, checked=0, resamples=resamples, seed=opts.seed)
     if not V.contains({(0, 1, 1): 1}):
         bad.append("yz missing from the colon space")
     if not V.contains({(0, 0, 2): 1}):
@@ -930,9 +930,7 @@ def check_colon_base_point_example(opts: SuiteOptions) -> CheckResult:
     # rank <= 1 means the colon space restricted to the line z = 0 is a
     # single binary quadric, which always has a projective zero: a base
     # point of the colon space
-    return _done(
-        "colon-base-point-example", bad, checked=4, resamples=resamples, seed=opts.seed
-    )
+    return _done(name, bad, checked=4, resamples=resamples, seed=opts.seed)
 
 
 def check_quadric_pencil_hilbert(opts: SuiteOptions) -> CheckResult:
@@ -944,10 +942,10 @@ def check_quadric_pencil_hilbert(opts: SuiteOptions) -> CheckResult:
     resamples = 0
     for _ in range(opts.trials):
         n = rng.choice((3, 4, 5))
-        U = random_subspace(n, 2, 2, rng, bound=9)
-        while has_base_point(U):
-            resamples += 1
-            U = random_subspace(n, 2, 2, rng, bound=9)
+        U, rejected = _free_subspace(n, 2, 2, rng, bad)
+        resamples += rejected
+        if U is None:
+            continue
         hf = hilbert_function_rational(U, 4)
         checked += 1
         if hf.values != (1, n, 2, 0, 0):
@@ -1057,12 +1055,10 @@ def check_extremal_chain() -> CheckResult:
         for k in range(1, min(n, 3) + 1):
             result = compute_m(n, k, k)
             comp = result.witnesses[0].complement
+            x1 = (1,) + (0,) * (n - 1)
             d = k
             for _ in range(2):
-                comp = frozenset(
-                    tuple(e + (1 if j == 0 else 0) for j, e in enumerate(M))
-                    for M in comp
-                )
+                comp = frozenset(multiply(M, x1) for M in comp)
                 d += 1
                 value = square(MonomialSubspace(n, d, comp)).codim
                 target = compute_m(n, d, k).value

@@ -210,6 +210,10 @@ def _exit_code(argv):
         (None, None, ("check", "--trials", "-1")),
         (None, None, ("check", "--budget", "5")),
         (None, None, ("conjecture", "--n", "3", "--d", "3", "--k", "1", "--trials", "0")),
+        (None, None, ("table", "--n", "3", "--d", "2", "--k", "1", "--threads", "0")),
+        (None, None, ("table", "--n", "3", "--d", "2", "--k", "1", "--threads", "-4")),
+        ("u.json", {"n": 2, "d": 2, "complement": [[2, 0], [2, 0]]}, ()),
+        ("u.txt", "2 2 2\n2 0\n2 0\n", ()),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

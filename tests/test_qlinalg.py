@@ -3,9 +3,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stablesq.errors import InvalidInputError
-from stablesq.monomial import GRLEX, LEX, Monomial, _basis_tuples, dim_component
+from stablesq.monomial import (
+    GRLEX,
+    LEX,
+    Monomial,
+    _basis_tuples,
+    dim_component,
+    enumerate_monomials,
+)
 from stablesq.qlinalg import (
     RationalSubspace,
     apolar_dual,
@@ -15,7 +24,9 @@ from stablesq.qlinalg import (
     has_base_point,
     hilbert_function_rational,
     initial_subspace,
+    linear_multiples,
     monomial_span,
+    multiply_forms,
     power_in_span,
     product_rational,
     quotient_by_linear_form,
@@ -230,6 +241,8 @@ def test_random_subspace_is_seeded_and_has_requested_codim():
     assert a.codim == 2
     l = random_linear_form(3, random.Random(11))
     assert any(x != 0 for x in l)
+    with pytest.raises(InvalidInputError):
+        random_linear_form(3, random.Random(11), bound=0)  # only the zero form
 
 
 def test_square_rational_guard():
@@ -252,3 +265,128 @@ def test_order_mismatch_rejected():
     V = span([[1, 0, 0]], 2, 2, order=GRLEX)
     with pytest.raises(InvalidInputError):
         product_rational(U, V)
+
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the form kernel on dense inputs: every product,
+# restriction and colon is checked by exact evaluation at rational points
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def evaluate(form: dict, point) -> Fraction:
+    total = Fraction(0)
+    for M, c in form.items():
+        term = Fraction(c)
+        for p, e in zip(point, M):
+            term *= p**e
+        total += term
+    return total
+
+
+def as_form(row, cols) -> dict:
+    return dict(zip(cols, row))
+
+
+@st.composite
+def dense_forms(draw, n: int, d: int):
+    q = dim_component(n, d)
+    return as_form(draw(st.lists(rationals, min_size=q, max_size=q)), _basis_tuples(n, d))
+
+
+@st.composite
+def form_pairs(draw):
+    n = draw(st.integers(1, 4))
+    f = draw(dense_forms(n, draw(st.integers(0, 3))))
+    g = draw(dense_forms(n, draw(st.integers(0, 3))))
+    point = draw(st.lists(rationals, min_size=n, max_size=n))
+    return f, g, point
+
+
+@given(form_pairs())
+def test_multiply_forms_evaluates_pointwise(case):
+    f, g, point = case
+    assert evaluate(multiply_forms(f, g), point) == evaluate(f, point) * evaluate(g, point)
+
+
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.integers(0, 4).flatmap(lambda d: dense_forms(n, d)),
+            st.lists(rationals, min_size=n - 1, max_size=n - 1),
+            rationals.filter(lambda x: x != 0),
+            st.lists(rationals, min_size=n - 1, max_size=n - 1),
+        )
+    )
+)
+def test_eliminate_variable_evaluates_on_the_hyperplane(case):
+    f, head, last, point = case
+    n, d = len(head) + 1, sum(next(iter(f)))
+    l = head + [last]
+    restricted = eliminate_variable(f, n, d, l)
+    # the point of l = 0 over `point`
+    xn = -sum(a * p for a, p in zip(head, point)) / last
+    got = evaluate(as_form(restricted, enumerate_monomials(n - 1, d)), point)
+    assert got == evaluate(f, point + [xn])
+
+
+@st.composite
+def dense_subspaces(draw, n: int, d: int):
+    codim = draw(st.integers(0, dim_component(n, d) - 1))
+    return random_subspace(n, d, codim, random.Random(draw(st.integers(0, 10**6))), bound=9)
+
+
+def non_coordinate_forms(n: int):
+    return st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(
+        lambda l: sum(x != 0 for x in l) >= 2
+    )
+
+
+@given(
+    st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))).flatmap(
+        lambda nd: st.tuples(dense_subspaces(*nd), non_coordinate_forms(nd[0]))
+    )
+)
+def test_quotient_rows_times_l_lie_in_u(case):
+    U, l = case
+    V = quotient_by_linear_form(U, l)
+    lform = linear_multiples(l, U.n, 1)[0]
+    for row in V.rows:
+        assert U.contains(multiply_forms(lform, as_form(row, V.columns)))
+    # multiplication by l is injective, so (U : l) has the dimension of
+    # U meet l * A_(d-1)
+    multiples = linear_multiples(l, U.n, U.d)
+    meet = len(multiples) + U.dim - span(list(U.rows) + multiples, U.n, U.d).dim
+    assert V.dim == meet
+
+
+@given(
+    st.sampled_from(((2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (3, 2, 2))).flatmap(
+        lambda ndd: st.tuples(
+            dense_subspaces(ndd[0], ndd[1]),
+            dense_subspaces(ndd[0], ndd[2]),
+            st.lists(rationals, min_size=ndd[0], max_size=ndd[0]),
+        )
+    )
+)
+def test_product_rational_is_span_of_checked_products(case):
+    U, V, point = case
+    products = []
+    for a in U.rows:
+        f = as_form(a, U.columns)
+        for b in V.rows:
+            g = as_form(b, V.columns)
+            fg = multiply_forms(f, g)
+            assert evaluate(fg, point) == evaluate(f, point) * evaluate(g, point)
+            products.append(fg)
+    assert product_rational(U, V) == span(products, U.n, U.d + V.d)
+
+
+def test_linear_multiples_is_multiplication_by_l():
+    l = [2, 0, -3]
+    rows = linear_multiples(l, 3, 2)
+    assert len(rows) == 3
+    assert {(2, 0, 0): 2, (1, 0, 1): -3} in rows  # l * x1
+    assert linear_multiples(l, 3, 1) == [{(1, 0, 0): 2, (0, 0, 1): -3}]

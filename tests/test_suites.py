@@ -1,6 +1,8 @@
 import pytest
 
+from stablesq import suites
 from stablesq.errors import InvalidInputError
+from stablesq.qlinalg import span
 from stablesq.suites import (
     SUITES,
     CheckResult,
@@ -59,6 +61,27 @@ def test_zero_trials_fail():
         assert not r.passed
         assert r.line().startswith("FAIL") and "no instances checked" in r.line()
     assert results["colon-base-point-example"].passed
+
+
+def test_exhausted_resampling_fails(monkeypatch):
+    # no draw is ever good: each check gives up after RESAMPLE_TRIES draws
+    # and reports FAIL instead of looping
+    monkeypatch.setattr(suites, "has_base_point", lambda U: True)
+    opts = SuiteOptions(trials=2)
+    checks = (suites.check_codim1_rational, suites.check_quadric_pencil_hilbert)
+    for check in checks:
+        r = check(opts)
+        assert not r.passed and "all 100 draws rejected" in r.details, r.line()
+        assert r.resamples >= suites.RESAMPLE_TRIES
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        suites, "quotient_by_linear_form", lambda U, l: span([], U.n, U.d - 1)
+    )
+    checks = (suites.check_colon_degree_reduction, suites.check_colon_base_point_example)
+    for check in checks:
+        r = check(opts)
+        assert not r.passed and "all 100 draws rejected" in r.details, r.line()
+        assert r.resamples >= suites.RESAMPLE_TRIES
 
 
 def test_conjecture_scan_cell_filter():

@@ -114,6 +114,8 @@ class MonomialOrder:
 
     @staticmethod
     def parse(name: str) -> "MonomialOrder":
+        if not isinstance(name, str):
+            raise InvalidInputError(f"order must be a name, got {name!r}")
         name = name.strip()
         if name == "lex":
             return MonomialOrder.lex()

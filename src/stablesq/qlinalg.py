@@ -3,7 +3,8 @@
 A subspace is a reduced row echelon matrix whose columns are the degree-d
 monomials sorted descending under a chosen order, so the pivot columns
 are the initial monomials of the space.  Two subspaces are equal exactly
-when their matrices coincide.
+when their matrices coincide.  Elimination is fraction-free over the
+integers and its results are exact Fractions; no floating point enters.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from itertools import combinations_with_replacement, product
+from math import factorial, gcd, lcm, prod
 from operator import add
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import LEX, Monomial, MonomialOrder, dim_component, enumerate_monomials
-from .subspace import MonomialSubspace
+from .subspace import MonomialSubspace, json_int
 
 PRODUCT_DIM_GUARD = 20000
 
@@ -32,35 +34,46 @@ def _column_index(n: int, d: int, order: MonomialOrder) -> dict:
     return {M: i for i, M in enumerate(_columns(n, d, order))}
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    m, q = len(rows), len(rows[0])
+def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns.
+
+    Fraction-free Gauss-Jordan elimination: rows of ints or Fractions are
+    scaled to integers, a pivot clears its column from every other row by
+    cross-multiplication, and each updated row is divided by the gcd of its
+    entries.  Only the pivot rows become exact Fractions, at the end.
+    """
+    mat = []
+    for r in rows:
+        scale = lcm(*(x.denominator for x in r))
+        row = [x.numerator * (scale // x.denominator) for x in r]
+        if any(row):
+            mat.append(row)
+    q = len(mat[0]) if mat else 0
     pivots: list[int] = []
     cursor = 0
     for col in range(q):
-        sel = None
-        for i in range(cursor, m):
-            if rows[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(cursor, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
-        rows[cursor], rows[sel] = rows[sel], rows[cursor]
-        inv = rows[cursor][col]
-        rows[cursor] = [x / inv for x in rows[cursor]]
-        lead = rows[cursor]
-        for i in range(m):
-            if i != cursor and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        mat[cursor], mat[sel] = mat[sel], mat[cursor]
+        lead = mat[cursor]
+        p = lead[col]
+        kept = []
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != cursor and f:
+                row = [p * a - f * b for a, b in zip(row, lead)]
+                g = gcd(*row)
+                if g == 0:  # a dependent row below the pivots
+                    continue
+                if g > 1:
+                    row = [a // g for a in row]
+            kept.append(row)
+        mat = kept
         pivots.append(col)
         cursor += 1
-        if cursor == m:
-            break
-    return rows[:cursor], pivots
+    zero = Fraction(0)
+    return [[Fraction(a, r[c]) if a else zero for a in r] for r, c in zip(mat, pivots)], pivots
 
 
 def _null_space(rows: list[list[Fraction]], q: int) -> list[list[Fraction]]:
@@ -90,7 +103,7 @@ class RationalSubspace:
         q = dim_component(n, d)
         try:
             mat = [[Fraction(x) for x in r] for r in rows]
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InvalidInputError(f"bad coefficient: {exc}") from exc
         for r in mat:
             if len(r) != q:
@@ -158,7 +171,7 @@ class RationalSubspace:
 def rational_subspace_from_json(data: dict) -> RationalSubspace:
     try:
         order = MonomialOrder.parse(data.get("order", "lex"))
-        return RationalSubspace(int(data["n"]), int(data["d"]), data["rows"], order)
+        return RationalSubspace(json_int(data, "n"), json_int(data, "d"), data["rows"], order)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 
@@ -246,9 +259,11 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
             seen=qC,
         )
     forms_U = [_form(a, U.columns) for a in U.rows]
-    forms_V = [_form(b, V.columns) for b in V.rows]
-    products = [multiply_forms(f, g) for f in forms_U for g in forms_V]
-    return span(products, U.n, dC, U.order)
+    if V == U:  # a square: each a_i * a_j once, i <= j
+        pairs = combinations_with_replacement(forms_U, 2)
+    else:
+        pairs = product(forms_U, [_form(b, V.columns) for b in V.rows])
+    return span([multiply_forms(f, g) for f, g in pairs], U.n, dC, U.order)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:
@@ -274,20 +289,14 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     q_hi = dim_component(n, d)
     multiples = linear_multiples(lvec, n, d, order)
     m = len(multiples)
-    # row for mu: l * mu reduced mod U, augmented with the identity to track
-    # which combinations of the mu's land inside U
-    aug = []
+    # U's rows above the rows l*mu, each augmented with a tracker of which
+    # combination of the mu's it holds: the reduced rows whose left part
+    # vanishes are exactly the combinations with l*g in U
+    aug = [list(row) + [0] * m for row in U.rows]
     for r, lmu in enumerate(multiples):
-        vec = _as_vector(lmu, n, d, order)
-        for row, p in zip(U.rows, U.pivots):
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        tracker = [Fraction(0)] * m
-        tracker[r] = Fraction(1)
-        aug.append(vec + tracker)
+        aug.append(_as_vector(lmu, n, d, order) + [int(i == r) for i in range(m)])
     reduced, _ = _rref(aug)
-    kernel_rows = [row[q_hi:] for row in reduced if all(x == 0 for x in row[:q_hi])]
+    kernel_rows = [row[q_hi:] for row in reduced if not any(row[:q_hi])]
     return RationalSubspace(n, d - 1, kernel_rows, order)
 
 

@@ -129,10 +129,17 @@ def _distinct(complement: list) -> list:
     return complement
 
 
+def json_int(data: dict, key: str) -> int:
+    """The field `key` of a JSON record, which must be a JSON integer."""
+    if type(data[key]) is not int:
+        raise InvalidInputError(f"{key!r} must be an integer, got {data[key]!r}")
+    return data[key]
+
+
 def subspace_from_json(data: dict) -> MonomialSubspace:
     try:
         comp = _distinct([tuple(M) for M in data["complement"]])
-        return MonomialSubspace(int(data["n"]), int(data["d"]), comp)
+        return MonomialSubspace(json_int(data, "n"), json_int(data, "d"), comp)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad subspace record: {exc}") from exc
 

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stablesq.cli import main
 
@@ -214,6 +216,12 @@ def _exit_code(argv):
         (None, None, ("table", "--n", "3", "--d", "2", "--k", "1", "--threads", "-4")),
         ("u.json", {"n": 2, "d": 2, "complement": [[2, 0], [2, 0]]}, ()),
         ("u.txt", "2 2 2\n2 0\n2 0\n", ()),
+        ("u.json", '{"n": 2, "d": 2, "rows": [[1e999, 0, 0]]}', ()),
+        ("u.json", {"n": 2, "d": 2, "order": 5, "rows": [[1, 0, 0]]}, ()),
+        ("u.json", {"n": 2, "d": 2, "order": None, "rows": [[1, 0, 0]]}, ()),
+        ("u.json", {"n": 2, "d": 2.7, "complement": [[2, 0]]}, ()),
+        ("u.json", {"n": True, "d": 2, "complement": [[2, 0]]}, ()),
+        ("u.json", {"n": 2, "d": 2.0, "rows": [[1, 0, 0]]}, ()),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):
@@ -227,3 +235,44 @@ def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz of the subspace file loader: any record or text is squared or
+# refused with exit 2, never a traceback
+
+sizes = st.one_of(st.integers(-1, 4), st.sampled_from([2.0, 2.5, True, "2", None]))
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from(["1/2", "-3", "1/0", "x", "", 0.5, 1e999, float("nan"), None, True, [1]]),
+)
+
+
+def sized_lists(elements):
+    return st.lists(st.lists(elements, max_size=7), max_size=6)
+
+
+records = st.fixed_dictionaries(
+    {"n": sizes, "d": sizes},
+    optional={
+        "rows": st.one_of(sized_lists(coefficients), st.sampled_from([5, "ab", None])),
+        "complement": st.one_of(sized_lists(st.integers(-1, 4)), st.sampled_from([[5], ["ab"]])),
+        "order": st.sampled_from(["lex", "grlex", "block:1", "block:x", "rev", 5, None]),
+    },
+).map(json.dumps)
+
+texts = st.lists(
+    st.lists(st.one_of(st.integers(-1, 4), st.sampled_from(["x", "1.5", "-"])), max_size=5).map(
+        lambda tokens: " ".join(map(str, tokens))
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(records, texts))
+def test_load_subspace_fuzz_exits_0_or_2(tmp_path, capsys, content):
+    f = tmp_path / "u.txt"
+    f.write_text(content)
+    assert _exit_code(["square", str(f)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stablesq.errors import InvalidInputError
@@ -17,6 +17,7 @@ from stablesq.monomial import (
 )
 from stablesq.qlinalg import (
     RationalSubspace,
+    _rref,
     apolar_dual,
     apolar_perp,
     catalecticant_rows,
@@ -390,3 +391,90 @@ def test_linear_multiples_is_multiplication_by_l():
     assert len(rows) == 3
     assert {(2, 0, 0): 2, (1, 0, 1): -3} in rows  # l * x1
     assert linear_multiples(l, 3, 1) == [{(1, 0, 0): 2, (0, 0, 1): -3}]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction elimination it replaced
+
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    m, q = len(rows), len(rows[0])
+    pivots: list[int] = []
+    cursor = 0
+    for col in range(q):
+        sel = None
+        for i in range(cursor, m):
+            if rows[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[cursor], rows[sel] = rows[sel], rows[cursor]
+        inv = rows[cursor][col]
+        rows[cursor] = [x / inv for x in rows[cursor]]
+        lead = rows[cursor]
+        for i in range(m):
+            if i != cursor and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(col)
+        cursor += 1
+        if cursor == m:
+            break
+    return rows[:cursor], pivots
+
+
+entries = st.one_of(st.just(0), st.integers(-9, 9), rationals, st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def matrices(draw):
+    q = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=q, max_size=q), max_size=8))
+    # zero rows and repeats of earlier rows, at random places
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        copy = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else [0] * q
+        rows.insert(at, list(copy))
+    return rows
+
+
+@given(matrices())
+@example([])
+@example([[]])
+@example([[0, 0, 0], [Fraction(0), 0, 0]])
+@example([[2, Fraction(1, 3), 0], [4, Fraction(2, 3), 1], [2, Fraction(1, 3), 0]])
+def test_rref_matches_fraction_elimination(rows):
+    got_rows, got_pivots = _rref(rows)
+    want_rows, want_pivots = fraction_rref([[Fraction(x) for x in r] for r in rows])
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    assert all(type(x) is Fraction for r in got_rows for x in r)
+
+
+@given(
+    st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))).flatmap(
+        lambda nd: st.one_of(
+            dense_subspaces(*nd),
+            st.sets(st.sampled_from(_basis_tuples(*nd)), min_size=1).map(
+                lambda members: monomial_span(
+                    MonomialSubspace.from_members(nd[0], nd[1], members)
+                )
+            ),
+        )
+    )
+)
+def test_square_rational_is_span_of_all_products(U):
+    forms = [as_form(a, U.columns) for a in U.rows]
+    cols = enumerate_monomials(U.n, 2 * U.d)
+    products = [multiply_forms(f, g) for f in forms for g in forms]
+    rows, pivots = fraction_rref(
+        [[Fraction(fg.get(M, 0)) for M in cols] for fg in products]
+    )
+    S = square_rational(U)
+    assert S.pivots == tuple(pivots)
+    assert S.rows == tuple(tuple(r) for r in rows)

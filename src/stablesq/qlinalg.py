@@ -10,9 +10,10 @@ integers and its results are exact Fractions; no floating point enters.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
 from operator import add
 
@@ -22,6 +23,28 @@ from .monomial import LEX, Monomial, MonomialOrder, dim_component, enumerate_mon
 from .subspace import MonomialSubspace, json_int
 
 PRODUCT_DIM_GUARD = 20000
+
+# Python's default limit on the digits of an integer string; Fraction's
+# parser would expand a larger decimal exponent in full, without bound
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"E[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _coefficient(x):
+    """An exact coefficient: ints and Fractions pass through, others are parsed."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, str):
+        exp = _EXPONENT.search(x)
+        digits = exp[1].replace("_", "").lstrip("0") if exp else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise InvalidInputError(
+                f"bad coefficient: exponent of {x[:40]!r} exceeds {MAX_EXPONENT} in magnitude"
+            )
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInputError(f"bad coefficient: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -34,6 +57,12 @@ def _column_index(n: int, d: int, order: MonomialOrder) -> dict:
     return {M: i for i, M in enumerate(_columns(n, d, order))}
 
 
+def _integer_row(r) -> list[int]:
+    """A row of ints or Fractions scaled to ints by the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in r))
+    return [x.numerator * (scale // x.denominator) for x in r]
+
+
 def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns.
 
@@ -42,12 +71,7 @@ def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     cross-multiplication, and each updated row is divided by the gcd of its
     entries.  Only the pivot rows become exact Fractions, at the end.
     """
-    mat = []
-    for r in rows:
-        scale = lcm(*(x.denominator for x in r))
-        row = [x.numerator * (scale // x.denominator) for x in r]
-        if any(row):
-            mat.append(row)
+    mat = [row for row in map(_integer_row, rows) if any(row)]
     q = len(mat[0]) if mat else 0
     pivots: list[int] = []
     cursor = 0
@@ -101,10 +125,7 @@ class RationalSubspace:
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
         q = dim_component(n, d)
-        try:
-            mat = [[Fraction(x) for x in r] for r in rows]
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise InvalidInputError(f"bad coefficient: {exc}") from exc
+        mat = [[_coefficient(x) for x in r] for r in rows]
         for r in mat:
             if len(r) != q:
                 raise InvalidInputError(
@@ -176,18 +197,18 @@ def rational_subspace_from_json(data: dict) -> RationalSubspace:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 
 
-def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list[Fraction]:
+def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
     q = dim_component(n, d)
     if isinstance(vector, dict):
         idx = _column_index(n, d, order)
-        out = [Fraction(0)] * q
+        out = [0] * q
         for key, val in vector.items():
             M = Monomial(key)
             if M.degree != d or len(M) != n:
                 raise InvalidInputError(f"{M!r} is not a degree-{d} monomial in {n} variables")
-            out[idx[M]] = Fraction(val)
+            out[idx[M]] = _coefficient(val)
         return out
-    out = [Fraction(x) for x in vector]
+    out = [_coefficient(x) for x in vector]
     if len(out) != q:
         raise InvalidInputError(f"coefficient vector has length {len(out)}, expected {q}")
     return out
@@ -335,7 +356,8 @@ def catalecticant_rows(vector, n: int, d: int, order: MonomialOrder = LEX):
     Row i holds the coefficients of the i-th partial over the degree d-1
     monomial basis.  The matrix has rank 1 exactly when the form is a
     nonzero multiple of the d-th power of a linear form (Euler's relation
-    recovers the form from a one-dimensional span of partials).
+    recovers the form from a one-dimensional span of partials).  Integer
+    coefficients give integer entries.
     """
     if d < 1:
         raise InvalidInputError("catalecticant needs degree at least 1")
@@ -345,7 +367,7 @@ def catalecticant_rows(vector, n: int, d: int, order: MonomialOrder = LEX):
     q_lo = dim_component(n, d - 1)
     rows = []
     for i in range(n):
-        row = [Fraction(0)] * q_lo
+        row = [0] * q_lo
         for c, x in enumerate(vec):
             if x == 0:
                 continue
@@ -353,35 +375,52 @@ def catalecticant_rows(vector, n: int, d: int, order: MonomialOrder = LEX):
             if M[i] == 0:
                 continue
             lower = tuple(e - (1 if j == i else 0) for j, e in enumerate(M))
-            row[idx_lo[Monomial(lower)]] += x * M[i]
+            row[idx_lo[lower]] += x * M[i]
         rows.append(row)
     return rows
 
 
-def _poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Monic gcd in Q[u]; coefficient lists are low degree first."""
+def _primitive(p: list[int]) -> list[int]:
+    """A polynomial in Z[u] without trailing zeros, divided by its content."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    g = gcd(*p)
+    return [x // g for x in p] if g > 1 else p
 
-    def trim(a):
-        while a and a[-1] == 0:
-            a = a[:-1]
-        return a
 
-    a, b = trim(list(p)), trim(list(q))
+def _primitive_gcd(a: list[int], b) -> list[int]:
+    """Primitive gcd in Z[u]; coefficient lists are low degree first.
+
+    Euclid's algorithm on pseudo-remainders, each divided by its content,
+    so the coefficients stay integers of bounded size.
+    """
+    a, b = _primitive(a), _primitive(list(b))
     while b:
-        # long division remainder
-        r = list(a)
-        db, lb = len(b) - 1, b[-1]
-        while len(r) - 1 >= db and any(x != 0 for x in r):
-            dr = len(r) - 1
-            f = r[-1] / lb
-            for i in range(db + 1):
-                r[dr - db + i] -= f * b[i]
-            r = trim(r)
+        r = a
+        while len(r) >= len(b):
+            f = r[-1]
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b, len(r) - len(b)):
+                r[i] -= f * y
+            r = _primitive(r)
         a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
     return a
+
+
+def _pencil_minors(A: list[list[int]], B: list[list[int]]):
+    """The nonzero 2x2 minors of s*A + t*B, generated one at a time.
+
+    Each is the triple (c0, c1, c2) of its coefficients of s^2, s*t, t^2.
+    """
+    q = len(A[0])
+    for i, j in combinations(range(len(A)), 2):
+        Ai, Aj, Bi, Bj = A[i], A[j], B[i], B[j]
+        for k, l in combinations(range(q), 2):
+            c0 = Ai[k] * Aj[l] - Ai[l] * Aj[k]
+            c1 = Ai[k] * Bj[l] + Bi[k] * Aj[l] - Ai[l] * Bj[k] - Bi[l] * Aj[k]
+            c2 = Bi[k] * Bj[l] - Bi[l] * Bj[k]
+            if c0 or c1 or c2:
+                yield c0, c1, c2
 
 
 def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
@@ -391,7 +430,8 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     catalecticant has rank at most 1.  For a pencil s*f + t*g the 2x2
     minors are binary quadratics in (s, t); some member has rank at most
     1 exactly when the minors share a projective root, which is decided
-    exactly over the rationals by a gcd computation.
+    exactly over the integers by a gcd computation.  The minors are formed
+    one at a time and the scan stops as soon as the answer is known.
     """
     mat = [_as_vector(v, n, d, order) for v in vectors]
     rows, _ = _rref(mat)
@@ -399,43 +439,30 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
         return False
     if d == 1:
         return True
-    if len(rows) == 1:
-        cat, _ = _rref(catalecticant_rows(rows[0], n, d, order))
-        return len(cat) <= 1
     if len(rows) > 2:
         raise InvalidInputError(
             "exact power detection covers spans of dimension at most 2"
         )
-    A = catalecticant_rows(rows[0], n, d, order)
-    B = catalecticant_rows(rows[1], n, d, order)
-    q_lo = len(A[0])
-    minors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(q_lo):
-                for l in range(k + 1, q_lo):
-                    c0 = A[i][k] * A[j][l] - A[i][l] * A[j][k]
-                    c2 = B[i][k] * B[j][l] - B[i][l] * B[j][k]
-                    c1 = (
-                        A[i][k] * B[j][l]
-                        + B[i][k] * A[j][l]
-                        - A[i][l] * B[j][k]
-                        - B[i][l] * A[j][k]
-                    )
-                    if c0 != 0 or c1 != 0 or c2 != 0:
-                        minors.append((c0, c1, c2))
-    if not minors:
-        # rank at most 1 across the whole pencil, every member is a power
-        return True
-    if all(c2 == 0 for _, _, c2 in minors):
-        # common root at (s, t) = (0, 1)
-        return True
-    g = [Fraction(0)]
-    for c0, c1, c2 in minors:
-        g = _poly_gcd(g, [c0, c1, c2])
-        if len(g) == 1:
+    # a reduced row has a pivot 1, so its integer scaling is primitive;
+    # scaling a generator does not change which members are powers
+    A, *rest = (catalecticant_rows(_integer_row(r), n, d, order) for r in rows)
+    if not rest:
+        # rank at most 1 exactly when every 2x2 minor vanishes
+        zero = [[0] * len(A[0])] * n
+        return next(_pencil_minors(A, zero), None) is None
+    g: list[int] = []
+    top = False
+    for c in _pencil_minors(A, rest[0]):
+        if len(g) != 1:
+            g = _primitive_gcd(g, c)
+        # a minor with c2 != 0 rules out the common root (s, t) = (0, 1), so
+        # a constant gcd leaves no common root at all
+        top = top or c[2] != 0
+        if top and len(g) == 1:
             return False
-    return len(g) >= 2
+    # no nonzero minor (every member is a power), a common root at (0, 1),
+    # or a gcd of positive degree
+    return True
 
 
 def has_base_point(U: RationalSubspace) -> bool:

@@ -222,6 +222,8 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 2.7, "complement": [[2, 0]]}, ()),
         ("u.json", {"n": True, "d": 2, "complement": [[2, 0]]}, ()),
         ("u.json", {"n": 2, "d": 2.0, "rows": [[1, 0, 0]]}, ()),
+        ("u.json", {"n": 2, "d": 2, "rows": [["1e3000000", 1, 0]]}, ()),
+        ("u.json", {"n": 2, "d": 2, "rows": [["-2.5E+999999999", 1, 0]]}, ()),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

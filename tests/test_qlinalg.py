@@ -17,6 +17,8 @@ from stablesq.monomial import (
 )
 from stablesq.qlinalg import (
     RationalSubspace,
+    _as_vector,
+    _coefficient,
     _rref,
     apolar_dual,
     apolar_perp,
@@ -478,3 +480,169 @@ def test_square_rational_is_span_of_all_products(U):
     S = square_rational(U)
     assert S.pivots == tuple(pivots)
     assert S.rows == tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the integer minor scan of power_in_span against the Fraction detection
+# it replaced
+
+
+def fraction_poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Monic gcd in Q[u]; coefficient lists are low degree first."""
+
+    def trim(a):
+        while a and a[-1] == 0:
+            a = a[:-1]
+        return a
+
+    a, b = trim(list(p)), trim(list(q))
+    while b:
+        # long division remainder
+        r = list(a)
+        db, lb = len(b) - 1, b[-1]
+        while len(r) - 1 >= db and any(x != 0 for x in r):
+            dr = len(r) - 1
+            f = r[-1] / lb
+            for i in range(db + 1):
+                r[dr - db + i] -= f * b[i]
+            r = trim(r)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def fraction_power_in_span(vectors, n: int, d: int) -> bool:
+    """Power detection with every minor formed eagerly in Fractions."""
+    mat = [[Fraction(x) for x in _as_vector(v, n, d, LEX)] for v in vectors]
+    rows, _ = fraction_rref(mat)
+    if not rows:
+        return False
+    if d == 1:
+        return True
+    if len(rows) == 1:
+        cat, _ = fraction_rref(catalecticant_rows(rows[0], n, d))
+        return len(cat) <= 1
+    A = catalecticant_rows(rows[0], n, d)
+    B = catalecticant_rows(rows[1], n, d)
+    q_lo = len(A[0])
+    minors = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(q_lo):
+                for l in range(k + 1, q_lo):
+                    c0 = A[i][k] * A[j][l] - A[i][l] * A[j][k]
+                    c2 = B[i][k] * B[j][l] - B[i][l] * B[j][k]
+                    c1 = (
+                        A[i][k] * B[j][l]
+                        + B[i][k] * A[j][l]
+                        - A[i][l] * B[j][k]
+                        - B[i][l] * A[j][k]
+                    )
+                    if c0 != 0 or c1 != 0 or c2 != 0:
+                        minors.append((c0, c1, c2))
+    if not minors:
+        return True
+    if all(c2 == 0 for _, _, c2 in minors):
+        return True
+    g = [Fraction(0)]
+    for c0, c1, c2 in minors:
+        g = fraction_poly_gcd(g, [c0, c1, c2])
+        if len(g) == 1:
+            return False
+    return len(g) >= 2
+
+
+coefficients = st.one_of(st.integers(-9, 9), rationals)
+
+
+def combine(a, f: dict, b, g: dict) -> dict:
+    return {M: a * f.get(M, 0) + b * g.get(M, 0) for M in f.keys() | g.keys()}
+
+
+@st.composite
+def forms(draw, n: int, d: int):
+    basis = _basis_tuples(n, d)
+    return draw(
+        st.one_of(
+            st.dictionaries(st.sampled_from(basis), coefficients, max_size=4),
+            st.lists(coefficients, min_size=len(basis), max_size=len(basis)).map(
+                lambda c: dict(zip(basis, c))
+            ),
+        )
+    )
+
+
+def power_of(L, d: int) -> dict:
+    lform = linear_multiples(L, len(L), 1)[0]
+    P = {(0,) * len(L): 1}
+    for _ in range(d):
+        P = multiply_forms(P, lform)
+    return P
+
+
+nonzero = coefficients.filter(lambda x: x != 0)
+POWER_CASES = ("span", "restricted", "finite", "at (1:0)", "at (0:1)", "dependent")
+
+
+@st.composite
+def power_cases(draw, kind: str):
+    """(vectors, n, d, planted): planted spans contain a d-th power.
+
+    The pencil is s*r0 + t*r1 over the reduced rows r0, r1 of the span.
+    """
+    n = draw(st.integers(2 if kind.startswith("at") else 1, 4))
+    d = draw(st.integers(1, 5))
+    if kind == "span":  # dimension 0, 1 or 2
+        return draw(st.lists(forms(n, d), max_size=2)), n, d, False
+    if kind == "restricted":
+        W = draw(st.lists(st.sampled_from(_basis_tuples(n + 1, d)), min_size=1, max_size=2))
+        l = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [draw(nonzero)]
+        return [eliminate_variable({M: 1}, n + 1, d, l) for M in W], n, d, False
+    L = draw(st.lists(nonzero if kind == "finite" else coefficients, min_size=n, max_size=n))
+    g = draw(forms(n, d))
+    # the first column, where r0 has its pivot, is x_n^d
+    if kind == "at (1:0)":
+        # P has an x_n^d term and no x1; every monomial of g has x1, so r1 is
+        # a multiple of g and r0 one of P
+        L[0], L[-1] = 0, draw(nonzero)
+        g = {M: c for M, c in g.items() if M[0]}
+        return [g, power_of(L, d)], n, d, True
+    if kind == "at (0:1)":
+        # P is free of x_n and g has an x_n^d term, so r1 is a multiple of P
+        L[0], L[-1] = draw(nonzero), 0
+        g[(0,) * (n - 1) + (d,)] = draw(nonzero)
+        return [power_of(L, d), g], n, d, True
+    if not any(L):
+        L[0] = 1
+    P = power_of(L, d)
+    a, b, c, e = (draw(nonzero) for _ in range(4))
+    if kind == "dependent":  # a dimension-1 pencil: every minor of s*a*P + t*c*P vanishes
+        return [combine(a, P, 0, g), combine(c, P, 0, g)], n, d, True
+    if a * e == b * c:  # keep P in the span
+        e = -e
+    # P has every monomial, so it is a*r0 + b*r1 with a, b != 0
+    return [combine(a, P, b, g), combine(c, P, e, g)], n, d, True
+
+
+@pytest.mark.parametrize("kind", POWER_CASES)
+@given(data=st.data())
+def test_power_in_span_matches_fraction_detection(kind, data):
+    vectors, n, d, planted = data.draw(power_cases(kind))
+    got = power_in_span(vectors, n, d)
+    assert got == fraction_power_in_span(vectors, n, d)
+    if planted:
+        assert got is True
+
+
+def test_coefficient_passes_exact_numbers_through():
+    half = Fraction(1, 2)
+    assert _coefficient(half) is half
+    assert type(_coefficient(7)) is int
+    assert _coefficient("-3/4") == Fraction(-3, 4)
+    assert _coefficient("2.5e4300") == 25 * 10**4299
+    assert _coefficient("1e-0_4_3_0_0") == Fraction(1, 10**4300)
+    for text in ("1e4301", "1E-4301", "1e0_0_0_0_0_3000000"):
+        with pytest.raises(InvalidInputError):
+            _coefficient(text)

@@ -33,7 +33,7 @@ from .subspace import (
     subspace_from_json,
     subspace_from_text,
 )
-from .gram import face_gap, nonsingular_face_bound, singular_face_dim
+from .gram import nonsingular_face_bound, singular_face_dim
 from .suites import SUITES, SuiteOptions, conjecture_scan, run_suites
 
 
@@ -369,16 +369,9 @@ def _cmd_gram(args) -> int:
     for n in args.n:
         for d in args.d:
             for k in args.k:
-                rows.append(
-                    (
-                        n,
-                        d,
-                        k,
-                        nonsingular_face_bound(n, d, k),
-                        singular_face_dim(n, d, k, budget=args.budget),
-                        face_gap(n, d, k, budget=args.budget),
-                    )
-                )
+                a = nonsingular_face_bound(n, d, k)
+                b = singular_face_dim(n, d, k, budget=args.budget)
+                rows.append((n, d, k, a, b, b - a))
     if args.format == "json":
         print(json.dumps([
             {

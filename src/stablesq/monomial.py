@@ -189,6 +189,11 @@ def _basis_tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _power_free(n: int, d: int) -> list[tuple[int, ...]]:
+    """The degree-d exponent tuples other than the powers x_i^d, lex ascending."""
+    return [t for t in _basis_tuples(n, d) if max(t) < d]
+
+
 def enumerate_monomials(n: int, d: int, order: MonomialOrder = LEX) -> list[Monomial]:
     """Degree-d monomials in n variables, sorted descending under the order."""
     if n < 1 or d < 0:

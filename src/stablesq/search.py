@@ -12,11 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import accumulate, product
 from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError
-from .monomial import dim_component
+from .monomial import _power_free, dim_component
 from .stable import enumerate_strongly_stable, extremal_complement
 from .subspace import MonomialSubspace, square_index
 from . import tables
@@ -44,6 +44,9 @@ class SearchResult:
 
     witness_count is the number of maximizers found; witnesses holds at
     most witness_cap of them.  restricted_to names the family searched.
+    searched is the number of subspaces the search decides: for m, the
+    strongly stable subspaces visited; for m0, C(N, k), the k-subsets of
+    the N non-power monomials, whether scored one by one or cut off.
     """
 
     n: int
@@ -117,43 +120,6 @@ def small_subspace_bound(n: int, r: int) -> int:
     return n * r - comb(n, 2)
 
 
-def _is_power(t) -> bool:
-    return max(t) == sum(t)
-
-
-def _nonpower_basis(n: int, d: int) -> list[tuple[int, ...]]:
-    from .monomial import _basis_tuples
-
-    return [t for t in _basis_tuples(n, d) if not _is_power(t)]
-
-
-def _u_y_tables(n: int, d: int):
-    """Covered-count decomposition for complements of size at most 2.
-
-    u[M] counts degree-2d monomials whose single divisor pair contains M;
-    y[{A, B}] counts monomials with two divisor pairs, one hit by A and
-    the other by B.  For a base point free complement S the number of
-    monomials outside U^2 is sum of u over S plus the y bonus, because a
-    pair both of whose members lie in S would force a pure power into S.
-    """
-    u: dict = {}
-    y: dict = {}
-    for _, pairs in square_index(n, d).entries_upto(4):
-        if len(pairs) == 1:
-            (M, N) = pairs[0]
-            for X in {M, N}:
-                if not _is_power(X):
-                    u[X] = u.get(X, 0) + 1
-        elif len(pairs) == 2:
-            p1 = {X for X in pairs[0] if not _is_power(X)}
-            p2 = {X for X in pairs[1] if not _is_power(X)}
-            for A in p1:
-                for B in p2:
-                    key = frozenset((A, B))
-                    y[key] = y.get(key, 0) + 1
-    return u, y
-
-
 def compute_m0_monomial(
     n: int, d: int, k: int, budget: int | None = None, witness_cap: int = 64
 ) -> SearchResult:
@@ -162,6 +128,14 @@ def compute_m0_monomial(
     Monomial subspaces are a strict subfamily of all base point free
     subspaces, so the value is a lower bound for the unrestricted
     maximum; the result is tagged bpf-monomial to say so.
+
+    The k-subsets of the non-power basis are searched depth first in
+    `combinations` order, which is the order of the witnesses.  Each T of
+    the SquareIndex counts its divisor pairs hit by the chosen monomials;
+    T is outside U^2 once all are hit.  gain[c] counts the T that adding
+    c would complete, and the last level reads its choices off it.  A
+    subtree is cut when, even if each monomial still to choose completed
+    as many T as any candidate left touches, it stays below the best.
     """
     if d < 1:
         raise InvalidInputError(f"need d >= 1, got d={d}")
@@ -170,88 +144,113 @@ def compute_m0_monomial(
         raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
     if budget is None:
         budget = default_budget()
-    candidates = _nonpower_basis(n, d)
-    if k > len(candidates):
+    candidates = _power_free(n, d)
+    N = len(candidates)
+    if k > N:
         raise InvalidInputError(
             f"no base point free monomial subspace of codimension {k} in "
-            f"A({n})_{d}: only {len(candidates)} non-power monomials"
+            f"A({n})_{d}: only {N} non-power monomials"
         )
-
-    if k == 1:
-        u, _ = _u_y_tables(n, d)
-        best = max((u.get(M, 0) for M in candidates), default=0)
-        wits = [M for M in candidates if u.get(M, 0) == best]
-        return SearchResult(
-            n,
-            d,
-            k,
-            best,
-            len(wits),
-            tuple(MonomialSubspace(n, d, [w]) for w in wits[:witness_cap]),
-            "bpf-monomial",
-            len(candidates),
-        )
-
-    if k == 2:
-        u, y = _u_y_tables(n, d)
-        positive = [M for M in candidates if u.get(M, 0) > 0]
-        support = set(positive)
-        for key in y:
-            support.update(key)
-        if len(positive) >= 2:
-            scanned = sorted(support)
-            best = -1
-            count = 0
-            wits: list[frozenset] = []
-            for A, B in combinations(scanned, 2):
-                c = u.get(A, 0) + u.get(B, 0) + y.get(frozenset((A, B)), 0)
-                if c > best:
-                    best, count, wits = c, 1, [frozenset((A, B))]
-                elif c == best:
-                    count += 1
-                    if len(wits) < witness_cap:
-                        wits.append(frozenset((A, B)))
-            return SearchResult(
-                n,
-                d,
-                k,
-                best,
-                count,
-                tuple(MonomialSubspace(n, d, w) for w in wits),
-                "bpf-monomial",
-                comb(len(scanned), 2),
-            )
-
-    total = comb(len(candidates), k)
+    total = comb(N, k)
     if total > budget:
         raise BudgetExceededError(
             f"base point free search for n={n}, d={d}, k={k} needs {total} "
             f"subsets, over the budget {budget}",
             seen=0,
         )
-    idx = square_index(n, d)
-    best = -1
-    count = 0
-    wits = []
-    for S in combinations(candidates, k):
-        comp = frozenset(S)
-        c = idx.codim_square(comp)
-        if c > best:
-            best, count, wits = c, 1, [comp]
-        elif c == best:
-            count += 1
-            if len(wits) < witness_cap:
-                wits.append(comp)
-    return SearchResult(
-        n,
-        d,
-        k,
-        best,
-        count,
-        tuple(MonomialSubspace(n, d, w) for w in wits),
-        "bpf-monomial",
-        total,
-    )
+
+    # Positions in `candidates`; N stands for a pure power, which is never
+    # chosen, and for the partner of a self-paired monomial.  touches[c]
+    # lists (T, partner of c in T) for every T with a pair holding c.
+    pos = {M: i for i, M in enumerate(candidates)}
+    need: list[int] = []
+    pairs: list[list[tuple[int, int]]] = []
+    touches: list[list[tuple[int, int]]] = [[] for _ in range(N)]
+    for _, T_pairs in square_index(n, d).entries_upto(2 * k):
+        ab = [(pos.get(M, N), pos.get(P, N) if P != M else N) for M, P in T_pairs]
+        if any(a == b == N for a, b in ab):
+            continue  # a pair of two powers is never hit
+        t = len(need)
+        need.append(len(ab))
+        pairs.append(ab)
+        for a, b in ab:
+            for c, o in ((a, b), (b, a)):
+                if c < N:
+                    touches[c].append((t, o))
+    # reach[i]: the most T that one candidate c >= i touches
+    reach = list(accumulate(map(len, reversed(touches)), max))[::-1]
+    hit = [0] * len(need)
+    chosen = [False] * (N + 1)
+    gain = [0] * (N + 1)
+
+    def nudge(t: int, step: int) -> None:
+        """Credit the members of the one unhit pair of T, which T now lacks."""
+        for a, b in pairs[t]:
+            if not (chosen[a] or chosen[b]):
+                gain[a] += step
+                gain[b] += step
+                return
+
+    for t, p in enumerate(need):
+        if p == 1:
+            nudge(t, 1)
+
+    def add(c: int) -> int:
+        chosen[c] = True
+        done = 0
+        for t, o in touches[c]:
+            if not chosen[o]:
+                h = hit[t] = hit[t] + 1
+                if h == need[t]:
+                    done += 1
+                    gain[c] -= 1
+                    gain[o] -= 1
+                elif h == need[t] - 1:
+                    nudge(t, 1)
+        return done
+
+    def remove(c: int) -> None:
+        for t, o in touches[c]:
+            if not chosen[o]:
+                h = hit[t]
+                if h == need[t]:
+                    gain[c] += 1
+                    gain[o] += 1
+                elif h == need[t] - 1:
+                    nudge(t, -1)
+                hit[t] = h - 1
+        chosen[c] = False
+
+    best, count, wits, prefix = -1, 0, [], []
+
+    def descend(start: int, left: int, value: int) -> None:
+        nonlocal best, count, wits
+        if left > 1:
+            for c in range(start, N - left + 1):
+                if value + left * reach[c] < best:
+                    return
+                prefix.append(c)
+                descend(c + 1, left - 1, value + add(c))
+                remove(c)
+                prefix.pop()
+            return
+        tail = gain[start:N]
+        top = max(tail)
+        if value + top < best:
+            return
+        if value + top > best:
+            best, count, wits = value + top, 0, []
+        ties = tail.count(top)
+        count += ties
+        c = start
+        for _ in range(min(ties, witness_cap - len(wits))):
+            c = gain.index(top, c, N)
+            wits.append((*prefix, c))
+            c += 1
+
+    descend(0, k, 0)
+    witnesses = tuple(MonomialSubspace(n, d, [candidates[i] for i in w]) for w in wits)
+    return SearchResult(n, d, k, best, count, witnesses, "bpf-monomial", total)
 
 
 @dataclass(frozen=True)

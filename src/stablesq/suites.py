@@ -18,7 +18,9 @@ from math import comb
 from .errors import InvalidInputError
 from .gram import face_gap, face_profile, nonsingular_face_bound, singular_face_dim
 from .macaulay import gotzmann_persists, green_restriction_bound, macaulay_growth_bound
-from .monomial import Monomial, _basis_tuples, dim_component, expand, multiply, pivot
+from .monomial import (
+    Monomial, _basis_tuples, _power_free, dim_component, expand, multiply, pivot
+)
 from .qlinalg import (
     apolar_perp,
     eliminate_variable,
@@ -129,10 +131,6 @@ def _stable_family(n_range, d_range, k_max: int):
             for k in range(1, top + 1):
                 for U in enumerate_strongly_stable(n, d, k):
                     yield U
-
-
-def _power_free(n: int, d: int) -> list[tuple[int, ...]]:
-    return [t for t in _basis_tuples(n, d) if max(t) < d]
 
 
 # ---------------------------------------------------------------------------

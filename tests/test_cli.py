@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stablesq.cli import main
+from stablesq.gram import singular_face_dim
 
 
 def run(capsys, *argv):
@@ -139,6 +140,18 @@ def test_gram_command(capsys):
     assert lines[0] == "n,d,k,nonsingular_bound,singular_dim,gap"
     assert lines[1].startswith("5,4,2,")
     assert lines[1].endswith(",2")  # gap 2n - 8 at n = 5
+
+
+def test_gram_gap_below_k(capsys):
+    # n < k: the singular dimension comes from the search, not the closed form
+    code, out, _ = run(
+        capsys, "gram", "--n", "2", "--d", "5", "--k", "3", "--format", "json"
+    )
+    assert code == 0
+    (row,) = json.loads(out)
+    assert (row["n"], row["d"], row["k"]) == (2, 5, 3)
+    assert row["gap"] == row["singular_dim"] - row["nonsingular_bound"]
+    assert row["singular_dim"] == singular_face_dim(2, 5, 3)
 
 
 def test_check_command(capsys):

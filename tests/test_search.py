@@ -1,10 +1,10 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from stablesq.errors import BudgetExceededError, InvalidInputError
-from stablesq.monomial import _basis_tuples, dim_component
+from stablesq.monomial import _basis_tuples, _power_free, dim_component
 from stablesq.search import (
     closed_form_m,
     compute_m,
@@ -16,7 +16,7 @@ from stablesq.search import (
     verify_degree_stability,
     verify_table,
 )
-from stablesq.subspace import MonomialSubspace, square
+from stablesq.subspace import MonomialSubspace, square, square_index
 from stablesq.tables import covered, published_value
 
 
@@ -88,25 +88,36 @@ def test_m0_hand_values():
     assert compute_m0_monomial(2, 5, 2).restricted_to == "bpf-monomial"
 
 
-def test_m0_aggregation_matches_direct_search():
-    # the k = 2 covered-count tables must agree with scanning all pairs
-    for n, d in ((2, 4), (3, 2), (3, 3), (3, 4), (4, 2)):
-        free = [t for t in _basis_tuples(n, d) if max(t) < d]
-        if len(free) < 2:
+def _plain_m0_scan(n, d, k, witness_cap):
+    """Oracle: codim U^2 of every k-subset of the non-power basis, taken in
+    `combinations` order; returns (value, witness_count, witnesses)."""
+    idx = square_index(n, d)
+    best, count, wits = -1, 0, []
+    for S in combinations(_power_free(n, d), k):
+        comp = frozenset(S)
+        c = idx.codim_square(comp)
+        if c > best:
+            best, count, wits = c, 1, [comp]
+        elif c == best:
+            count += 1
+            if len(wits) < witness_cap:
+                wits.append(comp)
+    return best, count, tuple(wits)
+
+
+def test_m0_search_matches_plain_scan():
+    cells = 0
+    for n, d, k in product(range(2, 6), range(2, 6), range(1, 5)):
+        N = len(_power_free(n, d))
+        if k > N or comb(N, k) > 3000:
             continue
-        brute = max(
-            square(MonomialSubspace(n, d, pair)).codim
-            for pair in combinations(free, 2)
-        )
-        assert compute_m0_monomial(n, d, 2).value == brute, (n, d)
-
-
-def test_m0_general_path_matches_brute_force():
-    free = [t for t in _basis_tuples(3, 2) if max(t) < 2]
-    brute = max(
-        square(MonomialSubspace(3, 2, c)).codim for c in combinations(free, 3)
-    )
-    assert compute_m0_monomial(3, 2, 3).value == brute
+        cells += 1
+        for cap in (64, 3):
+            r = compute_m0_monomial(n, d, k, witness_cap=cap)
+            got = (r.value, r.witness_count, tuple(w.complement for w in r.witnesses))
+            assert got == _plain_m0_scan(n, d, k, cap), (n, d, k, cap)
+            assert r.searched == comb(N, k)
+    assert cells == 45
 
 
 def test_m0_rejects_impossible_codimension():

@@ -88,6 +88,27 @@ def test_m0_hand_values():
     assert compute_m0_monomial(2, 5, 2).restricted_to == "bpf-monomial"
 
 
+def test_m0_aggregation_matches_direct_search():
+    # the k = 2 search must agree with scanning all pairs
+    for n, d in ((2, 4), (3, 2), (3, 3), (3, 4), (4, 2)):
+        free = [t for t in _basis_tuples(n, d) if max(t) < d]
+        if len(free) < 2:
+            continue
+        brute = max(
+            square(MonomialSubspace(n, d, pair)).codim
+            for pair in combinations(free, 2)
+        )
+        assert compute_m0_monomial(n, d, 2).value == brute, (n, d)
+
+
+def test_m0_general_path_matches_brute_force():
+    free = [t for t in _basis_tuples(3, 2) if max(t) < 2]
+    brute = max(
+        square(MonomialSubspace(3, 2, c)).codim for c in combinations(free, 3)
+    )
+    assert compute_m0_monomial(3, 2, 3).value == brute
+
+
 def _plain_m0_scan(n, d, k, witness_cap):
     """Oracle: codim U^2 of every k-subset of the non-power basis, taken in
     `combinations` order; returns (value, witness_count, witnesses)."""

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals for non-monomial subspaces.
 
-A subspace is a reduced row echelon matrix whose columns are the degree-d
-monomials sorted descending under a chosen order, so the pivot columns
-are the initial monomials of the space.  Two subspaces are equal exactly
-when their matrices coincide.  Elimination is fraction-free over the
+A subspace is the row space of integer vectors whose columns are the
+degree-d monomials sorted descending under a chosen order.  Its dimension
+is certified when it is built: the rank modulo the prime 2^61 - 1 is a
+lower bound on the rank over Q, so it is exact when it equals the number
+of rows or of columns, and exact elimination decides every other case.
+The reduced row echelon form, whose pivot columns are the initial
+monomials of the space, is built on first use.  Two subspaces are equal
+exactly when these forms coincide.  Elimination is fraction-free over the
 integers and its results are exact Fractions; no floating point enters.
 """
 
@@ -57,21 +61,28 @@ def _column_index(n: int, d: int, order: MonomialOrder) -> dict:
     return {M: i for i, M in enumerate(_columns(n, d, order))}
 
 
+def _all_int(r) -> bool:
+    return {int}.issuperset(map(type, r))
+
+
 def _integer_row(r) -> list[int]:
     """A row of ints or Fractions scaled to ints by the lcm of its denominators."""
+    if _all_int(r):
+        return r
     scale = lcm(*(x.denominator for x in r))
     return [x.numerator * (scale // x.denominator) for x in r]
 
 
-def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns.
+def _integer_rref(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows, kept over the integers.
 
-    Fraction-free Gauss-Jordan elimination: rows of ints or Fractions are
-    scaled to integers, a pivot clears its column from every other row by
-    cross-multiplication, and each updated row is divided by the gcd of its
-    entries.  Only the pivot rows become exact Fractions, at the end.
+    Fraction-free Gauss-Jordan elimination: a pivot clears its column from
+    every other row by cross-multiplication, and each updated row is
+    divided by the gcd of its entries.  Returns the pivot rows and columns;
+    each row is the reduced row scaled to primitive integers with a
+    positive pivot, so the rows are as canonical as the reduced form.
     """
-    mat = [row for row in map(_integer_row, rows) if any(row)]
+    mat = [row for row in mat if any(row)]
     q = len(mat[0]) if mat else 0
     pivots: list[int] = []
     cursor = 0
@@ -96,8 +107,58 @@ def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
         mat = kept
         pivots.append(col)
         cursor += 1
+    out = []
+    for r, c in zip(mat, pivots):
+        g = gcd(*r) if r[c] > 0 else -gcd(*r)
+        out.append(r if g == 1 else [a // g for a in r])
+    return out, pivots
+
+
+def _fraction_row(r: list[int], c: int) -> list[Fraction]:
+    """The integer row divided by its entry in column c."""
     zero = Fraction(0)
-    return [[Fraction(a, r[c]) if a else zero for a in r] for r, c in zip(mat, pivots)], pivots
+    return [Fraction(a, r[c]) if a else zero for a in r]
+
+
+def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns.
+
+    Rows of ints or Fractions are scaled to integers and reduced by
+    `_integer_rref`; only the pivot rows become exact Fractions, at the end.
+    """
+    mat, pivots = _integer_rref([_integer_row(r) for r in rows])
+    return [_fraction_row(r, c) for r, c in zip(mat, pivots)], pivots
+
+
+# a large prime, so that a rank drop modulo it is rare; the exact
+# elimination decides every case where it happens
+_PRIME = 2**61 - 1
+
+
+def _rank_mod_p(mat: list[list[int]], q: int) -> int:
+    """Rank modulo _PRIME of integer rows with q columns.
+
+    Each row is reduced against the echelon rows found so far, and the scan
+    stops once the rank reaches min(rows, q).  A minor that vanishes over Q
+    vanishes modulo the prime, so the result never exceeds the rank over Q.
+    """
+    echelon: dict[int, list[int]] = {}  # pivot column c -> row[c:], led by 1
+    limit = min(len(mat), q)
+    for row in mat:
+        if len(echelon) == limit:
+            break
+        r = [a % _PRIME for a in row]
+        for c in range(q):
+            f = r[c]
+            if not f:
+                continue
+            lead = echelon.get(c)
+            if lead is None:
+                inv = pow(f, -1, _PRIME)
+                echelon[c] = [a * inv % _PRIME for a in r[c:]]
+                break
+            r[c:] = [(a - f * b) % _PRIME for a, b in zip(r[c:], lead)]
+    return len(echelon)
 
 
 def _null_space(rows: list[list[Fraction]], q: int) -> list[list[Fraction]]:
@@ -117,50 +178,90 @@ def _null_space(rows: list[list[Fraction]], q: int) -> list[list[Fraction]]:
 
 
 class RationalSubspace:
-    """Row space of a reduced echelon matrix over a monomial column basis."""
+    """Row space of integer vectors over a monomial column basis.
 
-    __slots__ = ("n", "d", "order", "rows", "pivots")
+    dim is certified on construction; the reduced echelon form (`rows`,
+    `pivots`) is built exactly on first use and kept.
+    """
+
+    __slots__ = ("n", "d", "order", "dim", "_basis", "_echelon", "_rows")
 
     def __init__(self, n: int, d: int, rows, order: MonomialOrder = LEX):
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
         q = dim_component(n, d)
-        mat = [[_coefficient(x) for x in r] for r in rows]
+        mat = []
+        for r in rows:
+            r = list(r)
+            if not _all_int(r):
+                r = _integer_row([_coefficient(x) for x in r])
+            mat.append(r)
         for r in mat:
             if len(r) != q:
                 raise InvalidInputError(
                     f"coefficient vector has length {len(r)}, expected {q}"
                 )
-        rr, pivots = _rref(mat)
-        reduced = [tuple(r) for r in rr]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", tuple(reduced))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        mat = [r for r in mat if any(r)]
+        rank = _rank_mod_p(mat, q)
+        echelon = None
+        if rank == q:  # the reduced form is the identity
+            mat = None
+        elif rank < len(mat):  # dependent modulo the prime: decide exactly
+            echelon = _integer_rref(mat)
+            rank, mat = len(echelon[1]), None
+        # otherwise the rows are independent: a basis, reduced on first use
+        _set = object.__setattr__
+        _set(self, "n", n)
+        _set(self, "d", d)
+        _set(self, "order", order)
+        _set(self, "dim", rank)
+        _set(self, "_basis", mat)
+        _set(self, "_echelon", echelon)
+        _set(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSubspace is immutable")
 
+    def _reduced(self) -> tuple[list[list[int]], list[int]]:
+        """The reduced rows as primitive integer rows, and their pivot columns."""
+        if self._echelon is None:
+            if self._basis is None:  # full rank: the identity
+                q = self.dim
+                echelon = [[int(i == j) for j in range(q)] for i in range(q)], list(range(q))
+            else:
+                echelon = _integer_rref(self._basis)
+            object.__setattr__(self, "_echelon", echelon)
+            object.__setattr__(self, "_basis", None)
+        return self._echelon
+
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of the reduced echelon form, as exact Fractions."""
+        if self._rows is None:
+            mat, pivots = self._reduced()
+            rows = tuple(tuple(_fraction_row(r, c)) for r, c in zip(mat, pivots))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self._reduced()[1])
 
     @property
     def codim(self) -> int:
-        return dim_component(self.n, self.d) - len(self.rows)
+        return dim_component(self.n, self.d) - self.dim
 
     @property
     def columns(self) -> tuple[Monomial, ...]:
         return _columns(self.n, self.d, self.order)
 
     def contains(self, vector) -> bool:
-        vec = _as_vector(vector, self.n, self.d, self.order)
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p] != 0:
-                f = vec[p]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
+        vec = _integer_row(_as_vector(vector, self.n, self.d, self.order))
+        for row, p in zip(*self._reduced()):
+            f = vec[p]
+            if f:
+                vec = [row[p] * a - f * b for a, b in zip(vec, row)]
+        return not any(vec)
 
     def __eq__(self, other) -> bool:
         return (
@@ -168,11 +269,12 @@ class RationalSubspace:
             and self.n == other.n
             and self.d == other.d
             and self.order == other.order
-            and self.rows == other.rows
+            and self.dim == other.dim
+            and self._reduced()[0] == other._reduced()[0]
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.d, self.order, self.rows))
+        return hash((self.n, self.d, self.order, tuple(map(tuple, self._reduced()[0]))))
 
     def __repr__(self) -> str:
         return (
@@ -197,18 +299,23 @@ def rational_subspace_from_json(data: dict) -> RationalSubspace:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 
 
+def _place(vector, n: int, d: int, order: MonomialOrder):
+    """A coefficient list over the columns; the coefficients are not checked."""
+    if not isinstance(vector, dict):
+        return vector
+    idx = _column_index(n, d, order)
+    out = [0] * dim_component(n, d)
+    for key, val in vector.items():
+        M = Monomial(key)
+        if M.degree != d or len(M) != n:
+            raise InvalidInputError(f"{M!r} is not a degree-{d} monomial in {n} variables")
+        out[idx[M]] = val
+    return out
+
+
 def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
+    out = [_coefficient(x) for x in _place(vector, n, d, order)]
     q = dim_component(n, d)
-    if isinstance(vector, dict):
-        idx = _column_index(n, d, order)
-        out = [0] * q
-        for key, val in vector.items():
-            M = Monomial(key)
-            if M.degree != d or len(M) != n:
-                raise InvalidInputError(f"{M!r} is not a degree-{d} monomial in {n} variables")
-            out[idx[M]] = _coefficient(val)
-        return out
-    out = [_coefficient(x) for x in vector]
     if len(out) != q:
         raise InvalidInputError(f"coefficient vector has length {len(out)}, expected {q}")
     return out
@@ -216,8 +323,7 @@ def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
 
 def span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> RationalSubspace:
     """Row space of the given coefficient vectors (lists or monomial dicts)."""
-    mat = [_as_vector(v, n, d, order) for v in vectors]
-    return RationalSubspace(n, d, mat, order)
+    return RationalSubspace(n, d, [_place(v, n, d, order) for v in vectors], order)
 
 
 def monomial_span(U: MonomialSubspace, order: MonomialOrder = LEX) -> RationalSubspace:
@@ -279,12 +385,20 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
             f"product would live in dimension {qC}, over the guard {PRODUCT_DIM_GUARD}",
             seen=qC,
         )
-    forms_U = [_form(a, U.columns) for a in U.rows]
-    if V == U:  # a square: each a_i * a_j once, i <= j
+    # the integer reduced rows are sparse: 1 + codim entries for a dense U
+    forms_U = [_form(a, U.columns) for a in U._reduced()[0]]
+    if V is U or V == U:  # a square: each a_i * a_j once, i <= j
         pairs = combinations_with_replacement(forms_U, 2)
     else:
-        pairs = product(forms_U, [_form(b, V.columns) for b in V.rows])
-    return span([multiply_forms(f, g) for f, g in pairs], U.n, dC, U.order)
+        pairs = product(forms_U, [_form(b, V.columns) for b in V._reduced()[0]])
+    idx = _column_index(U.n, dC, U.order)
+    rows = []
+    for f, g in pairs:
+        row = [0] * qC
+        for T, x in multiply_forms(f, g).items():
+            row[idx[T]] = x
+        rows.append(row)
+    return RationalSubspace(U.n, dC, rows, U.order)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:
@@ -308,15 +422,16 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
         raise InvalidInputError("the zero form does not define a colon space")
     n, d, order = U.n, U.d, U.order
     q_hi = dim_component(n, d)
-    multiples = linear_multiples(lvec, n, d, order)
+    # (U : l) = (U : c*l) for c != 0, so l is scaled to integers
+    multiples = linear_multiples(_integer_row(lvec), n, d, order)
     m = len(multiples)
     # U's rows above the rows l*mu, each augmented with a tracker of which
     # combination of the mu's it holds: the reduced rows whose left part
     # vanishes are exactly the combinations with l*g in U
-    aug = [list(row) + [0] * m for row in U.rows]
+    aug = [row + [0] * m for row in U._reduced()[0]]
     for r, lmu in enumerate(multiples):
-        aug.append(_as_vector(lmu, n, d, order) + [int(i == r) for i in range(m)])
-    reduced, _ = _rref(aug)
+        aug.append(_place(lmu, n, d, order) + [int(i == r) for i in range(m)])
+    reduced, _ = _integer_rref(aug)
     kernel_rows = [row[q_hi:] for row in reduced if not any(row[:q_hi])]
     return RationalSubspace(n, d - 1, kernel_rows, order)
 
@@ -331,9 +446,11 @@ def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFu
         linear = monomial_span(MonomialSubspace.full(n, 1), order)
         current = U
         values.append(current.codim)
-        for _ in range(d, max_degree):
+        # A_1 * A_i = A_(i+1): once a degree is filled, so is every later one
+        while len(values) <= max_degree and values[-1]:
             current = product_rational(current, linear)
             values.append(current.codim)
+        values += [0] * (max_degree + 1 - len(values))
     return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
 
 
@@ -346,7 +463,7 @@ def apolar_dual(U: RationalSubspace) -> list[list[Fraction]]:
     """
     cols = U.columns
     weights = [prod(factorial(e) for e in M) for M in cols]
-    rows = [[w * x for w, x in zip(weights, row)] for row in U.rows]
+    rows = [[w * x for w, x in zip(weights, row)] for row in U._reduced()[0]]
     return _null_space(rows, len(cols))
 
 
@@ -433,8 +550,7 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     exactly over the integers by a gcd computation.  The minors are formed
     one at a time and the scan stops as soon as the answer is known.
     """
-    mat = [_as_vector(v, n, d, order) for v in vectors]
-    rows, _ = _rref(mat)
+    rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
     if not rows:
         return False
     if d == 1:
@@ -443,9 +559,8 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
         raise InvalidInputError(
             "exact power detection covers spans of dimension at most 2"
         )
-    # a reduced row has a pivot 1, so its integer scaling is primitive;
     # scaling a generator does not change which members are powers
-    A, *rest = (catalecticant_rows(_integer_row(r), n, d, order) for r in rows)
+    A, *rest = (catalecticant_rows(r, n, d, order) for r in rows)
     if not rest:
         # rank at most 1 exactly when every 2x2 minor vanishes
         zero = [[0] * len(A[0])] * n

@@ -79,10 +79,8 @@ def compute_m(
         searched += 1
         c = idx.codim_square(U.complement)
         if c > best:
-            best = c
-            count = 1
-            witnesses = [U]
-        elif c == best:
+            best, count, witnesses = c, 0, []
+        if c == best:
             count += 1
             if len(witnesses) < witness_cap:
                 witnesses.append(U)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stablesq.errors import InvalidInputError
+from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
     GRLEX,
     LEX,
@@ -16,9 +16,12 @@ from stablesq.monomial import (
     enumerate_monomials,
 )
 from stablesq.qlinalg import (
+    _PRIME,
     RationalSubspace,
     _as_vector,
     _coefficient,
+    _integer_row,
+    _rank_mod_p,
     _rref,
     apolar_dual,
     apolar_perp,
@@ -248,8 +251,21 @@ def test_random_subspace_is_seeded_and_has_requested_codim():
         random_linear_form(3, random.Random(11), bound=0)  # only the zero form
 
 
+def test_hilbert_function_rational_stops_once_a_degree_is_filled(monkeypatch):
+    import stablesq.qlinalg as q
+
+    # a generic codim-1 quadric space fills degree 3; past that every
+    # product would exceed a guard of 30 (dim A_7 = 36 in 3 variables)
+    monkeypatch.setattr(q, "PRODUCT_DIM_GUARD", 30)
+    U = random_subspace(3, 2, 1, random.Random(5))
+    assert hilbert_function_rational(U, 9).values == (1, 3, 1) + (0,) * 7
+    # with a base point no degree fills, so the guard still stops the climb
+    V = monomial_span(MonomialSubspace.from_members(3, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 1)]))
+    with pytest.raises(BudgetExceededError):
+        hilbert_function_rational(V, 9)
+
+
 def test_square_rational_guard():
-    from stablesq.errors import BudgetExceededError
     import stablesq.qlinalg as q
 
     U = random_subspace(3, 2, 1, random.Random(5))
@@ -430,7 +446,12 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return rows[:cursor], pivots
 
 
-entries = st.one_of(st.just(0), st.integers(-9, 9), rationals, st.integers(-(10**20), 10**20))
+# multiples of the prime vanish modulo it, so they push the rank modulo
+# the prime below the rank over Q
+prime_multiples = st.sampled_from((_PRIME, -_PRIME, 3 * _PRIME))
+entries = st.one_of(
+    st.just(0), st.integers(-9, 9), rationals, st.integers(-(10**20), 10**20), prime_multiples
+)
 
 
 @st.composite
@@ -456,6 +477,67 @@ def test_rref_matches_fraction_elimination(rows):
     assert got_pivots == want_pivots
     assert got_rows == want_rows
     assert all(type(x) is Fraction for r in got_rows for x in r)
+
+
+@given(matrices())
+@example([[_PRIME, 1], [0, _PRIME]])
+def test_rank_mod_p_never_exceeds_the_rank(rows):
+    mat = [r for r in map(_integer_row, rows) if any(r)]
+    q = len(rows[0]) if rows else 0
+    assert _rank_mod_p(mat, q) <= len(_rref(rows)[1])
+
+
+@st.composite
+def subspace_inputs(draw):
+    """(n, d, rows): full-rank, rank-deficient or tall, with zero rows."""
+    n, d = draw(st.sampled_from(((1, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2))))
+    q = dim_component(n, d)
+    row = st.lists(entries, min_size=q, max_size=q)
+    kind = draw(st.sampled_from(("full", "deficient", "tall")))
+    if kind == "full":  # independent, barring a coincidence
+        rows = draw(st.lists(row, min_size=1, max_size=q))
+    elif kind == "deficient":  # integer combinations of fewer base rows
+        base = draw(st.lists(row, min_size=1, max_size=max(1, q - 1)))
+        coefficients = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        rows = [
+            [sum(c * b[j] for c, b in zip(cs, base)) for j in range(q)]
+            for cs in draw(st.lists(coefficients, min_size=len(base) + 1, max_size=len(base) + 3))
+        ]
+    else:  # more rows than columns
+        rows = draw(st.lists(row, min_size=q + 1, max_size=q + 3))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * q)
+    return n, d, rows
+
+
+@given(subspace_inputs())
+@example((1, 0, [[_PRIME]]))
+@example((2, 1, [[1, 0], [1, _PRIME]]))
+def test_certified_dim_and_lazy_rref_match_the_exact_kernels(case):
+    n, d, rows = case
+    U = RationalSubspace(n, d, rows)
+    want_rows, want_pivots = fraction_rref([[Fraction(x) for x in r] for r in rows])
+    assert U.dim == len(_rref(rows)[1]) == len(want_pivots)
+    assert U.codim == dim_component(n, d) - U.dim
+    assert U.pivots == tuple(want_pivots)
+    assert U.rows == tuple(map(tuple, want_rows))
+
+
+def test_rank_zero_modulo_the_prime_falls_back_to_exact_elimination():
+    assert _rank_mod_p([[_PRIME]], 1) == 0
+    U = RationalSubspace(1, 0, [[2**61 - 1]])
+    assert U.dim == 1
+    assert U.rows == ((1,),)
+    # rank 1 modulo the prime, 2 over Q
+    assert RationalSubspace(2, 1, [[1, 0], [1, _PRIME]]).dim == 2
+
+
+def test_reduced_form_is_built_on_first_use():
+    U = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5]])
+    assert U.dim == 2
+    assert U._echelon is None
+    assert U.pivots == (0, 1)
+    assert U._echelon is not None
 
 
 @given(

@@ -58,6 +58,16 @@ def test_compute_m_reports_witnesses():
     assert r.searched >= 1
 
 
+@pytest.mark.parametrize("search", (compute_m, compute_m0_monomial))
+def test_witness_cap_bounds_the_list_not_the_count(search):
+    none = search(3, 2, 2, witness_cap=0)
+    one = search(3, 2, 2, witness_cap=1)
+    assert none.witnesses == ()
+    assert len(one.witnesses) == 1
+    assert none.value == one.value
+    assert none.witness_count == one.witness_count == search(3, 2, 2).witness_count
+
+
 def test_closed_form_guards():
     assert closed_form_m(4, 4, 4) == comb(6, 3)
     assert closed_form_m(6, 3, 3) == comb(5, 3) + 9

@@ -25,7 +25,7 @@ class Monomial(tuple):
         exps = tuple(exponents)
         if not exps:
             raise InvalidInputError("monomial needs at least one variable")
-        if any((not isinstance(e, int)) or e < 0 for e in exps):
+        if any(type(e) is not int or e < 0 for e in exps):
             raise InvalidInputError(f"exponents must be nonnegative integers: {exps!r}")
         return super().__new__(cls, exps)
 
@@ -238,6 +238,56 @@ def divisors_of_degree(T, d: int) -> Iterator[tuple[int, ...]]:
 
     if 0 <= d <= sum(T):
         yield from rec(0, d, [])
+
+
+def exponent_classes(n: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of `total` into at most n parts, each as an ascending
+    exponent tuple of length n (zeros first).
+
+    Each stands for the class of degree-`total` monomials whose sorted
+    exponents it is, which permuting the variables leaves fixed.
+    """
+
+    def rec(left: int, slots: int, cap: int):
+        # descending parts, at most `slots` of them, each at most `cap`
+        if left == 0:
+            yield ()
+            return
+        for p in range(min(left, cap), 0, -1):
+            if p * slots < left:
+                return
+            for rest in rec(left - p, slots - 1, p):
+                yield (p, *rest)
+
+    for parts in rec(total, n, total):
+        yield (0,) * (n - len(parts)) + parts[::-1]
+
+
+def arrangements(exps) -> Iterator[tuple[int, ...]]:
+    """One index map s per distinct rearrangement T of `exps`, with
+    T[i] = exps[s[i]], in ascending lex order of T; a map carries the
+    divisors of `exps` to those of T.
+
+    Each step is the next-permutation step on T (x_n most significant),
+    from the smallest arrangement, with its swap and reversal also
+    applied to the map.
+    """
+    s = sorted(range(len(exps)), key=exps.__getitem__, reverse=True)
+    t = [exps[j] for j in s]
+    while True:
+        yield tuple(s)
+        i = 1
+        while i < len(t) and t[i] >= t[i - 1]:
+            i += 1
+        if i == len(t):
+            return
+        j = 0
+        while t[j] <= t[i]:
+            j += 1
+        t[i], t[j] = t[j], t[i]
+        s[i], s[j] = s[j], s[i]
+        t[:i] = t[i - 1 :: -1]
+        s[:i] = s[i - 1 :: -1]
 
 
 @lru_cache(maxsize=None)

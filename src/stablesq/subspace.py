@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from heapq import merge
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import BudgetExceededError, InvalidInputError
@@ -18,9 +20,11 @@ from .monomial import (
     Monomial,
     MonomialOrder,
     _basis_tuples,
+    arrangements,
     count_divisors,
     dim_component,
     divisors_of_degree,
+    exponent_classes,
 )
 
 
@@ -280,13 +284,20 @@ class SquareIndex:
     (a pair may be a single self-paired monomial).  T lies outside U^2
     exactly when every pair meets the complement of U, so T can only be
     missing when its divisor count is at most twice the codimension.
-    `entries` holds (T, pairs) for the T of least divisor count, sorted
-    by that count, and grows whenever a query needs a larger count, so
-    an answer never depends on the queries asked before it.  The pairs
-    point at the shared degree-d basis tuples, which keeps the index small.
+
+    The divisor count of T depends only on its sorted exponents, so the
+    index ranks the exponent classes of degree 2d (the partitions of 2d
+    into at most n parts), not the monomials.  `entries` holds (T, pairs)
+    sorted by divisor count, then by T in ascending lex order, and grows
+    a whole count at a time whenever a query needs a larger count, so an
+    answer never depends on the queries asked before it.  A class is
+    grown by splitting the divisors of its sorted representative into
+    pairs once and permuting those pairs onto each arrangement T; the
+    pairs point at one shared tuple per divisor, which keeps the index
+    small.
     """
 
-    __slots__ = ("n", "d", "entries", "_ranked", "_counts", "_canon")
+    __slots__ = ("n", "d", "entries", "_classes", "_ends", "_canon")
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 0:
@@ -294,25 +305,39 @@ class SquareIndex:
         self.n = n
         self.d = d
         self.entries: list[tuple[tuple[int, ...], tuple]] = []
-        self._ranked = sorted(_basis_tuples(n, 2 * d), key=lambda T: count_divisors(T, d))
-        self._counts = [count_divisors(T, d) for T in self._ranked]
-        self._canon = {t: t for t in _basis_tuples(n, d)}
+        ranked: dict[int, list[tuple[int, ...]]] = {}
+        for lam in exponent_classes(n, 2 * d):
+            ranked.setdefault(count_divisors(lam, d), []).append(lam)
+        # (count, classes of that count), ascending; _ends[i] is the end
+        # in `entries` of the i-th count, for the counts grown so far
+        self._classes = sorted(ranked.items())
+        self._ends: list[int] = []
+        self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def _arranged(self, lam: tuple[int, ...]):
+        """The entries (T, pairs) of every rearrangement T of the class lam,
+        in ascending lex order of T."""
+        divisors = list(divisors_of_degree(lam, self.d))
+        # M -> lam/M reverses the lex order of the divisors, so the i-th
+        # divisor pairs with the i-th from the end
+        last = len(divisors) - 1
+        columns = list(zip(*divisors))
+        intern = self._canon.setdefault
+        for s in arrangements(lam):
+            moved = [intern(M, M) for M in zip(*map(columns.__getitem__, s))]
+            T = tuple(map(lam.__getitem__, s))
+            yield T, tuple((moved[i], moved[last - i]) for i in range(last // 2 + 1))
 
     def entries_upto(self, count: int) -> list:
         """The entries (T, pairs) of every T with at most `count` degree-d
         divisors, after growing the index to hold them."""
-        stop = bisect_right(self._counts, count)
-        entries, canon = self.entries, self._canon
-        for T in self._ranked[len(entries) : stop]:
-            pairs = []
-            seen = set()
-            for M in divisors_of_degree(T, self.d):
-                if M not in seen:
-                    N = tuple(b - a for a, b in zip(M, T))
-                    seen.update((M, N))
-                    pairs.append((canon[M], canon[N]))
-            entries.append((T, tuple(pairs)))
-        return entries[:stop]
+        classes, ends, entries = self._classes, self._ends, self.entries
+        while len(ends) < len(classes) and classes[len(ends)][0] <= count:
+            grown = map(self._arranged, classes[len(ends)][1])
+            entries.extend(merge(*grown, key=lambda e: e[0][::-1]))
+            ends.append(len(entries))
+        counts = bisect_right(classes, count, hi=len(ends), key=itemgetter(0))
+        return entries[: ends[counts - 1]] if counts else []
 
     def missing(self, complement) -> list[tuple[int, ...]]:
         """The degree-2d monomials outside U^2, for U with this complement."""

@@ -234,6 +234,7 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 2, "order": None, "rows": [[1, 0, 0]]}, ()),
         ("u.json", {"n": 2, "d": 2.7, "complement": [[2, 0]]}, ()),
         ("u.json", {"n": True, "d": 2, "complement": [[2, 0]]}, ()),
+        ("u.json", {"n": 2, "d": 1, "complement": [[True, False]]}, ()),
         ("u.json", {"n": 2, "d": 2.0, "rows": [[1, 0, 0]]}, ()),
         ("u.json", {"n": 2, "d": 2, "rows": [["1e3000000", 1, 0]]}, ()),
         ("u.json", {"n": 2, "d": 2, "rows": [["-2.5E+999999999", 1, 0]]}, ()),

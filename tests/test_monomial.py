@@ -11,12 +11,14 @@ from stablesq.monomial import (
     Monomial,
     MonomialOrder,
     _basis_tuples,
+    arrangements,
     count_divisors,
     dim_component,
     divides,
     divisors_of_degree,
     enumerate_monomials,
     expand,
+    exponent_classes,
     monomial_from_text,
     monomial_to_text,
     multiply,
@@ -105,6 +107,26 @@ def test_divisors_of_degree_against_brute_force():
             )
             assert got == brute
             assert count_divisors(T, d) == len(brute)
+
+
+def test_exponent_classes_and_arrangements_cover_the_basis():
+    for n in range(1, 6):
+        for total in range(0, 8):
+            classes = list(exponent_classes(n, total))
+            assert sorted(classes) == sorted({tuple(sorted(t)) for t in _basis_tuples(n, total)})
+            arranged = []
+            for lam in classes:
+                mine = []
+                for s in arrangements(lam):
+                    T = tuple(lam[j] for j in s)
+                    assert sorted(s) == list(range(n))
+                    assert sorted(divisors_of_degree(T, 2)) == sorted(
+                        tuple(M[j] for j in s) for M in divisors_of_degree(lam, 2)
+                    )
+                    mine.append(T)
+                assert mine == sorted(mine, key=LEX.key)  # ascending lex order
+                arranged += mine
+            assert sorted(arranged) == sorted(_basis_tuples(n, total))
 
 
 def test_pivot_reduce_expand_relations():

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesq.errors import BudgetExceededError, InvalidInputError
-from stablesq.monomial import Monomial, _basis_tuples, dim_component, divisors_of_degree
+from stablesq.monomial import (
+    Monomial,
+    _basis_tuples,
+    count_divisors,
+    dim_component,
+    divisors_of_degree,
+)
+from stablesq.search import closed_form_m
+from stablesq.stable import extremal_subspace
 from stablesq.subspace import (
     MonomialSubspace,
     SquareIndex,
@@ -107,6 +115,58 @@ def test_square_index_grows_on_demand():
     assert sizes[0] == sizes[1] < sizes[2]
     with pytest.raises(InvalidInputError):
         SquareIndex(0, 2)
+
+
+def ranked_square_entries(n, d, top):
+    """The old SquareIndex construction, kept as an oracle: rank every
+    degree-2d monomial by divisor count (a stable sort of the lex-ascending
+    basis) and pair off the divisors of each T with at most `top` of them.
+    Yields (count, T, set of unordered pairs)."""
+    for T in sorted(_basis_tuples(n, 2 * d), key=lambda T: count_divisors(T, d)):
+        count = count_divisors(T, d)
+        if count > top:
+            return
+        pairs = {
+            frozenset((M, tuple(b - a for a, b in zip(M, T))))
+            for M in divisors_of_degree(T, d)
+        }
+        yield count, T, pairs
+
+
+def unordered(entries):
+    out = []
+    for T, pairs in entries:
+        as_sets = {frozenset(pair) for pair in pairs}
+        assert len(as_sets) == len(pairs)  # no pair listed twice
+        out.append((T, as_sets))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, d", [(n, d) for n in range(1, 7) for d in range(7)] + [(6, 9)]
+)
+def test_square_index_matches_ranked_construction(n, d):
+    # (6, 9) stops at 18 divisors, twice the largest codimension the
+    # reference table asks of it; its full ranking is the slow path itself
+    top = 18 if (n, d) == (6, 9) else max(
+        count_divisors(T, d) for T in _basis_tuples(n, 2 * d)
+    )
+    oracle = list(ranked_square_entries(n, d, top))
+    idx = SquareIndex(n, d)
+    for count in (1, 4, 6, 12, 18, top):
+        if count > top:
+            continue
+        want = [(T, pairs) for c, T, pairs in oracle if c <= count]
+        assert unordered(idx.entries_upto(count)) == want
+        assert unordered(SquareIndex(n, d).entries_upto(count)) == want
+
+
+@pytest.mark.parametrize("n, d, k, want", [(7, 12, 3, 22), (8, 15, 4, 36)])
+def test_square_of_large_extremal_shapes(n, d, k, want):
+    # 593,775 and 10,295,472 monomials of degree 2d: only the few with
+    # at most 2k divisors may be built
+    assert closed_form_m(n, d, k) == want
+    assert square(extremal_subspace(n, d, k)).codim == want
 
 
 def test_square_edge_subspaces():

@@ -415,7 +415,7 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     """The colon space (U : l) = {g of degree d-1 : l*g in U}."""
     if U.d < 1:
         raise InvalidInputError("cannot divide a degree-0 subspace")
-    lvec = [Fraction(x) for x in l]
+    lvec = [Fraction(_coefficient(x)) for x in l]
     if len(lvec) != U.n:
         raise InvalidInputError(f"linear form needs {U.n} coefficients, got {len(lvec)}")
     if all(x == 0 for x in lvec):
@@ -467,6 +467,27 @@ def apolar_dual(U: RationalSubspace) -> list[list[Fraction]]:
     return _null_space(rows, len(cols))
 
 
+@lru_cache(maxsize=None)
+def _catalecticant_plan(n: int, d: int, order: MonomialOrder) -> tuple:
+    """Per degree-d column M, the triples (i, column of M / x_i, exponent of x_i)."""
+    idx_lo = _column_index(n, d - 1, order)
+    return tuple(
+        tuple((i, idx_lo[M[:i] + (e - 1,) + M[i + 1 :]], e) for i, e in enumerate(M) if e)
+        for M in _columns(n, d, order)
+    )
+
+
+def _catalecticant(vec: list, n: int, d: int, order: MonomialOrder) -> list[list]:
+    """The n partial-derivative rows of a checked coefficient vector."""
+    rows = [[0] * dim_component(n, d - 1) for _ in range(n)]
+    for x, terms in zip(vec, _catalecticant_plan(n, d, order)):
+        if x:
+            # M -> M / x_i is injective, so each entry is written once
+            for i, c, e in terms:
+                rows[i][c] = x * e
+    return rows
+
+
 def catalecticant_rows(vector, n: int, d: int, order: MonomialOrder = LEX):
     """First catalecticant of a form: one row per partial derivative.
 
@@ -478,23 +499,7 @@ def catalecticant_rows(vector, n: int, d: int, order: MonomialOrder = LEX):
     """
     if d < 1:
         raise InvalidInputError("catalecticant needs degree at least 1")
-    vec = _as_vector(vector, n, d, order)
-    cols_hi = _columns(n, d, order)
-    idx_lo = _column_index(n, d - 1, order)
-    q_lo = dim_component(n, d - 1)
-    rows = []
-    for i in range(n):
-        row = [0] * q_lo
-        for c, x in enumerate(vec):
-            if x == 0:
-                continue
-            M = cols_hi[c]
-            if M[i] == 0:
-                continue
-            lower = tuple(e - (1 if j == i else 0) for j, e in enumerate(M))
-            row[idx_lo[lower]] += x * M[i]
-        rows.append(row)
-    return rows
+    return _catalecticant(_as_vector(vector, n, d, order), n, d, order)
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -524,6 +529,18 @@ def _primitive_gcd(a: list[int], b) -> list[int]:
     return a
 
 
+def _divides(g: list[int], c) -> bool:
+    """Whether a primitive g of degree 1 or 2 in Z[u] divides c0 + c1*u + c2*u^2."""
+    c0, c1, c2 = c
+    if len(g) == 2:
+        # g1^2 * c(-g0/g1): c vanishes at the root of g
+        g0, g1 = g
+        return c0 * g1 * g1 - c1 * g0 * g1 + c2 * g0 * g0 == 0
+    # deg c <= deg g, so g divides c exactly when c is a multiple of g
+    g0, g1, g2 = g
+    return c0 * g1 == c1 * g0 and c0 * g2 == c2 * g0 and c1 * g2 == c2 * g1
+
+
 def _pencil_minors(A: list[list[int]], B: list[list[int]]):
     """The nonzero 2x2 minors of s*A + t*B, generated one at a time.
 
@@ -548,7 +565,10 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     minors are binary quadratics in (s, t); some member has rank at most
     1 exactly when the minors share a projective root, which is decided
     exactly over the integers by a gcd computation.  The minors are formed
-    one at a time and the scan stops as soon as the answer is known.
+    one at a time and the scan stops as soon as the answer is known.  A
+    minor that the current gcd already divides is not folded: the gcd
+    cannot change.  The catalecticants of the primitive integer reduced
+    rows are built from the cached per-(n, d) plan of partial derivatives.
     """
     rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
     if not rows:
@@ -560,7 +580,7 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
             "exact power detection covers spans of dimension at most 2"
         )
     # scaling a generator does not change which members are powers
-    A, *rest = (catalecticant_rows(r, n, d, order) for r in rows)
+    A, *rest = (_catalecticant(r, n, d, order) for r in rows)
     if not rest:
         # rank at most 1 exactly when every 2x2 minor vanishes
         zero = [[0] * len(A[0])] * n
@@ -568,7 +588,8 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     g: list[int] = []
     top = False
     for c in _pencil_minors(A, rest[0]):
-        if len(g) != 1:
+        # a multiple of g leaves the gcd, and so its degree, unchanged
+        if not g or (len(g) > 1 and not _divides(g, c)):
             g = _primitive_gcd(g, c)
         # a minor with c2 != 0 rules out the common root (s, t) = (0, 1), so
         # a constant gcd leaves no common root at all
@@ -598,7 +619,7 @@ def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     """
     if n < 2:
         raise InvalidInputError("elimination needs at least 2 variables")
-    lvec = [Fraction(x) for x in l]
+    lvec = [Fraction(_coefficient(x)) for x in l]
     if len(lvec) != n:
         raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
     if lvec[-1] == 0:

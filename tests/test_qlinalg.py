@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -20,7 +21,9 @@ from stablesq.qlinalg import (
     RationalSubspace,
     _as_vector,
     _coefficient,
+    _divides,
     _integer_row,
+    _primitive_gcd,
     _rank_mod_p,
     _rref,
     apolar_dual,
@@ -230,6 +233,17 @@ def test_eliminate_variable():
     assert span([out], 2, 3) == span([{(2, 1): 1}], 2, 3)
     with pytest.raises(InvalidInputError):
         eliminate_variable({(2, 0, 1): 1}, 3, 3, [1, 1, 0])
+
+
+@pytest.mark.parametrize("bad", ["abc", "1e3000000"])
+def test_linear_form_coefficients_are_checked(bad):
+    # an unparsable coefficient, or an exponent over MAX_EXPONENT, is invalid
+    # input, refused before Fraction's parser could expand it
+    U = monomial_span(MonomialSubspace(3, 2, [(2, 0, 0)]))
+    with pytest.raises(InvalidInputError):
+        quotient_by_linear_form(U, [bad, 1, 0])
+    with pytest.raises(InvalidInputError):
+        eliminate_variable({(2, 0, 1): 1}, 3, 3, [bad, 1, 1])
 
 
 def test_rational_serialization_round_trip():
@@ -595,6 +609,55 @@ def fraction_poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return a
 
 
+def catalecticant_naive(vector, n: int, d: int, order=LEX) -> list[list]:
+    """First catalecticant built entry by entry, looking each lower column up."""
+    vec = _as_vector(vector, n, d, order)
+    cols_hi = enumerate_monomials(n, d, order)
+    idx_lo = {M: i for i, M in enumerate(enumerate_monomials(n, d - 1, order))}
+    rows = []
+    for i in range(n):
+        row = [0] * len(idx_lo)
+        for c, x in enumerate(vec):
+            if x == 0:
+                continue
+            M = cols_hi[c]
+            if M[i] == 0:
+                continue
+            lower = tuple(e - (1 if j == i else 0) for j, e in enumerate(M))
+            row[idx_lo[lower]] += x * M[i]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_catalecticant_rows_match_the_entrywise_builder(order):
+    rng = random.Random(7)
+    for n in range(1, 5):
+        for d in range(1, 6):
+            basis = _basis_tuples(n, d)
+            ints = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in basis]
+            fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in basis]
+            sparse = {M: rng.randint(-9, 9) for M in rng.sample(basis, min(3, len(basis)))}
+            for vector in (ints, fractions, sparse):
+                got = catalecticant_rows(vector, n, d, order)
+                want = catalecticant_naive(vector, n, d, order)
+                assert got == want, (n, d, vector)
+                # int inputs keep int entries
+                assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+
+
+def test_divides_agrees_with_the_gcd_fold():
+    # g divides c exactly when folding c into g leaves the degree of g unchanged
+    small = range(-2, 3)
+    gs = [g for g in map(list, product(small, repeat=2)) if g[1]]
+    gs += [g for g in map(list, product(small, repeat=3)) if g[2]]
+    gs = [g for g in gs if gcd(*g) == 1]
+    triples = [c for c in product(small, repeat=3) if any(c)]
+    for g in gs:
+        for c in triples:
+            assert _divides(g, c) == (len(_primitive_gcd(g, c)) == len(g)), (g, c)
+
+
 def fraction_power_in_span(vectors, n: int, d: int) -> bool:
     """Power detection with every minor formed eagerly in Fractions."""
     mat = [[Fraction(x) for x in _as_vector(v, n, d, LEX)] for v in vectors]
@@ -604,10 +667,10 @@ def fraction_power_in_span(vectors, n: int, d: int) -> bool:
     if d == 1:
         return True
     if len(rows) == 1:
-        cat, _ = fraction_rref(catalecticant_rows(rows[0], n, d))
+        cat, _ = fraction_rref(catalecticant_naive(rows[0], n, d))
         return len(cat) <= 1
-    A = catalecticant_rows(rows[0], n, d)
-    B = catalecticant_rows(rows[1], n, d)
+    A = catalecticant_naive(rows[0], n, d)
+    B = catalecticant_naive(rows[1], n, d)
     q_lo = len(A[0])
     minors = []
     for i in range(n):
@@ -665,7 +728,15 @@ def power_of(L, d: int) -> dict:
 
 
 nonzero = coefficients.filter(lambda x: x != 0)
-POWER_CASES = ("span", "restricted", "finite", "at (1:0)", "at (0:1)", "dependent")
+POWER_CASES = (
+    "span",
+    "restricted",
+    "finite",
+    "at (1:0)",
+    "at (0:1)",
+    "dependent",
+    "two powers",
+)
 
 
 @st.composite
@@ -674,7 +745,7 @@ def power_cases(draw, kind: str):
 
     The pencil is s*r0 + t*r1 over the reduced rows r0, r1 of the span.
     """
-    n = draw(st.integers(2 if kind.startswith("at") else 1, 4))
+    n = draw(st.integers(2 if kind.startswith("at") or kind == "two powers" else 1, 4))
     d = draw(st.integers(1, 5))
     if kind == "span":  # dimension 0, 1 or 2
         return draw(st.lists(forms(n, d), max_size=2)), n, d, False
@@ -682,6 +753,14 @@ def power_cases(draw, kind: str):
         W = draw(st.lists(st.sampled_from(_basis_tuples(n + 1, d)), min_size=1, max_size=2))
         l = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [draw(nonzero)]
         return [eliminate_variable({M: 1}, n + 1, d, l) for M in W], n, d, False
+    if kind == "two powers":
+        # s*r0 + t*r1 is a power exactly where its L^d or M^d coefficient
+        # vanishes, so every minor is a multiple of the product of those two
+        # linear forms in (s, t): a gcd, mostly of degree 2, that no minor shrinks
+        L, M = (draw(st.lists(nonzero, min_size=n, max_size=n)) for _ in range(2))
+        if all(L[0] * y == M[0] * x for x, y in zip(L, M)):  # keep L and M independent
+            M[0] = -M[0]
+        return [power_of(L, d), power_of(M, d)], n, d, True
     L = draw(st.lists(nonzero if kind == "finite" else coefficients, min_size=n, max_size=n))
     g = draw(forms(n, d))
     # the first column, where r0 has its pivot, is x_n^d

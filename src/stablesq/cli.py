@@ -201,6 +201,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_maximize(args, compute) -> int:
+    if args.witnesses and args.format == "csv":
+        raise InvalidInputError("--witnesses is not available with --format csv")
     records = []
     for n in args.n:
         for d in args.d:

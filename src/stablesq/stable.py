@@ -29,26 +29,14 @@ def _adjacent_up_moves(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield t[:i] + (t[i] - 1, t[i + 1] + 1) + t[i + 2 :]
 
 
-def is_strongly_stable(U: MonomialSubspace, all_moves: bool = False) -> bool:
+def is_strongly_stable(U: MonomialSubspace) -> bool:
     """Check closure of the complement under moves to smaller variables.
 
-    With all_moves the full quadratic set of moves x_j * M / x_i, j < i,
-    is tested; by default only adjacent moves are, which is equivalent
-    because a general move is a chain of adjacent ones.
+    Only adjacent moves are tested, which is equivalent to testing every
+    move x_j * M / x_i, j < i, because a general move is a chain of
+    adjacent ones.
     """
     comp = {tuple(M) for M in U.complement}
-    if all_moves:
-        for t in comp:
-            for i in range(1, len(t)):
-                if t[i] == 0:
-                    continue
-                for j in range(i):
-                    moved = list(t)
-                    moved[i] -= 1
-                    moved[j] += 1
-                    if tuple(moved) not in comp:
-                        return False
-        return True
     for t in comp:
         for moved in _adjacent_down_moves(t):
             if moved not in comp:

@@ -8,8 +8,10 @@ the complement, which stays small in the regimes of interest.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from functools import lru_cache
 from heapq import merge
+from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable
 
@@ -194,18 +196,21 @@ def product_naive(U: MonomialSubspace, V: MonomialSubspace) -> MonomialSubspace:
 def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     """The subspace U * U of degree 2d, read off the SquareIndex of (n, d).
 
-    Every degree-2d monomial is a candidate for the complement, so the
-    budget bounds their number: the square raises BudgetExceededError
-    exactly when dim A(n)_2d exceeds it.
+    Only a degree-2d monomial with at most 2 codim U divisors of degree d
+    can be missing from U^2, so the budget bounds the number of those
+    candidates: the square raises BudgetExceededError exactly when it is
+    exceeded, before any of them is built.
     """
-    candidates = dim_component(U.n, 2 * U.d)
-    if budget is not None and candidates > budget:
-        raise BudgetExceededError(
-            f"square in degree {2 * U.d} has {candidates} candidate monomials, "
-            f"over the budget {budget}",
-            seen=candidates,
-        )
-    return MonomialSubspace(U.n, 2 * U.d, square_index(U.n, U.d).missing(U.complement))
+    index = square_index(U.n, U.d)
+    if budget is not None:
+        candidates = index.size_upto(2 * U.codim)
+        if candidates > budget:
+            raise BudgetExceededError(
+                f"square in degree {2 * U.d} has {candidates} candidate monomials, "
+                f"over the budget {budget}",
+                seen=candidates,
+            )
+    return MonomialSubspace(U.n, 2 * U.d, index.missing(U.complement))
 
 
 def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunction:
@@ -338,6 +343,16 @@ class SquareIndex:
             ends.append(len(entries))
         counts = bisect_right(classes, count, hi=len(ends), key=itemgetter(0))
         return entries[: ends[counts - 1]] if counts else []
+
+    def size_upto(self, count: int) -> int:
+        """Number of entries with at most `count` divisors, counted from the
+        exponent classes without growing the index."""
+        return sum(
+            factorial(self.n) // prod(map(factorial, Counter(lam).values()))
+            for c, group in self._classes
+            if c <= count
+            for lam in group
+        )
 
     def missing(self, complement) -> list[tuple[int, ...]]:
         """The degree-2d monomials outside U^2, for U with this complement."""

@@ -238,6 +238,8 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 2.0, "rows": [[1, 0, 0]]}, ()),
         ("u.json", {"n": 2, "d": 2, "rows": [["1e3000000", 1, 0]]}, ()),
         ("u.json", {"n": 2, "d": 2, "rows": [["-2.5E+999999999", 1, 0]]}, ()),
+        (None, None, ("m", "--n", "3", "--d", "2", "--k", "1", "--format", "csv", "--witnesses")),
+        (None, None, ("m0", "--n", "3", "--d", "3", "--k", "1", "--format", "csv", "--witnesses")),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

@@ -157,6 +157,8 @@ def test_square_index_matches_ranked_construction(n, d):
         if count > top:
             continue
         want = [(T, pairs) for c, T, pairs in oracle if c <= count]
+        grown = len(idx.entries)
+        assert idx.size_upto(count) == len(want) and len(idx.entries) == grown
         assert unordered(idx.entries_upto(count)) == want
         assert unordered(SquareIndex(n, d).entries_upto(count)) == want
 
@@ -175,15 +177,27 @@ def test_square_edge_subspaces():
 
 
 def test_square_budget():
-    # the budget bounds the degree-2d candidates, whatever U is
-    for U in (MonomialSubspace.full(3, 3), MonomialSubspace.zero(3, 3)):
-        size = dim_component(3, 6)
-        for budget in (1, size - 1):
-            with pytest.raises(BudgetExceededError) as err:
-                square(U, budget=budget)
-            assert err.value.seen == size
-        for budget in (size, size + 1):
-            assert square(U, budget=budget) == square(U)
+    # the budget bounds the degree-2d monomials that can be missing from
+    # U^2: those with at most 2 codim U divisors of degree d
+    for U in (
+        MonomialSubspace.full(3, 3),
+        MonomialSubspace.zero(3, 3),
+        extremal_subspace(3, 3, 2),
+    ):
+        size = sum(count_divisors(T, 3) <= 2 * U.codim for T in _basis_tuples(3, 6))
+        for budget in (1, size - 1, size, size + 1):
+            if budget < 1:
+                continue
+            if budget < size:
+                with pytest.raises(BudgetExceededError) as err:
+                    square(U, budget=budget)
+                assert err.value.seen == size
+            else:
+                assert square(U, budget=budget) == square(U)
+    # 10,295,472 monomials of degree 30, but only a few with at most 8
+    # divisors of degree 15
+    U = extremal_subspace(8, 15, 4)
+    assert square(U, budget=10**7) == square(U)
 
 
 def _ideal_complement_oracle(U, t):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 from stablesq import suites
@@ -101,3 +103,73 @@ def test_conjecture_suite_uses_exception_shape():
     assert len(results) == 1
     assert results[0].passed
     assert results[0].checked == 21
+
+
+# Every field (name, passed, details, checked, resamples, seed) of every
+# CheckResult of all suites at seed 0.  A change to how checks run or
+# count must leave all of them as they are.
+SEED_0_RESULTS = [
+    ("base-point-square-codim", True, "", 100, 0, None),
+    ("base-point-square-codim-rational", True, "", 15, 0, 0),
+    ("shift-preserves-stability", True, "", 81, 0, None),
+    ("small-codim-complement-shape", True, "", 117, 0, None),
+    ("one-step-extension", True, "", 81, 0, None),
+    ("codim-1-degree-2-value", True, "", 35, 0, None),
+    ("codim-1-degree-3-plus-bound", True, "max over grid = 1", 4795, 0, None),
+    (
+        "codim-2-thresholds", True, "values d=2..8 at n=3: [6, 4, 4, 2, 2, 2, 2]",
+        1500499, 0, None,
+    ),
+    ("codim-1-rational-values", True, "", 30, 0, 0),
+    ("stable-small-codim-hilbert", True, "", 34, 0, None),
+    ("growth-bound", True, "", 537, 0, None),
+    ("decreasing-after-crossing", True, "", 537, 0, None),
+    ("maximal-growth-persists", True, "127 maximal-growth cases", 537, 0, None),
+    ("small-codim-next-degree", True, "262 equality cases", 3585, 0, None),
+    ("top-degree-bound", True, "", 7421, 0, 0),
+    ("full-degree-2d", True, "", 23515, 0, 0),
+    ("expansion-count", True, "", 191, 0, None),
+    ("expansion-union-bound", True, "", 39, 0, None),
+    ("complement-inside-union", True, "", 117, 0, None),
+    ("pivot-forces-shape", True, "", 51, 0, None),
+    ("variable-reduction-bound", True, "", 31, 0, None),
+    ("reduction-value-anchors", True, "", 7, 0, None),
+    ("initial-square-strict-witness", True, "", 5, 0, None),
+    ("initial-square-containment", True, "", 60, 0, 0),
+    ("mixed-basis-hilbert", True, "codim U^2 = 69", 2, 0, None),
+    ("generic-restriction-bound", True, "", 50, 0, 0),
+    ("generic-colon-codim", True, "", 50, 0, 0),
+    ("generic-image-dimension", True, "", 50, 0, 0),
+    ("colon-degree-reduction", True, "", 50, 0, 0),
+    ("colon-base-point-example", True, "", 4, 0, 0),
+    ("quadric-pencil-hilbert", True, "", 50, 0, 0),
+    ("lift-hilbert-values", True, "", 243, 0, None),
+    ("lift-square-increment", True, "", 243, 0, None),
+    ("lift-preserves-small-codim", True, "", 76, 0, None),
+    ("colon-square-monotone", True, "", 20, 0, None),
+    ("extremal-chain", True, "", 16, 0, None),
+    ("minimal-square-dimension", True, "", 160, 0, None),
+    ("m0-upper-bound", True, "", 8, 0, None),
+    ("independent-bound", True, "", 5497, 0, None),
+    ("singular-beats-free", True, "", 39, 0, None),
+    ("face-bound-values", True, "", 2, 0, None),
+    ("face-gap-growth", True, "gaps [2, 4, 6, 8, 10, 12]", 6, 0, None),
+    ("face-profile-consistency", True, "", 4, 0, None),
+    ("restriction-power-free-n3-d3-k1", True, "", 7, 0, 0),
+    ("restriction-power-free-n3-d3-k2", True, "", 21, 15, 0),
+    ("restriction-power-free-n3-d4-k1", True, "", 12, 0, 0),
+    ("restriction-power-free-n3-d4-k2", True, "", 66, 21, 0),
+    ("restriction-power-free-n3-d5-k1", True, "", 18, 1, 0),
+    ("restriction-power-free-n3-d5-k2", True, "", 153, 24, 0),
+    ("restriction-power-free-n4-d3-k1", True, "", 16, 0, 0),
+    ("restriction-power-free-n4-d3-k2", True, "", 120, 1, 0),
+    ("restriction-power-free-n4-d4-k1", True, "", 31, 0, 0),
+    ("restriction-power-free-n4-d4-k2", True, "", 465, 1, 0),
+    ("restriction-power-free-n4-d5-k1", True, "", 52, 0, 0),
+    ("restriction-power-free-n4-d5-k2", True, "", 1326, 3, 0),
+]
+
+
+def test_all_suites_pinned_at_seed_0():
+    results = run_suites(list(SUITES), SuiteOptions(seed=0))
+    assert [astuple(r) for r in results] == SEED_0_RESULTS

@@ -2,8 +2,8 @@
 
 Subcommands: table, m, m0, enumerate, square, hilbert, gram, check,
 conjecture.  Range flags accept a single value (--k 2) or an inclusive
-range (--k 1..9).  Exit codes: 0 success, 1 verification failure or
-budget exceeded, 2 invalid input.
+range (--k 1..9).  Exit codes: 0 success, 1 verification failure,
+budget exceeded or output pipe closed early, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
-from .monomial import MonomialOrder, dim_component
+from .monomial import MonomialOrder, dim_component, monomial_to_text
 from .qlinalg import (
     RationalSubspace,
     hilbert_function_rational,
@@ -222,7 +223,7 @@ def _cmd_maximize(args, compute) -> int:
             }
             if args.witnesses:
                 item["witnesses"] = [
-                    sorted(M.to_text() for M in w.complement) for w in r.witnesses
+                    sorted(map(monomial_to_text, w.complement)) for w in r.witnesses
                 ]
             payload.append(item)
         print(json.dumps(payload, indent=2))
@@ -239,7 +240,7 @@ def _cmd_maximize(args, compute) -> int:
             )
             if args.witnesses:
                 for w in r.witnesses:
-                    comp = ", ".join(M.to_text() for M in sorted(w.complement))
+                    comp = ", ".join(map(monomial_to_text, sorted(w.complement)))
                     print(f"  complement {{{comp}}}")
     return 0
 
@@ -263,11 +264,11 @@ def _cmd_enumerate(args) -> int:
         out = csv.writer(sys.stdout)
         out.writerow(["n", "d", "k", "complement"])
         for U in records:
-            comp = " ".join(M.to_text() for M in U.sorted_complement(args.order))
+            comp = " ".join(map(monomial_to_text, U.sorted_complement(args.order)))
             out.writerow([U.n, U.d, U.codim, comp])
     else:
         for U in records:
-            comp = ", ".join(M.to_text() for M in U.sorted_complement(args.order))
+            comp = ", ".join(map(monomial_to_text, U.sorted_complement(args.order)))
             print(f"n={U.n} d={U.d} k={U.codim}: {{{comp}}}")
         print(f"{len(records)} subspaces")
     return 0
@@ -302,6 +303,8 @@ def _load_subspace(path: str):
 def _cmd_square(args) -> int:
     U = _load_subspace(args.file)
     if isinstance(U, RationalSubspace):
+        if args.budget is not None:
+            raise InvalidInputError("--budget applies to monomial subspaces only")
         sq = square_rational(U)
         record = {
             "kind": "rational",
@@ -313,7 +316,7 @@ def _cmd_square(args) -> int:
         missing = None
     else:
         sq = square(U, budget=args.budget)
-        missing = [M.to_text() for M in sq.sorted_complement(args.order)]
+        missing = list(map(monomial_to_text, sq.sorted_complement(args.order)))
         record = {
             "kind": "monomial",
             "n": sq.n,
@@ -435,34 +438,35 @@ def _cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {
+    "table": _cmd_table,
+    "m": partial(_cmd_maximize, compute=compute_m),
+    "m0": partial(_cmd_maximize, compute=compute_m0_monomial),
+    "enumerate": _cmd_enumerate,
+    "square": _cmd_square,
+    "hilbert": _cmd_hilbert,
+    "gram": _cmd_gram,
+    "check": _cmd_check,
+    "conjecture": _cmd_conjecture,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "m":
-            return _cmd_maximize(args, compute_m)
-        if args.command == "m0":
-            return _cmd_maximize(args, compute_m0_monomial)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "square":
-            return _cmd_square(args)
-        if args.command == "hilbert":
-            return _cmd_hilbert(args)
-        if args.command == "gram":
-            return _cmd_gram(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "conjecture":
-            return _cmd_conjecture(args)
-        raise InvalidInputError(f"unknown command {args.command!r}")
+        code = _COMMANDS[args.command](args)
+        # a closed pipe shows up here at the latest, not in the flush at exit
+        sys.stdout.flush()
+        return code
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

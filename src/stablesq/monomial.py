@@ -47,6 +47,19 @@ class Monomial(tuple):
         return f"Monomial({monomial_to_text(self)!r}, n={len(self)})"
 
 
+def exponent_tuple(M, n: int, d: int) -> tuple[int, ...]:
+    """M as a plain exponent tuple, checked to be a degree-d monomial in n
+    variables; an entry must be a nonnegative int (not a bool or float)."""
+    t = M if type(M) is tuple else tuple(M)
+    if not {int}.issuperset(map(type, t)) or min(t, default=0) < 0:
+        raise InvalidInputError(f"exponents must be nonnegative integers: {t!r}")
+    if len(t) != n:
+        raise InvalidInputError(f"{monomial_to_text(t)} does not live in {n} variables")
+    if sum(t) != d:
+        raise InvalidInputError(f"{monomial_to_text(t)} does not have degree {d}")
+    return t
+
+
 def monomial_to_text(exps) -> str:
     """Render an exponent tuple as x-notation, e.g. (2, 0, 1) -> 'x1^2*x3'."""
     parts = []

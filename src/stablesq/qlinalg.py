@@ -23,7 +23,9 @@ from operator import add
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
-from .monomial import LEX, Monomial, MonomialOrder, dim_component, enumerate_monomials
+from .monomial import (
+    LEX, Monomial, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
+)
 from .subspace import MonomialSubspace, json_int
 
 PRODUCT_DIM_GUARD = 20000
@@ -306,10 +308,7 @@ def _place(vector, n: int, d: int, order: MonomialOrder):
     idx = _column_index(n, d, order)
     out = [0] * dim_component(n, d)
     for key, val in vector.items():
-        M = Monomial(key)
-        if M.degree != d or len(M) != n:
-            raise InvalidInputError(f"{M!r} is not a degree-{d} monomial in {n} variables")
-        out[idx[M]] = val
+        out[idx[exponent_tuple(key, n, d)]] = val
     return out
 
 

@@ -9,7 +9,6 @@ bound for the unrestricted quantity and is labeled as such.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, product
@@ -17,26 +16,9 @@ from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import _power_free, dim_component
-from .stable import enumerate_strongly_stable, extremal_complement
+from .stable import default_budget, enumerate_strongly_stable, extremal_complement
 from .subspace import MonomialSubspace, square_index
 from . import tables
-
-DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "STABLESQ_BUDGET"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -68,8 +50,6 @@ def compute_m(
     dim = dim_component(n, d)
     if not (1 <= k <= dim):
         raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
-    if budget is None:
-        budget = default_budget()
     idx = square_index(n, d)
     best = -1
     count = 0

@@ -9,11 +9,28 @@ Every nonempty complement of this kind contains x_1^d.
 
 from __future__ import annotations
 
+import os
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import Monomial, dim_component
 from .subspace import MonomialSubspace
+
+DEFAULT_BUDGET = 10_000_000
+BUDGET_ENV_VAR = "STABLESQ_BUDGET"
+
+
+def default_budget() -> int:
+    raw = os.environ.get(BUDGET_ENV_VAR)
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+    return value
 
 
 def _adjacent_down_moves(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -36,7 +53,7 @@ def is_strongly_stable(U: MonomialSubspace) -> bool:
     move x_j * M / x_i, j < i, because a general move is a chain of
     adjacent ones.
     """
-    comp = {tuple(M) for M in U.complement}
+    comp = U.complement
     for t in comp:
         for moved in _adjacent_down_moves(t):
             if moved not in comp:
@@ -55,11 +72,14 @@ def enumerate_strongly_stable(
     larger complement is reachable by one adjacent up move from the
     prefix, so the search tree hits each complement exactly once.
 
-    Out-of-range k yields an empty list.  A budget bounds the number of
-    search nodes; exceeding it raises BudgetExceededError.
+    Out-of-range k yields an empty list.  The budget (default_budget()
+    when None) bounds the number of search nodes; exceeding it raises
+    BudgetExceededError.
     """
     if n < 1 or d < 0:
         raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    if budget is None:
+        budget = default_budget()
     if k < 0 or k > dim_component(n, d):
         return []
     if k == 0:
@@ -77,7 +97,7 @@ def enumerate_strongly_stable(
     def grow(chosen: list[tuple[int, ...]], members: set[tuple[int, ...]]):
         nonlocal nodes
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             raise BudgetExceededError(
                 f"enumeration for n={n}, d={d}, k={k} exceeded budget {budget} "
                 f"(at least {len(results)} subspaces found in {nodes} nodes)",
@@ -148,21 +168,12 @@ def extend_stable(U: MonomialSubspace) -> MonomialSubspace:
     """
     if not is_strongly_stable(U):
         raise InvalidInputError("extend_stable needs a strongly stable subspace")
-    comp = {tuple(M) for M in U.complement}
+    comp = U.complement
     if not comp:
         raise InvalidInputError("the full space cannot be extended")
-    n, d = U.n, U.d
-    cur = (d,) + (0,) * (n - 1)
+    cur = (U.d,) + (0,) * (U.n - 1)
     while True:
-        step = None
-        for j in range(n - 1):
-            if cur[j] > 0:
-                up = cur[:j] + (cur[j] - 1, cur[j + 1] + 1) + cur[j + 2 :]
-                if up in comp:
-                    step = up
-                    break
+        step = next((up for up in _adjacent_up_moves(cur) if up in comp), None)
         if step is None:
-            break
+            return MonomialSubspace(U.n, U.d, comp - {cur})
         cur = step
-    comp.discard(cur)
-    return MonomialSubspace(n, d, comp)

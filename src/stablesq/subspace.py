@@ -27,23 +27,24 @@ from .monomial import (
     dim_component,
     divisors_of_degree,
     exponent_classes,
+    exponent_tuple,
+    monomial_to_text,
 )
 
 
 class MonomialSubspace:
-    """Span of a set of degree-d monomials in n variables."""
+    """Span of a set of degree-d monomials in n variables.
+
+    The complement is a frozenset of plain exponent tuples, each checked
+    once here.
+    """
 
     __slots__ = ("n", "d", "complement", "_members")
 
     def __init__(self, n: int, d: int, complement: Iterable):
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-        comp = frozenset(Monomial(M) for M in complement)
-        for M in comp:
-            if len(M) != n:
-                raise InvalidInputError(f"{M!r} does not live in {n} variables")
-            if M.degree != d:
-                raise InvalidInputError(f"{M!r} does not have degree {d}")
+        comp = frozenset(exponent_tuple(M, n, d) for M in complement)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "complement", comp)
@@ -54,11 +55,8 @@ class MonomialSubspace:
 
     @classmethod
     def from_members(cls, n: int, d: int, members: Iterable) -> "MonomialSubspace":
-        mem = frozenset(Monomial(M) for M in members)
-        comp = [t for t in _basis_tuples(n, d) if t not in mem]
-        if len(mem) + len(comp) != dim_component(n, d):
-            raise InvalidInputError("members are not degree-d monomials in n variables")
-        return cls(n, d, comp)
+        mem = frozenset(exponent_tuple(M, n, d) for M in members)
+        return cls(n, d, [t for t in _basis_tuples(n, d) if t not in mem])
 
     @classmethod
     def full(cls, n: int, d: int) -> "MonomialSubspace":
@@ -77,17 +75,12 @@ class MonomialSubspace:
         return dim_component(self.n, self.d) - len(self.complement)
 
     @property
-    def members(self) -> tuple[Monomial, ...]:
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The member exponent tuples, descending in lex order."""
         cached = self._members
         if cached is None:
-            cached = tuple(
-                Monomial(t)
-                for t in sorted(
-                    (t for t in _basis_tuples(self.n, self.d) if t not in self.complement),
-                    key=LEX.key,
-                    reverse=True,
-                )
-            )
+            basis, comp = _basis_tuples(self.n, self.d), self.complement
+            cached = tuple(t for t in reversed(basis) if t not in comp)
             object.__setattr__(self, "_members", cached)
         return cached
 
@@ -97,7 +90,7 @@ class MonomialSubspace:
             return False
         return M not in self.complement
 
-    def sorted_complement(self, order: MonomialOrder = LEX) -> list[Monomial]:
+    def sorted_complement(self, order: MonomialOrder = LEX) -> list[tuple[int, ...]]:
         return sorted(self.complement, key=order.key, reverse=True)
 
     def __eq__(self, other) -> bool:
@@ -112,7 +105,7 @@ class MonomialSubspace:
         return hash((self.n, self.d, self.complement))
 
     def __repr__(self) -> str:
-        comp = ", ".join(M.to_text() for M in self.sorted_complement())
+        comp = ", ".join(map(monomial_to_text, self.sorted_complement()))
         return f"MonomialSubspace(n={self.n}, d={self.d}, codim={self.codim}, complement=[{comp}])"
 
     def to_json(self) -> dict:
@@ -213,6 +206,14 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     return MonomialSubspace(U.n, 2 * U.d, index.missing(U.complement))
 
 
+def _last_variable(t: tuple[int, ...]) -> int:
+    """Index of the largest variable dividing t, and 0 for t = 1."""
+    j = len(t) - 1
+    while j and not t[j]:
+        j -= 1
+    return j
+
+
 def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunction:
     """Hilbert function of the quotient by the ideal generated by U.
 
@@ -226,25 +227,19 @@ def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunct
     for i in range(min(d, max_degree + 1)):
         values.append(dim_component(n, i))
     if max_degree >= d:
-        comp = {tuple(M) for M in U.complement}
+        comp = U.complement
         values.append(len(comp))
-        for i in range(d, max_degree):
-            nxt = set()
-            for t in comp:
-                for j in range(n):
-                    cand = t[:j] + (t[j] + 1,) + t[j + 1 :]
-                    if cand in nxt:
-                        continue
-                    ok = True
-                    for l in range(n):
-                        if cand[l] > 0:
-                            below = cand[:l] + (cand[l] - 1,) + cand[l + 1 :]
-                            if below not in comp:
-                                ok = False
-                                break
-                    if ok:
-                        nxt.add(cand)
-            comp = nxt
+        for _ in range(d, max_degree):
+            # a monomial c of the next degree is outside the ideal exactly
+            # when every c / x_l is; c is made once, from c / x_j for its
+            # largest variable x_j
+            comp = {
+                c
+                for t in comp
+                for j in range(_last_variable(t), n)
+                for c in (t[:j] + (t[j] + 1,) + t[j + 1 :],)
+                if all(c[:l] + (c[l] - 1,) + c[l + 1 :] in comp for l in range(n) if c[l])
+            }
             values.append(len(comp))
     return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
 
@@ -271,7 +266,7 @@ def lift(U: MonomialSubspace, extra: int) -> MonomialSubspace:
     if extra < 0:
         raise InvalidInputError(f"need extra >= 0, got {extra}")
     pad = (0,) * extra
-    return MonomialSubspace(U.n + extra, U.d, [tuple(M) + pad for M in U.complement])
+    return MonomialSubspace(U.n + extra, U.d, [M + pad for M in U.complement])
 
 
 def restrict_vars(U: MonomialSubspace, m: int) -> MonomialSubspace:

@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 from .gram import face_gap, face_profile, nonsingular_face_bound, singular_face_dim
 from .macaulay import gotzmann_persists, green_restriction_bound, macaulay_growth_bound
 from .monomial import (
-    Monomial, _basis_tuples, _power_free, dim_component, expand, multiply, pivot
+    _basis_tuples, _power_free, dim_component, expand, monomial_to_text, multiply, pivot
 )
 from .qlinalg import (
     apolar_perp,
@@ -202,7 +202,7 @@ def _subsets(n: int, d: int, pool, sizes) -> Iterator[MonomialSubspace]:
 
 
 def _where(U: MonomialSubspace) -> str:
-    return f"n={U.n} d={U.d} comp={sorted(U.complement)}"
+    return f"n={U.n} d={U.d} comp={sorted(map(monomial_to_text, U.complement))}"
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +259,12 @@ def check_small_codim_shape(t: _Tally) -> None:
             need = d - k + 1
             for M in U.complement:
                 if M[0] < need:
-                    t.fail(f"n={n} d={d} k={k}: {Monomial(M).to_text()} lacks x1^{need}")
+                    t.fail(f"n={n} d={d} k={k}: {monomial_to_text(M)} lacks x1^{need}")
         if k <= n:
             for M in U.complement:
                 if any(M[j] for j in range(k, n)):
                     t.fail(
-                        f"n={n} d={d} k={k}: {Monomial(M).to_text()} uses x_j with j > k"
+                        f"n={n} d={d} k={k}: {monomial_to_text(M)} uses x_j with j > k"
                     )
 
 
@@ -293,7 +293,7 @@ def check_codim1_quadrics(t: _Tally) -> None:
     for n in range(2, 7):
         for M in _power_free(n, 2):
             c = square(MonomialSubspace(n, 2, [M])).codim
-            t.case(c != 2 and f"n={n} M={Monomial(M).to_text()}: codim = {c}")
+            t.case(c != 2 and f"n={n} M={monomial_to_text(M)}: codim = {c}")
 
 
 @_check("classification", "codim-1-degree-3-plus-bound")
@@ -503,18 +503,17 @@ def check_expansion_count(t: _Tally) -> None:
     n for the pure power, and 0 when x_1 does not divide M."""
     for n in range(2, 5):
         for d in range(2, 6):
-            for e in _basis_tuples(n, d):
-                M = Monomial(e)
+            for M in _basis_tuples(n, d):
                 up = expand(M)
-                if e[0] == 0:
+                if M[0] == 0:
                     ok = not up
                 elif pivot(M) == 1:
                     ok = len(up) == n
                 else:
                     ok = len(up) == pivot(M) - 1
-                t.case(not ok and f"{M.to_text()}: |M+| = {len(up)}")
-                if any(Monomial(T).degree != d for T in up):
-                    t.fail(f"{M.to_text()}: degree mismatch in M+")
+                t.case(not ok and f"{monomial_to_text(M)}: |M+| = {len(up)}")
+                if any(sum(T) != d for T in up):
+                    t.fail(f"{monomial_to_text(M)}: degree mismatch in M+")
 
 
 @_check("reduction", "expansion-union-bound")
@@ -608,8 +607,8 @@ def check_initial_strictness(t: _Tally) -> None:
     t.case(sq.codim != 2 and f"codim U^2 = {sq.codim}")
     inU = initial_subspace(U)
     t.case(
-        inU.complement != frozenset({Monomial((2, 0, 0))})
-        and f"in(U) complement = {sorted(inU.complement)}"
+        inU.complement != {(2, 0, 0)}
+        and f"in(U) complement = {sorted(map(monomial_to_text, inU.complement))}"
     )
     in_sq = square(inU)
     t.case(in_sq.codim != 3 and f"codim in(U)^2 = {in_sq.codim}")
@@ -998,23 +997,12 @@ def check_face_profile_consistency(t: _Tally) -> None:
 
 
 def _shape_power_times_variables(W: tuple, n: int, d: int) -> bool:
-    """Whether W is x_a^(d-1) times a set of distinct other variables."""
-    for a in range(n):
-        quotients = []
-        ok = True
-        for M in W:
-            if M[a] < d - 1:
-                ok = False
-                break
-            rest = list(M)
-            rest[a] -= d - 1
-            if sum(rest) != 1 or rest[a] != 0:
-                ok = False
-                break
-            quotients.append(tuple(rest))
-        if ok and len(set(quotients)) == len(W):
-            return True
-    return False
+    """Whether W is x_a^(d-1) times a set of distinct other variables.
+
+    W holds distinct degree-d monomials, so this is whether they all have
+    the exponent d - 1 at some x_a.
+    """
+    return any(all(M[a] == d - 1 for M in W) for a in range(n))
 
 
 def conjecture_scan(
@@ -1053,7 +1041,7 @@ def conjecture_scan(
                     if restricted is None and not (
                         n == k + 1 and _shape_power_times_variables(W, n, d)
                     ):
-                        names = ",".join(Monomial(M).to_text() for M in W)
+                        names = ",".join(map(monomial_to_text, W))
                         t.fail(f"span({names}) restricted to a power every time")
                 out.append(t.result(f"restriction-power-free-n{n}-d{d}-k{k}"))
     return out

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -v -s or
 in failure output) and asserts the criterion.  The first three rebuild
-the published values from scratch; the rest drive the named suites.
+the published values from scratch; the rest read the named suites from
+one run shared with the seed-0 pin of tests/test_suites.py.
 """
 
 from stablesq.search import (
@@ -12,7 +13,6 @@ from stablesq.search import (
     verify_degree_stability,
     verify_table,
 )
-from stablesq.suites import SUITES, SuiteOptions
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -22,8 +22,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num:02d} failed: {name}{suffix}"
 
 
-def _suite_ok(name: str):
-    results = SUITES[name](SuiteOptions())
+def _suite_ok(suite_results: dict, name: str):
+    results = suite_results[name]
     bad = [r for r in results if not r.passed]
     detail = f"{len(results)} checks, {sum(r.checked for r in results)} instances"
     if bad:
@@ -78,36 +78,36 @@ def test_criterion_03_value_constant_in_degree():
     )
 
 
-def test_criterion_04_codimension_1_and_2_classification():
-    ok, detail = _suite_ok("classification")
+def test_criterion_04_codimension_1_and_2_classification(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "classification")
     _report(4, "codimension 1 and 2 base point free classification", ok, detail)
 
 
-def test_criterion_05_expansion_combinatorics():
-    ok, detail = _suite_ok("reduction")
+def test_criterion_05_expansion_combinatorics(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "reduction")
     _report(5, "reduction and expansion counting statements", ok, detail)
 
 
-def test_criterion_06_hilbert_function_theorems():
-    ok, detail = _suite_ok("hilbert")
+def test_criterion_06_hilbert_function_theorems(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "hilbert")
     _report(6, "Hilbert function growth and vanishing statements", ok, detail)
 
 
-def test_criterion_07_exact_linear_algebra_witnesses():
-    ok, detail = _suite_ok("initial")
+def test_criterion_07_exact_linear_algebra_witnesses(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "initial")
     _report(7, "initial-subspace witnesses over the rationals", ok, detail)
 
 
-def test_criterion_08_randomized_generic_form_checks():
-    ok, detail = _suite_ok("random")
+def test_criterion_08_randomized_generic_form_checks(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "random")
     _report(8, "seeded randomized checks for generic linear forms", ok, detail)
 
 
-def test_criterion_09_lifting_behavior():
-    ok, detail = _suite_ok("lifting")
+def test_criterion_09_lifting_behavior(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "lifting")
     _report(9, "lifting and degree-shift behavior of squares", ok, detail)
 
 
-def test_criterion_10_gram_face_dimensions():
-    ok, detail = _suite_ok("gram")
+def test_criterion_10_gram_face_dimensions(default_suite_results):
+    ok, detail = _suite_ok(default_suite_results, "gram")
     _report(10, "Gram spectrahedron face dimension formulas", ok, detail)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stablesq
 from stablesq.cli import main
 from stablesq.gram import singular_face_dim
 
@@ -189,6 +194,43 @@ def test_budget_exit_1(capsys):
     assert main(["m", "--n", "3", "--d", "3", "--k", "3", "--budget", "1"]) == 1
 
 
+def test_enumerate_default_budget_exit_1(monkeypatch, capsys):
+    monkeypatch.setenv("STABLESQ_BUDGET", "5")
+    assert main(["enumerate", "--n", "4", "--d", "4", "--k", "6"]) == 1
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        # about 200 KB of JSON, several pipe buffers: the reader leaves
+        # after one line while the command is still writing
+        (["enumerate", "--n", "3..5", "--d", "3..7", "--k", "1..8", "--format", "json"], 1),
+        # one line, still buffered when the command ends: the reader has
+        # left before anything is written
+        (["m", "--n", "3", "--d", "2", "--k", "1"], 0),
+    ],
+)
+def test_closed_pipe_exits_1_without_traceback(argv, lines_read):
+    src = str(Path(stablesq.__file__).resolve().parents[1])
+    # stdout block-buffered, as it is by default on a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stablesq.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["square", "/nonexistent/u.json"]) == 2
 
@@ -240,6 +282,7 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 2, "rows": [["-2.5E+999999999", 1, 0]]}, ()),
         (None, None, ("m", "--n", "3", "--d", "2", "--k", "1", "--format", "csv", "--witnesses")),
         (None, None, ("m0", "--n", "3", "--d", "3", "--k", "1", "--format", "csv", "--witnesses")),
+        ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--budget", "5")),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

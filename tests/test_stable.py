@@ -124,6 +124,15 @@ def test_extend_stable_walks_up():
         extend_stable(MonomialSubspace.full(2, 2))
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         list(enumerate_strongly_stable(3, 3, 4, budget=2))
+    # with no budget given, the default budget bounds the search
+    monkeypatch.setenv("STABLESQ_BUDGET", "5")
+    with pytest.raises(BudgetExceededError):
+        enumerate_strongly_stable(4, 4, 6)
+    with pytest.raises(BudgetExceededError):
+        count_strongly_stable(4, 4, 6)
+    monkeypatch.setenv("STABLESQ_BUDGET", "x")
+    with pytest.raises(InvalidInputError):
+        enumerate_strongly_stable(4, 4, 6)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -6,15 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesq.errors import BudgetExceededError, InvalidInputError
+from stablesq.macaulay import HilbertFunction
 from stablesq.monomial import (
     Monomial,
     _basis_tuples,
+    _power_free,
     count_divisors,
     dim_component,
     divisors_of_degree,
 )
+from stablesq.qlinalg import span
 from stablesq.search import closed_form_m
-from stablesq.stable import extremal_subspace
+from stablesq.stable import (
+    enumerate_strongly_stable,
+    extend_stable,
+    extremal_subspace,
+    is_strongly_stable,
+)
 from stablesq.subspace import (
     MonomialSubspace,
     SquareIndex,
@@ -50,6 +59,54 @@ def test_construction_and_validation():
         MonomialSubspace(2, 2, [(2, 0, 0)])  # wrong variable count
     assert MonomialSubspace.full(2, 2).codim == 0
     assert MonomialSubspace.zero(2, 2).dim == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1.0, 1), (True, 1), (3, -1), (2, 0, 0), (1, 0), ("1", "1"), ()],
+    ids=["float", "bool", "negative", "length", "degree", "str", "empty"],
+)
+def test_malformed_monomials_refused(bad):
+    # every entry must be a nonnegative int: (1.0, 1), (True, 1) and
+    # (3, -1) all have degree 2 and length 2
+    with pytest.raises(InvalidInputError):
+        MonomialSubspace(2, 2, [bad])
+    with pytest.raises(InvalidInputError):
+        MonomialSubspace.from_members(2, 2, [bad])
+    with pytest.raises(InvalidInputError):
+        span([{bad: 1}], 2, 2)
+
+
+def test_complement_elements_are_plain_tuples():
+    U = extremal_subspace(3, 3, 2)
+    built = [
+        MonomialSubspace(3, 2, [Monomial((2, 0, 0)), [1, 1, 0], (0, 1, 1)]),
+        MonomialSubspace.from_members(3, 2, [Monomial((2, 0, 0)), [1, 1, 0]]),
+        U,
+        square(U),
+        lift(U, 2),
+        extend_stable(U),
+        variable_quotient(U, 1),
+        restrict_vars(U, 2),
+        subspace_from_json(U.to_json()),
+        subspace_from_text(U.to_text()),
+    ]
+    for V in built:
+        assert V.complement and all(type(M) is tuple for M in V.complement)
+        assert all(type(M) is tuple for M in V.members)
+        assert list(V.members) == sorted(V.members, key=lambda t: t[::-1], reverse=True)
+
+
+def test_subspace_layer_builds_no_monomial(monkeypatch):
+    def refuse(cls, exponents):
+        raise AssertionError("a Monomial was built")
+
+    monkeypatch.setattr(Monomial, "__new__", refuse)
+    U = MonomialSubspace(3, 3, [(3, 0, 0), (2, 1, 0), (2, 0, 1)])
+    assert MonomialSubspace.from_members(3, 3, U.members) == U
+    assert is_strongly_stable(U)
+    assert ideal_hilbert_function(lift(U, 2), 7)[3] == 3
+    assert extend_stable(U).codim == 2
 
 
 def test_from_members_inverts_complement():
@@ -216,6 +273,60 @@ def test_hilbert_function_against_divisor_oracle(U):
     for t in range(0, 6):
         assert hf[t] == len(_ideal_complement_oracle(U, t))
     assert hf.generated_in_degree == U.d
+
+
+def propagated_hilbert_function(U, max_degree):
+    """The former ideal_hilbert_function, kept as an oracle: each degree-i
+    complement monomial t proposes every t * x_j, which stays outside the
+    ideal when each of its quotients by a variable is in the complement."""
+    n, d = U.n, U.d
+    values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
+    if max_degree >= d:
+        comp = {tuple(M) for M in U.complement}
+        values.append(len(comp))
+        for i in range(d, max_degree):
+            nxt = set()
+            for t in comp:
+                for j in range(n):
+                    cand = t[:j] + (t[j] + 1,) + t[j + 1 :]
+                    if cand in nxt:
+                        continue
+                    ok = True
+                    for l in range(n):
+                        if cand[l] > 0:
+                            below = cand[:l] + (cand[l] - 1,) + cand[l + 1 :]
+                            if below not in comp:
+                                ok = False
+                                break
+                    if ok:
+                        nxt.add(cand)
+            comp = nxt
+            values.append(len(comp))
+    return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
+
+
+def test_hilbert_function_matches_propagation_oracle():
+    # strongly stable U lifted by up to 3 variables (n up to 7), random
+    # power-free complements of the degree-2d shapes, and edge cases
+    family = [
+        lift(U, extra)
+        for n in range(2, 5)
+        for d in range(2, 5)
+        for k in range(1, min(6, dim_component(n, d)) + 1)
+        for U in enumerate_strongly_stable(n, d, k)
+        for extra in range(4)
+    ]
+    rng = random.Random(11)
+    for n, d in ((3, 3), (3, 4), (4, 3), (4, 4), (3, 5), (4, 2), (5, 2), (6, 2)):
+        free = _power_free(n, d)
+        for k in range(1, min(3 * d - 3, len(free)) + 1):
+            family += [MonomialSubspace(n, d, rng.sample(free, k)) for _ in range(20)]
+    for n, d in ((1, 0), (1, 3), (2, 0), (3, 0), (3, 1)):
+        family += [MonomialSubspace.full(n, d), MonomialSubspace.zero(n, d)]
+    assert len(family) == 1354
+    for U in family:
+        for top in (0, U.d, 2 * U.d + 1):
+            assert ideal_hilbert_function(U, top) == propagated_hilbert_function(U, top), U
 
 
 def test_variable_quotient_hand_values():

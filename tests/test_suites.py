@@ -1,9 +1,11 @@
 from dataclasses import astuple
+from itertools import combinations
 
 import pytest
 
 from stablesq import suites
 from stablesq.errors import InvalidInputError
+from stablesq.monomial import _power_free
 from stablesq.qlinalg import span
 from stablesq.suites import (
     SUITES,
@@ -95,6 +97,41 @@ def test_conjecture_scan_cell_filter():
     assert results[0].passed
 
 
+def _shape_oracle(W: tuple, n: int, d: int) -> bool:
+    """The former test for x_a^(d-1) times distinct other variables,
+    kept as an oracle: divide out x_a^(d-1) and compare the quotients."""
+    for a in range(n):
+        quotients = []
+        ok = True
+        for M in W:
+            if M[a] < d - 1:
+                ok = False
+                break
+            rest = list(M)
+            rest[a] -= d - 1
+            if sum(rest) != 1 or rest[a] != 0:
+                ok = False
+                break
+            quotients.append(tuple(rest))
+        if ok and len(set(quotients)) == len(W):
+            return True
+    return False
+
+
+def test_exception_shape_matches_oracle():
+    # every W the conjecture suite scans, and k = 3 beside it
+    hits = total = 0
+    for n in range(2, 5):
+        for d in range(2, 6):
+            for k in range(1, 4):
+                for W in combinations(_power_free(n, d), k):
+                    want = _shape_oracle(W, n, d)
+                    assert suites._shape_power_times_variables(W, n, d) == want, W
+                    hits += want
+                    total += 1
+    assert hits and total > 20000
+
+
 def test_conjecture_suite_uses_exception_shape():
     # the cells at n = 3, k = 2 include spans of the shape
     # x_a^(d-1) * {two other variables}, which restrict to a power for
@@ -170,6 +207,7 @@ SEED_0_RESULTS = [
 ]
 
 
-def test_all_suites_pinned_at_seed_0():
-    results = run_suites(list(SUITES), SuiteOptions(seed=0))
+def test_all_suites_pinned_at_seed_0(default_suite_results):
+    assert SuiteOptions() == SuiteOptions(seed=0)
+    results = [r for name in SUITES for r in default_suite_results[name]]
     assert [astuple(r) for r in results] == SEED_0_RESULTS

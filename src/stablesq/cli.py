@@ -15,9 +15,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import chain, product
 
 from .errors import BudgetExceededError, InvalidInputError
-from .macaulay import HilbertFunction
 from .monomial import MonomialOrder, dim_component, monomial_to_text
 from .qlinalg import (
     RationalSubspace,
@@ -81,7 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
         for name in ranges:
             p.add_argument(f"--{name}", type=_parse_range, required=True)
         if budget:
-            p.add_argument("--budget", type=_positive_int, default=None)
+            p.add_argument("--budget", type=_positive_int, default=None, help=(
+                "bound on the subspaces each search visits; it bounds only the searches "
+                "the command runs (table searches cells with k < dim, gram n < k)"))
         if fmt:
             p.add_argument(
                 "--format", choices=("text", "csv", "json"), default="text"
@@ -134,6 +136,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
+# output
+
+
+def _emit(fmt: str, payload, header, rows, text) -> None:
+    """Print a command's records as JSON (`payload`), CSV (`header`, then
+    `rows`) or text (the lines of `text`).  Only the chosen one is read, so
+    the others may be unrun generators; one in `payload` prints as a list."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2, default=list))
+    elif fmt == "csv":
+        out = csv.writer(sys.stdout)
+        out.writerow(header)
+        out.writerows(rows)
+    else:
+        for line in text:
+            print(line)
+
+
+# ---------------------------------------------------------------------------
 # table
 
 
@@ -144,56 +165,47 @@ def _cmd_table(args) -> int:
             report = run(map=partial(pool.map, chunksize=4))
     else:
         report = run()
-    cells, mismatches, compared = report.cells, report.mismatches, report.compared
+    cells, published, mismatches = report.cells, report.published, report.mismatches
+    grid = sorted(cells.items())
 
-    if args.format == "json":
-        payload = {
-            "cells": [
-                {"n": n, "d": d, "k": k, "value": v}
-                for (n, d, k), v in sorted(cells.items())
-            ]
-        }
-        if args.diff_paper:
-            payload["compared"] = compared
-            payload["mismatches"] = [
-                {"n": n, "d": d, "k": k, "value": v, "published": e}
-                for (n, d, k), v, e in mismatches
-            ]
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        out = csv.writer(sys.stdout)
-        header = ["n", "d", "k", "value"]
-        if args.diff_paper:
-            header += ["published", "match"]
-        out.writerow(header)
-        for (n, d, k), v in sorted(cells.items()):
-            row = [n, d, k, "" if v is None else v]
-            if (n, d, k) in report.published:
-                e = report.published[(n, d, k)]
-                row += ["" if e is None else e, v == e]
-            elif args.diff_paper:
-                row += ["", ""]
-            out.writerow(row)
-    else:
+    payload = {"cells": [{"n": n, "d": d, "k": k, "value": v} for (n, d, k), v in grid]}
+    header = ["n", "d", "k", "value"]
+    if args.diff_paper:
+        payload["compared"] = report.compared
+        payload["mismatches"] = [
+            {"n": n, "d": d, "k": k, "value": v, "published": e}
+            for (n, d, k), v, e in mismatches
+        ]
+        header += ["published", "match"]
+    # csv writes None as an empty field
+    rows = (
+        [*c, v, published[c], v == published[c]] if c in published
+        else [*c, v, "", ""] if args.diff_paper
+        else [*c, v]
+        for c, v in grid
+    )
+
+    def text():
         flagged = {cell for cell, _, _ in mismatches}
         for n in args.n:
-            print(f"m(n={n}, d, k), rows d = {args.d[0]}..{args.d[-1]}:")
-            print("      " + "".join(f"k={k:<5}" for k in args.k))
+            yield f"m(n={n}, d, k), rows d = {args.d[0]}..{args.d[-1]}:"
+            yield "      " + "".join(f"k={k:<5}" for k in args.k)
             for d in args.d:
                 row = []
                 for k in args.k:
                     v = cells[(n, d, k)]
                     mark = "*" if (n, d, k) in flagged else ""
                     row.append("-" if v is None else f"{v}{mark}")
-                print(f"d={d:<4}" + "".join(f"{c:<7}" for c in row))
-            print()
-        if args.diff_paper:
-            if mismatches:
-                print(f"{len(mismatches)} of {compared} compared cells disagree:")
-                for (n, d, k), v, e in mismatches:
-                    print(f"  (n={n}, d={d}, k={k}): computed {v}, reference {e}")
-            else:
-                print(f"all {compared} compared cells match the reference table")
+                yield f"d={d:<4}" + "".join(f"{c:<7}" for c in row)
+            yield ""
+        if mismatches:
+            yield f"{len(mismatches)} of {report.compared} compared cells disagree:"
+            for (n, d, k), v, e in mismatches:
+                yield f"  (n={n}, d={d}, k={k}): computed {v}, reference {e}"
+        elif args.diff_paper:
+            yield f"all {report.compared} compared cells match the reference table"
+
+    _emit(args.format, payload, header, rows, text())
     return 1 if mismatches else 0
 
 
@@ -204,44 +216,28 @@ def _cmd_table(args) -> int:
 def _cmd_maximize(args, compute) -> int:
     if args.witnesses and args.format == "csv":
         raise InvalidInputError("--witnesses is not available with --format csv")
-    records = []
-    for n in args.n:
-        for d in args.d:
-            for k in args.k:
-                r = compute(n, d, k, budget=args.budget)
-                records.append(r)
-    if args.format == "json":
-        payload = []
+    records = [
+        compute(n, d, k, budget=args.budget)
+        for n, d, k in product(args.n, args.d, args.k)
+    ]
+    header = ["n", "d", "k", "value", "witness_count", "family"]
+    rows = [[r.n, r.d, r.k, r.value, r.witness_count, r.restricted_to] for r in records]
+    payload = [dict(zip(header, row)) for row in rows]
+    if args.witnesses:
+        for item, r in zip(payload, records):
+            item["witnesses"] = [sorted(map(monomial_to_text, w.complement)) for w in r.witnesses]
+
+    def text():
         for r in records:
-            item = {
-                "n": r.n,
-                "d": r.d,
-                "k": r.k,
-                "value": r.value,
-                "witness_count": r.witness_count,
-                "family": r.restricted_to,
-            }
-            if args.witnesses:
-                item["witnesses"] = [
-                    sorted(map(monomial_to_text, w.complement)) for w in r.witnesses
-                ]
-            payload.append(item)
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        out = csv.writer(sys.stdout)
-        out.writerow(["n", "d", "k", "value", "witness_count", "family"])
-        for r in records:
-            out.writerow([r.n, r.d, r.k, r.value, r.witness_count, r.restricted_to])
-    else:
-        for r in records:
-            print(
+            yield (
                 f"max codim U^2 = {r.value} at n={r.n}, d={r.d}, k={r.k} "
                 f"({r.witness_count} maximizer(s), family {r.restricted_to})"
             )
-            if args.witnesses:
-                for w in r.witnesses:
-                    comp = ", ".join(map(monomial_to_text, sorted(w.complement)))
-                    print(f"  complement {{{comp}}}")
+            for w in r.witnesses if args.witnesses else ():
+                comp = ", ".join(map(monomial_to_text, sorted(w.complement)))
+                yield f"  complement {{{comp}}}"
+
+    _emit(args.format, payload, header, rows, text())
     return 0
 
 
@@ -250,27 +246,21 @@ def _cmd_maximize(args, compute) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    records = []
-    for n in args.n:
-        for d in args.d:
-            for k in args.k:
-                if k > dim_component(n, d):
-                    continue
-                for U in enumerate_strongly_stable(n, d, k, budget=args.budget):
-                    records.append(U)
-    if args.format == "json":
-        print(json.dumps([U.to_json() for U in records], indent=2))
-    elif args.format == "csv":
-        out = csv.writer(sys.stdout)
-        out.writerow(["n", "d", "k", "complement"])
-        for U in records:
-            comp = " ".join(map(monomial_to_text, U.sorted_complement(args.order)))
-            out.writerow([U.n, U.d, U.codim, comp])
-    else:
-        for U in records:
-            comp = ", ".join(map(monomial_to_text, U.sorted_complement(args.order)))
-            print(f"n={U.n} d={U.d} k={U.codim}: {{{comp}}}")
-        print(f"{len(records)} subspaces")
+    records = [
+        U
+        for n, d, k in product(args.n, args.d, args.k)
+        if k <= dim_component(n, d)
+        for U in enumerate_strongly_stable(n, d, k, budget=args.budget)
+    ]
+    # the views sort the complements as they print, so an order that does
+    # not fit n fails only then: after the CSV header, with no JSON printed
+    ordered = lambda: ((U, U.sorted_complement(args.order)) for U in records)
+    names = lambda comp: map(monomial_to_text, comp)
+    payload = ({"n": U.n, "d": U.d, "complement": comp} for U, comp in ordered())
+    rows = ([U.n, U.d, U.codim, " ".join(names(comp))] for U, comp in ordered())
+    text = (f"n={U.n} d={U.d} k={U.codim}: {{{', '.join(names(comp))}}}" for U, comp in ordered())
+    _emit(args.format, payload, ["n", "d", "k", "complement"], rows,
+          chain(text, [f"{len(records)} subspaces"]))
     return 0
 
 
@@ -302,42 +292,20 @@ def _load_subspace(path: str):
 
 def _cmd_square(args) -> int:
     U = _load_subspace(args.file)
-    if isinstance(U, RationalSubspace):
-        if args.budget is not None:
-            raise InvalidInputError("--budget applies to monomial subspaces only")
-        sq = square_rational(U)
-        record = {
-            "kind": "rational",
-            "n": sq.n,
-            "d": sq.d,
-            "dim": sq.dim,
-            "codim": sq.codim,
-        }
-        missing = None
-    else:
-        sq = square(U, budget=args.budget)
+    rational = isinstance(U, RationalSubspace)
+    if rational and args.budget is not None:
+        raise InvalidInputError("--budget applies to monomial subspaces only")
+    sq = square_rational(U) if rational else square(U, budget=args.budget)
+    kind = "rational" if rational else "monomial"
+    record = {"kind": kind, "n": sq.n, "d": sq.d, "dim": sq.dim, "codim": sq.codim}
+    text = [f"U^2 in degree {sq.d}: dim = {sq.dim}, codim = {sq.codim}"]
+    if not rational:
         missing = list(map(monomial_to_text, sq.sorted_complement(args.order)))
-        record = {
-            "kind": "monomial",
-            "n": sq.n,
-            "d": sq.d,
-            "dim": sq.dim,
-            "codim": sq.codim,
-            "complement": missing,
-        }
-    if args.format == "json":
-        print(json.dumps(record, indent=2))
-    elif args.format == "csv":
-        out = csv.writer(sys.stdout)
-        out.writerow(["n", "degree", "dim", "codim"])
-        out.writerow([record["n"], record["d"], record["dim"], record["codim"]])
-    else:
-        print(
-            f"U^2 in degree {record['d']}: dim = {record['dim']}, "
-            f"codim = {record['codim']}"
-        )
+        record["complement"] = missing
         if missing:
-            print("missing monomials: " + ", ".join(missing))
+            text.append("missing monomials: " + ", ".join(missing))
+    _emit(args.format, record, ["n", "degree", "dim", "codim"],
+          [[sq.n, sq.d, sq.dim, sq.codim]], text)
     return 0
 
 
@@ -346,22 +314,12 @@ def _cmd_hilbert(args) -> int:
     top = args.max_degree if args.max_degree is not None else 2 * U.d + 1
     if top < 0:
         raise InvalidInputError(f"--max-degree must be nonnegative, got {top}")
-    if isinstance(U, RationalSubspace):
-        hf: HilbertFunction = hilbert_function_rational(U, top)
-    else:
-        hf = ideal_hilbert_function(U, top)
-    if args.format == "json":
-        print(json.dumps({
-            "values": list(hf.values),
-            "generated_in_degree": hf.generated_in_degree,
-        }, indent=2))
-    elif args.format == "csv":
-        out = csv.writer(sys.stdout)
-        out.writerow(["degree", "value"])
-        for i, v in enumerate(hf.values):
-            out.writerow([i, v])
-    else:
-        print("h = (" + ", ".join(str(v) for v in hf.values) + ")")
+    rational = isinstance(U, RationalSubspace)
+    hf = (hilbert_function_rational if rational else ideal_hilbert_function)(U, top)
+    values = list(hf.values)
+    payload = {"values": values, "generated_in_degree": hf.generated_in_degree}
+    text = ["h = (" + ", ".join(map(str, values)) + ")"]
+    _emit(args.format, payload, ["degree", "value"], enumerate(values), text)
     return 0
 
 
@@ -370,34 +328,15 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    header = ["n", "d", "k", "nonsingular_bound", "singular_dim", "gap"]
     rows = []
-    for n in args.n:
-        for d in args.d:
-            for k in args.k:
-                a = nonsingular_face_bound(n, d, k)
-                b = singular_face_dim(n, d, k, budget=args.budget)
-                rows.append((n, d, k, a, b, b - a))
-    if args.format == "json":
-        print(json.dumps([
-            {
-                "n": n,
-                "d": d,
-                "k": k,
-                "nonsingular_bound": a,
-                "singular_dim": b,
-                "gap": g,
-            }
-            for n, d, k, a, b, g in rows
-        ], indent=2))
-    elif args.format == "csv":
-        out = csv.writer(sys.stdout)
-        out.writerow(["n", "d", "k", "nonsingular_bound", "singular_dim", "gap"])
-        for row in rows:
-            out.writerow(row)
-    else:
-        print("n    d    k    nonsingular<=   singular=   gap")
-        for n, d, k, a, b, g in rows:
-            print(f"{n:<5}{d:<5}{k:<5}{a:<16}{b:<12}{g}")
+    for n, d, k in product(args.n, args.d, args.k):
+        a = nonsingular_face_bound(n, d, k)
+        b = singular_face_dim(n, d, k, budget=args.budget)
+        rows.append((n, d, k, a, b, b - a))
+    text = [f"{n:<5}{d:<5}{k:<5}{a:<16}{b:<12}{g}" for n, d, k, a, b, g in rows]
+    _emit(args.format, [dict(zip(header, row)) for row in rows], header, rows,
+          ["n    d    k    nonsingular<=   singular=   gap", *text])
     return 0
 
 

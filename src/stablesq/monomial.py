@@ -192,6 +192,8 @@ def dim_component(n: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def _basis_tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All degree-d exponent tuples in n variables, ascending lex order."""
+    if n < 1 or d < 0:
+        raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if n == 1:
         return ((d,),)
     out = []
@@ -209,8 +211,6 @@ def _power_free(n: int, d: int) -> list[tuple[int, ...]]:
 
 def enumerate_monomials(n: int, d: int, order: MonomialOrder = LEX) -> list[Monomial]:
     """Degree-d monomials in n variables, sorted descending under the order."""
-    if n < 1 or d < 0:
-        raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     return sorted(
         (Monomial(t) for t in _basis_tuples(n, d)), key=order.key, reverse=True
     )

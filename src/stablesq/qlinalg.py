@@ -189,8 +189,6 @@ class RationalSubspace:
     __slots__ = ("n", "d", "order", "dim", "_basis", "_echelon", "_rows")
 
     def __init__(self, n: int, d: int, rows, order: MonomialOrder = LEX):
-        if n < 1 or d < 0:
-            raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
         q = dim_component(n, d)
         mat = []
         for r in rows:

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 import stablesq
 from stablesq.cli import main
 from stablesq.gram import singular_face_dim
+from stablesq.monomial import monomial_to_text
 
 
 def run(capsys, *argv):
@@ -95,6 +99,20 @@ def test_enumerate_csv_order_flag(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "n,d,k,complement"
+
+
+def test_enumerate_json_follows_order(capsys):
+    argv = ["enumerate", "--n", "3", "--d", "2", "--k", "3"]
+
+    def json_order(*flags):
+        _, out, _ = run(capsys, *argv, *flags, "--format", "json")
+        return [U["complement"] for U in json.loads(out)]
+
+    _, out, _ = run(capsys, *argv, "--order", "block:1", "--format", "csv")
+    csv_order = [row[3] for row in csv.reader(io.StringIO(out))][1:]
+    block = json_order("--order", "block:1")
+    assert [" ".join(monomial_to_text(tuple(M)) for M in comp) for comp in block] == csv_order
+    assert block != json_order()  # block:1 and lex disagree on this grid
 
 
 def test_square_monomial_file(tmp_path, capsys):
@@ -337,3 +355,178 @@ def test_load_subspace_fuzz_exits_0_or_2(tmp_path, capsys, content):
     f.write_text(content)
     assert _exit_code(["square", str(f)]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# pinned output: the exit code and the sha256 of stdout of a fixed list of
+# commands, error paths included.  A change to what any of them prints
+# fails here; re-pin only for an intended change of the output.
+
+PIN_FILES = {
+    "mono.json": json.dumps({"n": 3, "d": 3, "complement": [[3, 0, 0], [2, 1, 0], [1, 1, 1]]}),
+    "mono.txt": "3 2 2\n1 1 0\n0 1 1\n",
+    "rational.json": json.dumps({
+        "n": 3,
+        "d": 2,
+        "order": "lex",
+        "rows": [["1", "0", "0", "0", "0", "1"], ["0", "1/2", "0", "-1", "0", "0"]],
+    }),
+}
+
+PINNED = {
+    "table --n 3 --d 2..3 --k 1..6 --diff-paper": (
+        0, "9f9e6948534913705f25ba0dff9c6895b7adf51d37107612acbf3cdb211de72b"
+    ),
+    "table --n 3 --d 2..3 --k 1..6 --diff-paper --format csv": (
+        0, "578e239611dfd517d416853d6c8827cd6cc5b4f4feaedb94a3b20ee96b10356a"
+    ),
+    "table --n 3 --d 2..3 --k 1..6 --diff-paper --format json": (
+        0, "457d5256570f20f218f34a86b8c0c283136bd81d98149c67dfaddc0d322887fb"
+    ),
+    "table --n 3..4 --d 2 --k 1..3 --format csv": (
+        0, "fb5e1bb6a7053262a8162b6553687a3dac50b23e0e4fed09a796d3fd8a57fb92"
+    ),
+    "m --n 3..4 --d 2..3 --k 1..2": (
+        0, "f9e88bc56200ddfbd20b754d2628cb3b7f81fcd28a0d859d8d5f49edb540c45d"
+    ),
+    "m --n 3..4 --d 2..3 --k 1..2 --format csv": (
+        0, "44ce8a288018d9f0c70a95047080e836cb1d09f03bbd8c5d47f321d59c8bbfd4"
+    ),
+    "m --n 3..4 --d 2..3 --k 1..2 --format json": (
+        0, "412080d0761c29f958ceded20e854699478b55b8c1669f9b86a1ad87c694c428"
+    ),
+    "m --n 3..4 --d 2..3 --k 1..2 --witnesses": (
+        0, "edd0720adef2db5227fa06b54c339c7ee1ec10f190d8e218e4a3abc33628a28e"
+    ),
+    "m --n 3..4 --d 2..3 --k 1..2 --witnesses --format json": (
+        0, "174ad634e947174a149c855c745026cd0d9641b7087b68c19e4f1498c8c5a366"
+    ),
+    "m0 --n 3..4 --d 2..3 --k 1..2": (
+        0, "1cc19531854a892ec5fbc15cafe46d74b472ee77fb0755bcff594fd1fc669ba9"
+    ),
+    "m0 --n 3..4 --d 2..3 --k 1..2 --format csv": (
+        0, "e8c335533a3ae6d8cd845a6575f05760991a38e6db9a4477b9b35f41605b0853"
+    ),
+    "m0 --n 3..4 --d 2..3 --k 1..2 --format json": (
+        0, "55a46506d346b35c14f9de3cbf2e779136151c7a939200adafea7d2b79ed38d5"
+    ),
+    "m0 --n 3..4 --d 2..3 --k 1..2 --witnesses": (
+        0, "72632d71b78dad6388d8b2e558331740ec1de72c927a02e8df7c67c359416aa6"
+    ),
+    "m0 --n 3..4 --d 2..3 --k 1..2 --witnesses --format json": (
+        0, "1a7de6541bd3e957df85bf1f4f7471a23088edb80cbd66d07542df5986946d19"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3": (
+        0, "b84434f23bc4c1d80c4c7068c65e5b63345a47506a2364a1264dbc6287ebb026"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3 --format csv": (
+        0, "cb5a4b6e66d63709c81c9dd694887e7e00da45cb9e2bc600762b3147c2778d99"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3 --format json": (
+        0, "f4e41dd4ca15a161dabaeb5164877e6f2e1ecb923cdf831451ac38d6e3e72d58"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3 --order lex --format json": (
+        0, "f4e41dd4ca15a161dabaeb5164877e6f2e1ecb923cdf831451ac38d6e3e72d58"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3 --order grlex": (
+        0, "b84434f23bc4c1d80c4c7068c65e5b63345a47506a2364a1264dbc6287ebb026"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3 --order grlex --format csv": (
+        0, "cb5a4b6e66d63709c81c9dd694887e7e00da45cb9e2bc600762b3147c2778d99"
+    ),
+    "enumerate --n 3 --d 2..3 --k 1..3 --order grlex --format json": (
+        0, "f4e41dd4ca15a161dabaeb5164877e6f2e1ecb923cdf831451ac38d6e3e72d58"
+    ),
+    "square mono.json": (
+        0, "2e2167d1864d8fcfdf31c7a5597934a2be5337523ef0369d990659cb9ec157e3"
+    ),
+    "square mono.json --format csv": (
+        0, "c025463ebf3cdbe751e80b4df83f8dc596946793d27d4ce4cf13f368e3cf09ef"
+    ),
+    "square mono.json --format json": (
+        0, "27820af63cfd7070b48903322a852fe801330c617a935f5b3d942f0be956b151"
+    ),
+    "square mono.txt --order grlex": (
+        0, "54e37dc23f2e4907adcc8a0a83cd2000e4b457a0aa6f66873acf2375e5cc16f4"
+    ),
+    "square mono.txt --format csv": (
+        0, "91c72ebd0c1916287be894824f4c2964dc20c68561a6c9a7543b0a437b9cea47"
+    ),
+    "square mono.txt --format json": (
+        0, "456e99a8761ec80b964a5bcd1432cd80f2157196d7517775a439784bba19dcbb"
+    ),
+    "square rational.json": (
+        0, "6035dfd4dce701558ce5f26fc21aef5a5c4344b08b7ffef5e1528cef03e41664"
+    ),
+    "square rational.json --format csv": (
+        0, "8182ebde3ed8a7e697a09c0d4559246f61d039601d427f14f6a51e601271062f"
+    ),
+    "square rational.json --format json": (
+        0, "c2ee3fcde9e54a1c38543222641e55e215ca13e5259d1d16207327c8f1edcbfb"
+    ),
+    "hilbert mono.json": (
+        0, "d058ce2350ecfdffb4bafb197ea7a7e2211ab954cf515e6dafd5c286ac804c58"
+    ),
+    "hilbert mono.json --format csv": (
+        0, "b6ca05da56fbc24e59a7a0f895b914927f191e772329811c7a788614c6f71ee6"
+    ),
+    "hilbert mono.json --format json": (
+        0, "fc8ce5013ea705230e38bc1b6cea8e0c150500fdd86127c1300b4958d1d95416"
+    ),
+    "hilbert mono.txt --max-degree 6": (
+        0, "6646ba4d83966a2b589c2e39b32860875937876ba67cbfadb34d995057145bf3"
+    ),
+    "hilbert mono.txt --format csv": (
+        0, "317e1989dfb2c8a573dad4bd2985666f36a72b2a6e282a3d814d3bff5701d6b3"
+    ),
+    "hilbert mono.txt --format json": (
+        0, "ca4a9216c70ca47be927a72878d033045d7f5d93a493676a39579f561f7ed852"
+    ),
+    "hilbert rational.json": (
+        0, "48ef372552a4bca16485958b486b81b9961279d4cd72c71b4584338ee763d0dc"
+    ),
+    "hilbert rational.json --format csv": (
+        0, "3ab9896e05ebc94fecdd4266ef5d97ce53b603e0fecfb30ae07e6a813fffe6d0"
+    ),
+    "hilbert rational.json --format json": (
+        0, "335a0d5312467da136964aac79de747710bcaad31c8f2c570393c9fcbad4fe89"
+    ),
+    "gram --n 2..6 --d 4..5 --k 2..3": (
+        0, "567e3c48032b79e8a241c08858da55d76878bce18aa578577267527302c63329"
+    ),
+    "gram --n 2..6 --d 4..5 --k 2..3 --format csv": (
+        0, "0d67b3dc86563f7de6a737a1f7d6c1b8493b384fe051703f58ddd539c035355b"
+    ),
+    "gram --n 2..6 --d 4..5 --k 2..3 --format json": (
+        0, "dac24a1013c91abdf0805fe4d3dfee7e0ef2d06f9837c1f7054f99f974a7acc4"
+    ),
+    "check --suite gram": (
+        0, "4a6041db60e0314e07332f203006e0bd74ce407b9e74f4da4228952af6aa8c6d"
+    ),
+    "conjecture --n 3 --d 3..4 --k 1..2": (
+        0, "a405f81e8c437fb4978c140a2bcfb1f37e8d7fe04ab9ec615307bc9b0cda0c1d"
+    ),
+    # error paths: what is printed before the error stays too
+    "m --n 3 --d 2 --k 1 --witnesses --format csv": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "m --n 3 --d 3 --k 3 --budget 1": (
+        1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "enumerate --n 3 --d 2 --k 2 --order block:3": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "enumerate --n 3 --d 2 --k 2 --order block:3 --format csv": (
+        2, "9010e815de720c7ca877ff0b1640e4484430a3126a19ffdc56acb056d10a7890"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_output_pinned(tmp_path, capsys, command):
+    for name, content in PIN_FILES.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in PIN_FILES else a for a in command.split()]
+    code = _exit_code(argv)
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED[command]

@@ -77,6 +77,21 @@ def test_malformed_monomials_refused(bad):
         span([{bad: 1}], 2, 2)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MonomialSubspace.from_members(0, 2, []),
+        lambda: MonomialSubspace.zero(0, 2),
+        lambda: MonomialSubspace.zero(1, -1),
+    ],
+    ids=["from_members-n0", "zero-n0", "zero-negative-d"],
+)
+def test_bad_shape_refused_before_the_basis_is_built(build):
+    # the basis of a shape with n < 1 used to recurse without a floor
+    with pytest.raises(InvalidInputError):
+        build()
+
+
 def test_complement_elements_are_plain_tuples():
     U = extremal_subspace(3, 3, 2)
     built = [

@@ -246,14 +246,16 @@ def _cmd_maximize(args, compute) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    # the views sort the complements as they print, so the order is
+    # checked against every n first: an error leaves stdout empty
+    for n in args.n:
+        args.order.check(n)
     records = [
         U
         for n, d, k in product(args.n, args.d, args.k)
         if k <= dim_component(n, d)
         for U in enumerate_strongly_stable(n, d, k, budget=args.budget)
     ]
-    # the views sort the complements as they print, so an order that does
-    # not fit n fails only then: after the CSV header, with no JSON printed
     ordered = lambda: ((U, U.sorted_complement(args.order)) for U in records)
     names = lambda comp: map(monomial_to_text, comp)
     payload = ({"n": U.n, "d": U.d, "complement": comp} for U, comp in ordered())

@@ -145,6 +145,13 @@ class MonomialOrder:
     def name(self) -> str:
         return f"block:{self.split}" if self.kind == "block" else self.kind
 
+    def check(self, n: int) -> None:
+        """Refuse a block split that leaves no variable in the second block."""
+        if self.kind == "block" and self.split >= n:
+            raise InvalidInputError(
+                f"block split {self.split} needs at least {self.split + 1} variables"
+            )
+
     def key(self, M) -> tuple:
         """Sort key; larger key means larger monomial.
 
@@ -156,10 +163,7 @@ class MonomialOrder:
         if self.kind == "grlex":
             return (sum(M), *reversed(M))
         if self.kind == "block":
-            if self.split >= len(M):
-                raise InvalidInputError(
-                    f"block split {self.split} needs at least {self.split + 1} variables"
-                )
+            self.check(len(M))
             head, tail = M[: self.split], M[self.split :]
             return (sum(head), *head, sum(tail), *tail)
         raise InvalidInputError(f"unknown order kind {self.kind!r}")

@@ -568,6 +568,11 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     rows are built from the cached per-(n, d) plan of partial derivatives.
     """
     rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
+    return _reduced_power(rows, n, d, order)
+
+
+def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder = LEX) -> bool:
+    """`power_in_span` on the primitive integer rows of `_integer_rref`."""
     if not rows:
         return False
     if d == 1:
@@ -608,32 +613,66 @@ def has_base_point(U: RationalSubspace) -> bool:
     return power_in_span(apolar_dual(U), U.n, U.d, U.order)
 
 
-def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
-    """Substitute the last variable using the relation l = 0.
+def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
+    """The restriction of a form to l = 0, scaled to integers.
 
-    Requires a nonzero last coefficient; returns the coefficients of the
-    restricted form over the degree-d basis in n - 1 variables.
+    l is first scaled to a primitive integer vector, which leaves the
+    hyperplane unchanged.  With den the lcm of the denominators of f, top
+    the largest exponent of x_n in f and L = -(l_1 x_1 + ... + l_(n-1) x_(n-1)),
+    returns den * l_n^top * f(x', L / l_n) as integer coefficients over the
+    degree-d basis in n - 1 variables, and the scale den * l_n^top.
     """
     if n < 2:
         raise InvalidInputError("elimination needs at least 2 variables")
-    lvec = [Fraction(_coefficient(x)) for x in l]
+    lvec = [_coefficient(x) for x in l]
     if len(lvec) != n:
         raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
     if lvec[-1] == 0:
         raise InvalidInputError("last coefficient must be nonzero to eliminate")
-    # f = sum of f_e * x_n^e with f_e free of x_n, and x_n = s on l = 0
+    lint = _integer_row(lvec)
+    g = gcd(*lint)
+    *head, last = (x // g for x in lint)
+    if isinstance(vector, dict):
+        # only the given entries, checked in column order as a list would be
+        idx = _column_index(n, d, order)
+        placed = {exponent_tuple(key, n, d): x for key, x in vector.items()}
+        terms = [(M, _coefficient(placed[M])) for M in sorted(placed, key=idx.__getitem__)]
+    else:
+        terms = zip(_columns(n, d, order), _as_vector(vector, n, d, order))
+    terms = [(M, x) for M, x in terms if x]
+    den = lcm(*(x.denominator for _, x in terms))
+    # den * f = sum of f_e * x_n^e with f_e free of x_n and integral
     parts: dict = {}
-    for M, x in zip(_columns(n, d, order), _as_vector(vector, n, d, order)):
-        if x != 0:
-            parts.setdefault(M[-1], {})[M[:-1]] = x
-    s = _linear_form([-x / lvec[-1] for x in lvec[:-1]])
-    # Horner's rule: f(x', s) = (...(f_top * s + f_top-1) * s + ...) + f_0
-    g: dict = {}
-    for e in range(max(parts, default=0), -1, -1):
-        g = multiply_forms(g, s)
+    for M, x in terms:
+        parts.setdefault(M[-1], {})[M[:-1]] = x.numerator * (den // x.denominator)
+    top = max(parts, default=0)
+    L = _linear_form([-x for x in head])
+    # Horner's rule: sum of f_e * L^e * l_n^(top - e), from e = top down
+    h: dict = {}
+    for e in range(top, -1, -1):
+        h = multiply_forms(h, L)
+        scale = last ** (top - e)
         for T, c in parts.get(e, {}).items():
-            g[T] = g.get(T, 0) + c
-    return [g.get(M, Fraction(0)) for M in _columns(n - 1, d, order)]
+            h[T] = h.get(T, 0) + c * scale
+    return [h.get(M, 0) for M in _columns(n - 1, d, order)], den * last**top
+
+
+def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
+    """Substitute the last variable using the relation l = 0.
+
+    Returns the coefficients of f(x_1, ..., x_(n-1), s) with
+    s = -(l_1 x_1 + ... + l_(n-1) x_(n-1)) / l_n over the degree-d basis in
+    n - 1 variables, as a list of exact Fractions.  The form is a list
+    over the degree-d columns or a {monomial: coefficient} dict, and l has
+    n coefficients; both take ints, Fractions or rational strings.
+    InvalidInputError is raised for n < 2, a linear form of the wrong
+    length or with l_n = 0, and a bad monomial or coefficient.  The work
+    is done over the integers by `_restriction`; each column c becomes
+    Fraction(c, den * l_n^top) once, at the end.
+    """
+    row, scale = _restriction(vector, n, d, l, order)
+    zero = Fraction(0)
+    return [Fraction(c, scale) if c else zero for c in row]
 
 
 def random_subspace(

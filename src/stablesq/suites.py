@@ -24,6 +24,9 @@ from .monomial import (
     _basis_tuples, _power_free, dim_component, expand, monomial_to_text, multiply, pivot
 )
 from .qlinalg import (
+    _integer_rref,
+    _reduced_power,
+    _restriction,
     apolar_perp,
     eliminate_variable,
     has_base_point,
@@ -31,7 +34,6 @@ from .qlinalg import (
     initial_subspace,
     linear_multiples,
     multiply_forms,
-    power_in_span,
     product_rational,
     quotient_by_linear_form,
     random_linear_form,
@@ -1028,13 +1030,13 @@ def conjecture_scan(
                     def restrict() -> list:
                         l = [rng.randint(-9, 9) for _ in range(n - 1)]
                         l.append(rng.choice((1, -1)) * rng.randint(1, 9))
-                        return [eliminate_variable({M: 1}, n, d, l) for M in W]
+                        # the reduced rows of the restricted span, built once
+                        return _integer_rref([_restriction({M: 1}, n, d, l)[0] for M in W])[0]
 
                     t.case()
                     restricted = t.redraw(
                         restrict,
-                        lambda rows: span(rows, n - 1, d).dim == k
-                        and not power_in_span(rows, n - 1, d),
+                        lambda rows: len(rows) == k and not _reduced_power(rows, n - 1, d),
                         "",
                         tries=max(2, trials),
                     )

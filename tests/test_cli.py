@@ -516,8 +516,9 @@ PINNED = {
     "enumerate --n 3 --d 2 --k 2 --order block:3": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     ),
+    # the order is checked against n before the CSV header is printed
     "enumerate --n 3 --d 2 --k 2 --order block:3 --format csv": (
-        2, "9010e815de720c7ca877ff0b1640e4484430a3126a19ffdc56acb056d10a7890"
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     ),
 }
 

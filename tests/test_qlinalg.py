@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
@@ -21,10 +21,14 @@ from stablesq.qlinalg import (
     RationalSubspace,
     _as_vector,
     _coefficient,
+    _columns,
     _divides,
     _integer_row,
+    _linear_form,
+    _place,
     _primitive_gcd,
     _rank_mod_p,
+    _restriction,
     _rref,
     apolar_dual,
     apolar_perp,
@@ -363,6 +367,101 @@ def test_eliminate_variable_evaluates_on_the_hyperplane(case):
     xn = -sum(a * p for a, p in zip(head, point)) / last
     got = evaluate(as_form(restricted, enumerate_monomials(n - 1, d)), point)
     assert got == evaluate(f, point + [xn])
+
+
+def fraction_eliminate_variable(vector, n: int, d: int, l, order=LEX):
+    """The Fraction substitution that `_restriction` replaced: x_n = s with
+    s = -(l' . x') / l_n, by Horner's rule over `multiply_forms`."""
+    if n < 2:
+        raise InvalidInputError("elimination needs at least 2 variables")
+    lvec = [Fraction(_coefficient(x)) for x in l]
+    if len(lvec) != n:
+        raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
+    if lvec[-1] == 0:
+        raise InvalidInputError("last coefficient must be nonzero to eliminate")
+    parts: dict = {}
+    for M, x in zip(_columns(n, d, order), _as_vector(vector, n, d, order)):
+        if x != 0:
+            parts.setdefault(M[-1], {})[M[:-1]] = x
+    s = _linear_form([-x / lvec[-1] for x in lvec[:-1]])
+    g: dict = {}
+    for e in range(max(parts, default=0), -1, -1):
+        g = multiply_forms(g, s)
+        for T, c in parts.get(e, {}).items():
+            g[T] = g.get(T, 0) + c
+    return [g.get(M, Fraction(0)) for M in _columns(n - 1, d, order)]
+
+
+exact_coefficients = st.one_of(
+    st.integers(-9, 9),
+    rationals,
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@st.composite
+def restriction_cases(draw):
+    """(form, n, d, l, order): dict or list forms, the zero form among
+    them, and l with a nonzero, possibly negative or rational, l_n."""
+    n, d = draw(st.integers(2, 5)), draw(st.integers(0, 5))
+    order = draw(st.sampled_from([LEX, GRLEX]))
+    cols = _columns(n, d, order)
+    f = draw(
+        st.one_of(
+            st.dictionaries(st.sampled_from(cols), exact_coefficients, max_size=4),
+            st.lists(exact_coefficients, min_size=len(cols), max_size=len(cols)),
+            st.just([0] * len(cols)),
+        )
+    )
+    l = draw(st.lists(exact_coefficients, min_size=n - 1, max_size=n - 1))
+    l.append(draw(exact_coefficients.filter(lambda x: Fraction(x) != 0)))
+    return f, n, d, l, order
+
+
+@given(restriction_cases())
+@example(({}, 2, 0, [0, -1], LEX))
+@example(({(0, 0, 3): "2/3"}, 3, 3, [Fraction(1, 2), 0, Fraction(-4, 3)], LEX))
+def test_eliminate_variable_matches_fraction_substitution(case):
+    f, n, d, l, order = case
+    want = fraction_eliminate_variable(f, n, d, l, order)
+    got = eliminate_variable(f, n, d, l, order)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+    # the kernel's row is the restriction times den * l_n^top, l primitive
+    vec = [Fraction(_coefficient(x)) for x in _place(f, n, d, order)]
+    terms = [(M, x) for M, x in zip(_columns(n, d, order), vec) if x]
+    den = lcm(*(x.denominator for _, x in terms))
+    top = max((M[-1] for M, _ in terms), default=0)
+    lint = _integer_row([Fraction(_coefficient(x)) for x in l])
+    scale = den * (lint[-1] // gcd(*lint)) ** top
+    row, kernel_scale = _restriction(f, n, d, l, order)
+    assert kernel_scale == scale
+    assert all(type(c) is int for c in row)
+    assert row == [x * scale for x in want]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ({(1, 0): 1}, 1, 1, [1]),  # one variable
+        ({(1, 0): 1}, 2, 1, [1, 1, 1]),  # l of the wrong length
+        ({(1, 0): 1}, 2, 1, [1, "0/5"]),  # l_n = 0
+        ({(1, 0): 1}, 2, 1, [1, "x"]),  # a bad coefficient in l
+        ({(1, 0): "1/0"}, 2, 1, [1, 1]),  # a bad coefficient in the form
+        ({(1, 0): "1e5000", (0, 1): "y"}, 2, 1, [1, 1]),  # the first bad column is named
+        ([1, "1e5000"], 2, 1, [1, 1]),
+        ({(2, 0): 1}, 2, 1, [1, 1]),  # a monomial of the wrong degree
+        ({(1, 0, 0): 1}, 2, 1, [1, 1]),  # in the wrong number of variables
+        ({(1.0, 0): 1}, 2, 1, [1, 1]),  # with a float exponent
+        ([1, 2, 3], 2, 1, [1, 1]),  # a list of the wrong length
+    ],
+)
+def test_eliminate_variable_refuses_what_the_fraction_substitution_refused(args):
+    with pytest.raises(InvalidInputError) as want:
+        fraction_eliminate_variable(*args)
+    with pytest.raises(InvalidInputError) as got:
+        eliminate_variable(*args)
+    assert str(got.value) == str(want.value)
 
 
 @st.composite

@@ -211,3 +211,25 @@ def test_all_suites_pinned_at_seed_0(default_suite_results):
     assert SuiteOptions() == SuiteOptions(seed=0)
     results = [r for name in SUITES for r in default_suite_results[name]]
     assert [astuple(r) for r in results] == SEED_0_RESULTS
+
+
+# The resamples of the conjecture suite's cells at seeds 1-3, in the order
+# of SEED_0_RESULTS; every other field is as at seed 0, with the seed.
+CONJECTURE_RESAMPLES = {
+    1: [0, 18, 0, 20, 0, 28, 0, 0, 0, 2, 0, 4],
+    2: [0, 20, 0, 18, 0, 22, 0, 1, 0, 1, 0, 2],
+    3: [0, 18, 0, 22, 2, 17, 0, 0, 0, 1, 0, 2],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CONJECTURE_RESAMPLES))
+def test_conjecture_suite_pinned_at_seeds_1_to_3(seed):
+    cells = SEED_0_RESULTS[-len(CONJECTURE_RESAMPLES[seed]) :]
+    want = [
+        (name, passed, details, checked, resamples, seed)
+        for (name, passed, details, checked, _, _), resamples in zip(
+            cells, CONJECTURE_RESAMPLES[seed]
+        )
+    ]
+    results = SUITES["conjecture"](SuiteOptions(seed=seed))
+    assert [astuple(r) for r in results] == want

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import comb
 from typing import Iterator
 
@@ -257,27 +258,45 @@ def divisors_of_degree(T, d: int) -> Iterator[tuple[int, ...]]:
         yield from rec(0, d, [])
 
 
-def exponent_classes(n: int, total: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of `total` into at most n parts, each as an ascending
-    exponent tuple of length n (zeros first).
+def ranked_classes(n: int, total: int, d: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The exponent classes of degree `total` in n variables, the partitions
+    of `total` into at most n parts as ascending n-tuples (zeros first), each
+    with its number of degree-d divisors, in ascending divisor count.
 
-    Each stands for the class of degree-`total` monomials whose sorted
-    exponents it is, which permuting the variables leaves fixed.
+    Each class stands for the degree-`total` monomials whose sorted
+    exponents it is, which permuting the variables leaves fixed.  The walk
+    is lazy: taking the classes up to some count computes the counts of
+    those classes and of their neighbours one move on, and no others.
+
+    The walk starts from x_n^total and moves one unit from an exponent a to
+    an exponent b <= a - 2.  Such a move never lowers the count: with
+    P_t = 1 + z + ... + z^t the count is the coefficient of z^d in
+    prod_i P_{t_i}, and P_{a-1} P_{b+1} = P_a P_b + z^{b+1} + ... + z^{a-1},
+    so the product only gains terms with nonnegative coefficients.  Every
+    partition arises from (total) by such moves (Muirhead's lemma), along a
+    chain of nondecreasing counts, so a heap keyed by count yields every
+    class, in ascending count.
     """
-
-    def rec(left: int, slots: int, cap: int):
-        # descending parts, at most `slots` of them, each at most `cap`
-        if left == 0:
-            yield ()
-            return
-        for p in range(min(left, cap), 0, -1):
-            if p * slots < left:
-                return
-            for rest in rec(left - p, slots - 1, p):
-                yield (p, *rest)
-
-    for parts in rec(total, n, total):
-        yield (0,) * (n - len(parts)) + parts[::-1]
+    start = (0,) * (n - 1) + (total,)
+    seen = {start}
+    heap = [(count_divisors(start, d), start)]
+    while heap:
+        count, lam = heappop(heap)
+        yield count, lam
+        # the receiver is the last exponent of its value and the giver the
+        # first of its value, so the moved tuple stays ascending
+        for i in range(n - 1):
+            if lam[i] == lam[i + 1]:
+                continue
+            for j in range(i + 1, n):
+                if lam[j] - lam[i] >= 2 and lam[j] != lam[j - 1]:
+                    child = list(lam)
+                    child[i] += 1
+                    child[j] -= 1
+                    child = tuple(child)
+                    if child not in seen:
+                        seen.add(child)
+                        heappush(heap, (count_divisors(child, d), child))
 
 
 def arrangements(exps) -> Iterator[tuple[int, ...]]:

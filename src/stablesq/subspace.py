@@ -8,12 +8,12 @@ the complement, which stays small in the regimes of interest.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from heapq import merge
-from math import factorial, prod
+from math import factorial, inf, prod
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
@@ -23,12 +23,11 @@ from .monomial import (
     MonomialOrder,
     _basis_tuples,
     arrangements,
-    count_divisors,
     dim_component,
     divisors_of_degree,
-    exponent_classes,
     exponent_tuple,
     monomial_to_text,
+    ranked_classes,
 )
 
 
@@ -192,7 +191,11 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     Only a degree-2d monomial with at most 2 codim U divisors of degree d
     can be missing from U^2, so the budget bounds the number of those
     candidates: the square raises BudgetExceededError exactly when it is
-    exceeded, before any of them is built.
+    exceeded, before any of them is built.  Counting them ranks only the
+    exponent classes with at most 2 codim U divisors, and takes the divisor
+    count of the classes one move past them (`ranked_classes`), so a
+    refusal costs no more than counting its candidates, however large n
+    and d are.
     """
     index = square_index(U.n, U.d)
     if budget is not None:
@@ -282,22 +285,30 @@ class SquareIndex:
 
     For T of degree 2d the degree-d divisors split into pairs {M, T/M}
     (a pair may be a single self-paired monomial).  T lies outside U^2
-    exactly when every pair meets the complement of U, so T can only be
+    exactly when every pair meets the complement C of U, so T can only be
     missing when its divisor count is at most twice the codimension.
 
     The divisor count of T depends only on its sorted exponents, so the
     index ranks the exponent classes of degree 2d (the partitions of 2d
-    into at most n parts), not the monomials.  `entries` holds (T, pairs)
-    sorted by divisor count, then by T in ascending lex order, and grows
-    a whole count at a time whenever a query needs a larger count, so an
-    answer never depends on the queries asked before it.  A class is
-    grown by splitting the divisors of its sorted representative into
-    pairs once and permuting those pairs onto each arrangement T; the
+    into at most n parts), not the monomials, and ranks a class only when
+    a query asks for its count (`ranked_classes`).  `entries` holds
+    (T, pairs) sorted by divisor count, then by T in ascending lex order,
+    and grows a whole count at a time whenever a query needs a larger
+    count, so an answer never depends on the queries asked before it.  A
+    class is grown by splitting the divisors of its sorted representative
+    into pairs once and permuting those pairs onto each arrangement T; the
     pairs point at one shared tuple per divisor, which keeps the index
     small.
+
+    The first pair of an entry holds the lex-first and lex-last divisor of
+    its T, and `_owners` lists, for each degree-d monomial M, the positions
+    of the entries whose first pair holds M.  A missing T has its first
+    pair meet C, so a query visits only the entries listed under the
+    members of C, up to the end of the block with at most 2|C| divisors,
+    and checks their other pairs.
     """
 
-    __slots__ = ("n", "d", "entries", "_classes", "_ends", "_canon")
+    __slots__ = ("n", "d", "entries", "_walk", "_next", "_ranked", "_ends", "_canon", "_owners")
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 0:
@@ -305,14 +316,30 @@ class SquareIndex:
         self.n = n
         self.d = d
         self.entries: list[tuple[tuple[int, ...], tuple]] = []
-        ranked: dict[int, list[tuple[int, ...]]] = {}
-        for lam in exponent_classes(n, 2 * d):
-            ranked.setdefault(count_divisors(lam, d), []).append(lam)
-        # (count, classes of that count), ascending; _ends[i] is the end
-        # in `entries` of the i-th count, for the counts grown so far
-        self._classes = sorted(ranked.items())
+        # the classes in ascending divisor count; _next is the first one not
+        # yet ranked, and _ranked holds (count, classes of that count) for
+        # the counts ranked so far, ascending
+        self._walk = ranked_classes(n, 2 * d, d)
+        self._next = next(self._walk)
+        self._ranked: list[tuple[int, list[tuple[int, ...]]]] = []
+        # _ends[i] is the end in `entries` of the i-th ranked count, for the
+        # counts grown so far
         self._ends: list[int] = []
         self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._owners: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+
+    def _rank(self, count: int) -> list:
+        """The ranked groups, after ranking every class with at most `count`
+        divisors."""
+        ranked = self._ranked
+        while self._next[0] <= count:
+            c, lam = self._next
+            if ranked and ranked[-1][0] == c:
+                ranked[-1][1].append(lam)
+            else:
+                ranked.append((c, [lam]))
+            self._next = next(self._walk, (inf, None))
+        return ranked
 
     def _arranged(self, lam: tuple[int, ...]):
         """The entries (T, pairs) of every rearrangement T of the class lam,
@@ -328,41 +355,65 @@ class SquareIndex:
             T = tuple(map(lam.__getitem__, s))
             yield T, tuple((moved[i], moved[last - i]) for i in range(last // 2 + 1))
 
+    def _grow(self, count: int) -> int:
+        """Grow the index to hold every T with at most `count` degree-d
+        divisors; the end of their block in `entries`."""
+        ranked, ends, entries, owners = self._rank(count), self._ends, self.entries, self._owners
+        while len(ends) < len(ranked) and ranked[len(ends)][0] <= count:
+            grown = map(self._arranged, ranked[len(ends)][1])
+            for entry in merge(*grown, key=lambda e: e[0][::-1]):
+                M, N = entry[1][0]
+                owners[M].append(len(entries))
+                if N is not M:
+                    owners[N].append(len(entries))
+                entries.append(entry)
+            ends.append(len(entries))
+        counts = bisect_right(ranked, count, hi=len(ends), key=itemgetter(0))
+        return ends[counts - 1] if counts else 0
+
     def entries_upto(self, count: int) -> list:
         """The entries (T, pairs) of every T with at most `count` degree-d
         divisors, after growing the index to hold them."""
-        classes, ends, entries = self._classes, self._ends, self.entries
-        while len(ends) < len(classes) and classes[len(ends)][0] <= count:
-            grown = map(self._arranged, classes[len(ends)][1])
-            entries.extend(merge(*grown, key=lambda e: e[0][::-1]))
-            ends.append(len(entries))
-        counts = bisect_right(classes, count, hi=len(ends), key=itemgetter(0))
-        return entries[: ends[counts - 1]] if counts else []
+        return self.entries[: self._grow(count)]
 
     def size_upto(self, count: int) -> int:
         """Number of entries with at most `count` divisors, counted from the
-        exponent classes without growing the index."""
+        ranked classes without growing the index."""
         return sum(
             factorial(self.n) // prod(map(factorial, Counter(lam).values()))
-            for c, group in self._classes
+            for c, group in self._rank(count)
             if c <= count
             for lam in group
         )
 
-    def missing(self, complement) -> list[tuple[int, ...]]:
-        """The degree-2d monomials outside U^2, for U with this complement."""
-        out = []
-        for T, pairs in self.entries_upto(2 * len(complement)):
-            for M, N in pairs:
-                if M not in complement and N not in complement:
+    def _hits(self, complement) -> Iterator[int]:
+        """The positions in `entries` of the T outside U^2, for U with this
+        complement, in no particular order."""
+        end = self._grow(2 * len(complement))
+        entries = self.entries
+        for c in complement:
+            for p in self._owners.get(c, ()):
+                if p >= end:
                     break
-            else:
-                out.append(T)
-        return out
+                pairs = entries[p][1]
+                M = pairs[0][0]
+                if M != c and M in complement:
+                    continue  # visited from M, the first member in C
+                for M, N in pairs:
+                    if M not in complement and N not in complement:
+                        break
+                else:
+                    yield p
+
+    def missing(self, complement) -> list[tuple[int, ...]]:
+        """The degree-2d monomials outside U^2, for U with this complement,
+        in the order of `entries`."""
+        entries = self.entries
+        return [entries[p][0] for p in sorted(self._hits(complement))]
 
     def codim_square(self, complement) -> int:
         """Number of degree-2d monomials outside U^2, for U with this complement."""
-        return len(self.missing(complement))
+        return sum(1 for _ in self._hits(complement))
 
 
 @lru_cache(maxsize=4)

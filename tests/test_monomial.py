@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -18,12 +19,12 @@ from stablesq.monomial import (
     divisors_of_degree,
     enumerate_monomials,
     expand,
-    exponent_classes,
     monomial_from_text,
     monomial_to_text,
     multiply,
     pivot,
     quotient,
+    ranked_classes,
     reduce,
 )
 
@@ -109,10 +110,14 @@ def test_divisors_of_degree_against_brute_force():
             assert count_divisors(T, d) == len(brute)
 
 
-def test_exponent_classes_and_arrangements_cover_the_basis():
+def test_ranked_classes_and_arrangements_cover_the_basis():
     for n in range(1, 6):
         for total in range(0, 8):
-            classes = list(exponent_classes(n, total))
+            ranked = list(ranked_classes(n, total, total // 2))
+            counts = [c for c, _ in ranked]
+            assert counts == sorted(counts)
+            assert counts == [count_divisors(lam, total // 2) for _, lam in ranked]
+            classes = [lam for _, lam in ranked]
             assert sorted(classes) == sorted({tuple(sorted(t)) for t in _basis_tuples(n, total)})
             arranged = []
             for lam in classes:
@@ -127,6 +132,32 @@ def test_exponent_classes_and_arrangements_cover_the_basis():
                 assert mine == sorted(mine, key=LEX.key)  # ascending lex order
                 arranged += mine
             assert sorted(arranged) == sorted(_basis_tuples(n, total))
+
+
+def partitions(total, cap=None):
+    """The partitions of `total` as descending tuples, by plain recursion."""
+    if total == 0:
+        yield ()
+        return
+    for p in range(min(total, cap or total), 0, -1):
+        for rest in partitions(total - p, p):
+            yield (p, *rest)
+
+
+def test_moving_a_unit_to_a_smaller_exponent_never_lowers_the_divisor_count():
+    # the fact ranked_classes walks by, on every partition of 2d for d <= 10
+    for d in range(11):
+        every = list(partitions(2 * d))
+        for lam in every:
+            lam = lam + (0,)
+            for i, j in combinations(range(len(lam)), 2):
+                if lam[i] - lam[j] >= 2:
+                    moved = list(lam)
+                    moved[i] -= 1
+                    moved[j] += 1
+                    assert count_divisors(moved, d) >= count_divisors(lam, d)
+        walked = [lam for _, lam in ranked_classes(2 * d or 1, 2 * d, d)]
+        assert len(walked) == len(set(walked)) == len(every)
 
 
 def test_pivot_reduce_expand_relations():

@@ -235,6 +235,92 @@ def test_square_index_matches_ranked_construction(n, d):
         assert unordered(SquareIndex(n, d).entries_upto(count)) == want
 
 
+def scan_missing(idx, complement):
+    """The former SquareIndex.missing, kept as an oracle: scan every entry
+    with at most 2|C| divisors and keep the T whose pairs all meet C."""
+    out = []
+    for T, pairs in idx.entries_upto(2 * len(complement)):
+        for M, N in pairs:
+            if M not in complement and N not in complement:
+                break
+        else:
+            out.append(T)
+    return out
+
+
+def assert_missing_matches_scan(idx, complement):
+    want = scan_missing(idx, complement)
+    assert idx.missing(complement) == want  # same list, same order
+    assert idx.codim_square(complement) == len(want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_missing_matches_scan_on_strongly_stable(n):
+    for d in range(2, 6):
+        idx = SquareIndex(n, d)
+        for k in range(1, min(6, dim_component(n, d)) + 1):
+            for U in enumerate_strongly_stable(n, d, k):
+                assert_missing_matches_scan(idx, U.complement)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_missing_matches_scan_on_random_complements(data):
+    # plain tuples, Monomials, or a mix of both: the index compares by value
+    n = data.draw(st.integers(1, 4))
+    d = data.draw(st.integers(0, 4))
+    basis = _basis_tuples(n, d)
+    chosen = data.draw(st.lists(st.sampled_from(basis), unique=True, max_size=8))
+    wrap = data.draw(st.sampled_from([tuple, Monomial, None]))
+    C = frozenset(
+        (wrap or data.draw(st.sampled_from([tuple, Monomial])))(t) for t in chosen
+    )
+    assert_missing_matches_scan(square_index(n, d), C)
+
+
+def test_missing_when_both_members_of_the_first_pair_are_in_the_complement():
+    # (2, 2, 0) pairs x1^2 with x2^2 first and x1 x2 with itself
+    idx = SquareIndex(3, 2)
+    first = frozenset([(2, 0, 0), (0, 2, 0)])
+    assert (2, 2, 0) not in idx.missing(first)
+    assert idx.missing(first | {(1, 1, 0)}).count((2, 2, 0)) == 1
+    for n, d in ((3, 2), (3, 4), (4, 3)):
+        idx = SquareIndex(n, d)
+        for T, pairs in idx.entries_upto(6):
+            C = frozenset(M for pair in pairs for M in pair)
+            assert idx.missing(C).count(T) == 1
+            assert_missing_matches_scan(idx, C)
+
+
+def test_missing_after_a_larger_query_grew_the_index():
+    n, d = 4, 3
+    basis = _basis_tuples(n, d)
+    idx = SquareIndex(n, d)
+    assert_missing_matches_scan(idx, frozenset(basis))
+    grown = len(idx.entries)
+    for k in (1, 2, 3, 5):
+        for C in (frozenset(basis[:k]), frozenset(basis[-k:])):
+            assert_missing_matches_scan(idx, C)
+            assert idx.missing(C) == SquareIndex(n, d).missing(C)
+    assert len(idx.entries) == grown
+
+
+def test_budgeted_square_ranks_only_the_classes_it_counts():
+    # 35,251 exponent classes of degree 40 in 20 variables: a query ranks
+    # only those with at most 2 codim U divisors of degree 20
+    square_index.cache_clear()
+    assert square(MonomialSubspace.full(20, 20), budget=10).codim == 0
+    idx = square_index(20, 20)
+    assert idx._ranked == [] and idx.entries == []
+    U = MonomialSubspace(20, 20, [(20,) + (0,) * 19])
+    with pytest.raises(BudgetExceededError) as err:
+        square(U, budget=10)
+    assert err.value.seen == 400
+    top = (0,) * 19 + (40,)
+    assert idx._ranked == [(1, [top]), (2, [top[:18] + (1, 39)])]
+    assert idx.entries == []
+
+
 @pytest.mark.parametrize("n, d, k, want", [(7, 12, 3, 22), (8, 15, 4, 36)])
 def test_square_of_large_extremal_shapes(n, d, k, want):
     # 593,775 and 10,295,472 monomials of degree 2d: only the few with

@@ -314,8 +314,6 @@ def _cmd_square(args) -> int:
 def _cmd_hilbert(args) -> int:
     U = _load_subspace(args.file)
     top = args.max_degree if args.max_degree is not None else 2 * U.d + 1
-    if top < 0:
-        raise InvalidInputError(f"--max-degree must be nonnegative, got {top}")
     rational = isinstance(U, RationalSubspace)
     hf = (hilbert_function_rational if rational else ideal_hilbert_function)(U, top)
     values = list(hf.values)

@@ -38,12 +38,6 @@ class Monomial(tuple):
     def degree(self) -> int:
         return sum(self)
 
-    def to_text(self) -> str:
-        return monomial_to_text(self)
-
-    def to_json(self) -> list[int]:
-        return list(self)
-
     def __repr__(self) -> str:
         return f"Monomial({monomial_to_text(self)!r}, n={len(self)})"
 
@@ -168,19 +162,6 @@ class MonomialOrder:
             head, tail = M[: self.split], M[self.split :]
             return (sum(head), *head, sum(tail), *tail)
         raise InvalidInputError(f"unknown order kind {self.kind!r}")
-
-    def compare(self, M, T) -> int:
-        """-1, 0, or 1 as M <, =, > T.  Requires equal n and equal degree."""
-        if len(M) != len(T):
-            raise InvalidInputError(
-                f"cannot compare monomials in {len(M)} and {len(T)} variables"
-            )
-        if sum(M) != sum(T):
-            raise InvalidInputError(
-                f"cannot compare monomials of degrees {sum(M)} and {sum(T)}"
-            )
-        a, b = self.key(M), self.key(T)
-        return (a > b) - (a < b)
 
 
 LEX = MonomialOrder.lex()

@@ -8,7 +8,8 @@ of rows or of columns, and exact elimination decides every other case.
 The reduced row echelon form, whose pivot columns are the initial
 monomials of the space, is built on first use.  Two subspaces are equal
 exactly when these forms coincide.  Elimination is fraction-free over the
-integers and its results are exact Fractions; no floating point enters.
+integers; Fractions are made only for the public `rows`, `to_json` and
+`eliminate_variable`, and no floating point enters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
@@ -29,6 +30,7 @@ from .monomial import (
 from .subspace import MonomialSubspace, json_int
 
 PRODUCT_DIM_GUARD = 20000
+MAX_TRIES = 100  # draws before a random sampler gives up on degenerate samples
 
 # Python's default limit on the digits of an integer string; Fraction's
 # parser would expand a larger decimal exponent in full, without bound
@@ -122,16 +124,6 @@ def _fraction_row(r: list[int], c: int) -> list[Fraction]:
     return [Fraction(a, r[c]) if a else zero for a in r]
 
 
-def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns.
-
-    Rows of ints or Fractions are scaled to integers and reduced by
-    `_integer_rref`; only the pivot rows become exact Fractions, at the end.
-    """
-    mat, pivots = _integer_rref([_integer_row(r) for r in rows])
-    return [_fraction_row(r, c) for r, c in zip(mat, pivots)], pivots
-
-
 # a large prime, so that a rank drop modulo it is rare; the exact
 # elimination decides every case where it happens
 _PRIME = 2**61 - 1
@@ -163,24 +155,43 @@ def _rank_mod_p(mat: list[list[int]], q: int) -> int:
     return len(echelon)
 
 
-def _null_space(rows: list[list[Fraction]], q: int) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix with q columns."""
-    rref, pivots = _rref(rows)
-    pivot_set = set(pivots)
+def _kernel(mat, q: int) -> list[list[int]]:
+    """Integer basis of the right kernel of integer rows with q columns.
+
+    Reduced from the last column, each row ends at its pivot, so the vector
+    of a free column f is zero left of f and at the other free columns: the
+    basis comes out as `_integer_rref` would return it, in reduced echelon
+    form with primitive rows.  All vectors share the lcm of the pivots as scale.
+    """
+    rows, pivots = _integer_rref([r[::-1] for r in mat])
+    scale = lcm(*(r[c] for r, c in zip(rows, pivots)))
+    ends = [(r[::-1], q - 1 - c) for r, c in zip(rows, pivots)]
     out = []
-    for free in range(q):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * q
-        vec[free] = Fraction(1)
-        for r, p in zip(rref, pivots):
-            vec[p] = -r[free]
-        out.append(vec)
+    for f in sorted(set(range(q)).difference(p for _, p in ends)):
+        vec = [0] * q
+        vec[f] = scale
+        for r, p in ends:
+            if r[f]:
+                vec[p] = -r[f] * (scale // r[p])
+        g = gcd(*vec)
+        out.append(vec if g == 1 else [a // g for a in vec])
+    return out
+
+
+def _normal_form(vec, echelon, scale: int) -> list[int]:
+    """scale times the remainder of vec modulo the (rows, pivots) of
+    `_integer_rref`; scale is a common multiple of the pivot entries."""
+    out = [scale * a for a in vec]
+    for row, p in zip(*echelon):
+        f = vec[p]
+        if f:
+            f *= scale // row[p]
+            out = [a - f * b for a, b in zip(out, row)]
     return out
 
 
 class RationalSubspace:
-    """Row space of integer vectors over a monomial column basis.
+    """Row space of coefficient vectors (lists or monomial dicts) over the columns.
 
     dim is certified on construction; the reduced echelon form (`rows`,
     `pivots`) is built exactly on first use and kept.
@@ -192,7 +203,7 @@ class RationalSubspace:
         q = dim_component(n, d)
         mat = []
         for r in rows:
-            r = list(r)
+            r = list(_place(r, n, d, order))
             if not _all_int(r):
                 r = _integer_row([_coefficient(x) for x in r])
             mat.append(r)
@@ -257,11 +268,9 @@ class RationalSubspace:
 
     def contains(self, vector) -> bool:
         vec = _integer_row(_as_vector(vector, self.n, self.d, self.order))
-        for row, p in zip(*self._reduced()):
-            f = vec[p]
-            if f:
-                vec = [row[p] * a - f * b for a, b in zip(vec, row)]
-        return not any(vec)
+        rows, pivots = self._reduced()
+        scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
+        return not any(_normal_form(vec, (rows, pivots), scale))
 
     def __eq__(self, other) -> bool:
         return (
@@ -320,12 +329,18 @@ def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
 
 def span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> RationalSubspace:
     """Row space of the given coefficient vectors (lists or monomial dicts)."""
-    return RationalSubspace(n, d, [_place(v, n, d, order) for v in vectors], order)
+    return RationalSubspace(n, d, vectors, order)
 
 
 def monomial_span(U: MonomialSubspace, order: MonomialOrder = LEX) -> RationalSubspace:
     """The same subspace, re-encoded as an echelon matrix."""
     return span([{M: 1} for M in U.members], U.n, U.d, order)
+
+
+@lru_cache(maxsize=None)
+def _apolar_weights(n: int, d: int, order: MonomialOrder) -> tuple[int, ...]:
+    """<x^a, x^a> = prod a_i! for each degree-d column."""
+    return tuple(prod(map(factorial, M)) for M in _columns(n, d, order))
 
 
 def apolar_perp(vectors, n: int, d: int, order: MonomialOrder = LEX) -> RationalSubspace:
@@ -334,14 +349,9 @@ def apolar_perp(vectors, n: int, d: int, order: MonomialOrder = LEX) -> Rational
     Monomials are orthogonal to each other and <x^a, x^a> = prod a_i!,
     so the perp is the kernel of one weighted row per input form.
     """
-    cols = _columns(n, d, order)
-    weights = [prod(factorial(e) for e in M) for M in cols]
-    rows = []
-    for v in vectors:
-        vec = _as_vector(v, n, d, order)
-        rows.append([w * x for w, x in zip(weights, vec)])
-    kernel = _null_space(rows, len(cols))
-    return RationalSubspace(n, d, kernel, order)
+    weights = _apolar_weights(n, d, order)
+    rows = [_integer_row(list(map(mul, weights, _as_vector(v, n, d, order)))) for v in vectors]
+    return RationalSubspace(n, d, _kernel(rows, len(weights)), order)
 
 
 def multiply_forms(f: dict, g: dict) -> dict:
@@ -354,9 +364,17 @@ def multiply_forms(f: dict, g: dict) -> dict:
     return out
 
 
+def _linear(l, n: int) -> list[int]:
+    """The n checked coefficients of a linear form, as a primitive integer vector."""
+    lvec = _integer_row([_coefficient(x) for x in l])
+    if len(lvec) != n:
+        raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
+    g = gcd(*lvec)
+    return [x // g for x in lvec] if g > 1 else lvec
+
+
 def _linear_form(l) -> dict:
-    n = len(l)
-    return {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(l) if c != 0}
+    return {tuple(int(j == i) for j in range(len(l))): c for i, c in enumerate(l) if c != 0}
 
 
 def linear_multiples(l, n: int, d: int, order: MonomialOrder = LEX) -> list[dict]:
@@ -412,25 +430,19 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     """The colon space (U : l) = {g of degree d-1 : l*g in U}."""
     if U.d < 1:
         raise InvalidInputError("cannot divide a degree-0 subspace")
-    lvec = [Fraction(_coefficient(x)) for x in l]
-    if len(lvec) != U.n:
-        raise InvalidInputError(f"linear form needs {U.n} coefficients, got {len(lvec)}")
-    if all(x == 0 for x in lvec):
+    # (U : l) = (U : c*l) for c != 0, so l is taken primitive and integral
+    l = _linear(l, U.n)
+    if not any(l):
         raise InvalidInputError("the zero form does not define a colon space")
     n, d, order = U.n, U.d, U.order
-    q_hi = dim_component(n, d)
-    # (U : l) = (U : c*l) for c != 0, so l is scaled to integers
-    multiples = linear_multiples(_integer_row(lvec), n, d, order)
-    m = len(multiples)
-    # U's rows above the rows l*mu, each augmented with a tracker of which
-    # combination of the mu's it holds: the reduced rows whose left part
-    # vanishes are exactly the combinations with l*g in U
-    aug = [row + [0] * m for row in U._reduced()[0]]
-    for r, lmu in enumerate(multiples):
-        aug.append(_place(lmu, n, d, order) + [int(i == r) for i in range(m)])
-    reduced, _ = _integer_rref(aug)
-    kernel_rows = [row[q_hi:] for row in reduced if not any(row[:q_hi])]
-    return RationalSubspace(n, d - 1, kernel_rows, order)
+    # (U : l) is the kernel of mu -> l*mu modulo U: column mu of its matrix
+    # is the normal form of l*mu, all at one scale, so the matrix is a
+    # multiple of the map
+    rows, pivots = U._reduced()
+    scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    lmus = linear_multiples(l, n, d, order)
+    forms = [_normal_form(_place(f, n, d, order), (rows, pivots), scale) for f in lmus]
+    return RationalSubspace(n, d - 1, _kernel(list(zip(*forms)), len(forms)), order)
 
 
 def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFunction:
@@ -451,17 +463,17 @@ def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFu
     return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
 
 
-def apolar_dual(U: RationalSubspace) -> list[list[Fraction]]:
+def apolar_dual(U: RationalSubspace) -> list[list[int]]:
     """Basis of the annihilator of U under the differentiation pairing.
 
     The subspace U equals apolar_perp(apolar_dual(U)), and a point is a
     common zero of U exactly when the d-th power of the corresponding
-    linear form lies in the span of the returned vectors.
+    linear form lies in the span of the returned vectors.  The basis is
+    the reduced echelon form of the annihilator with each row scaled to
+    primitive integers with a positive lead.
     """
-    cols = U.columns
-    weights = [prod(factorial(e) for e in M) for M in cols]
-    rows = [[w * x for w, x in zip(weights, row)] for row in U._reduced()[0]]
-    return _null_space(rows, len(cols))
+    weights = _apolar_weights(U.n, U.d, U.order)
+    return _kernel([list(map(mul, weights, row)) for row in U._reduced()[0]], len(weights))
 
 
 @lru_cache(maxsize=None)
@@ -624,14 +636,9 @@ def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     """
     if n < 2:
         raise InvalidInputError("elimination needs at least 2 variables")
-    lvec = [_coefficient(x) for x in l]
-    if len(lvec) != n:
-        raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
-    if lvec[-1] == 0:
+    *head, last = _linear(l, n)
+    if last == 0:
         raise InvalidInputError("last coefficient must be nonzero to eliminate")
-    lint = _integer_row(lvec)
-    g = gcd(*lint)
-    *head, last = (x // g for x in lint)
     if isinstance(vector, dict):
         # only the given entries, checked in column order as a list would be
         idx = _column_index(n, d, order)
@@ -676,13 +683,7 @@ def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
 
 
 def random_subspace(
-    n: int,
-    d: int,
-    codim: int,
-    rng: random.Random,
-    bound: int = 100,
-    order: MonomialOrder = LEX,
-    max_tries: int = 100,
+    n: int, d: int, codim: int, rng: random.Random, bound: int = 100, order: MonomialOrder = LEX
 ) -> RationalSubspace:
     """Random subspace of the given codimension with integer coefficients.
 
@@ -692,20 +693,18 @@ def random_subspace(
     target = q - codim
     if not (0 <= target <= q):
         raise InvalidInputError(f"codimension {codim} out of range for dim {q}")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         rows = [[rng.randint(-bound, bound) for _ in range(q)] for _ in range(target)]
         U = RationalSubspace(n, d, rows, order)
         if U.dim == target:
             return U
-    raise InvalidInputError(
-        f"could not sample a rank-{target} subspace in {max_tries} tries"
-    )
+    raise InvalidInputError(f"could not sample a rank-{target} subspace in {MAX_TRIES} tries")
 
 
 def random_linear_form(n: int, rng: random.Random, bound: int = 100) -> list[int]:
-    """Random nonzero linear form; zero samples are redrawn up to 100 times."""
-    for _ in range(100):
+    """Random nonzero linear form; zero samples are redrawn up to MAX_TRIES times."""
+    for _ in range(MAX_TRIES):
         l = [rng.randint(-bound, bound) for _ in range(n)]
         if any(x != 0 for x in l):
             return l
-    raise InvalidInputError("could not sample a nonzero linear form in 100 tries")
+    raise InvalidInputError(f"could not sample a nonzero linear form in {MAX_TRIES} tries")

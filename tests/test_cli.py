@@ -316,6 +316,24 @@ def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"n": 3, "d": 2, "complement": [[1, 1, 0]]},
+        {"n": 3, "d": 2, "rows": [["1", "0", "0", "0", "0", "1"]]},
+    ],
+)
+def test_hilbert_refuses_a_negative_max_degree(tmp_path, capsys, content):
+    # the refusal is the library's, for monomial and rational subspaces alike
+    f = tmp_path / "u.json"
+    f.write_text(json.dumps(content))
+    assert _exit_code(["hilbert", str(f), "--max-degree", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error:" in out.err
+    assert "Traceback" not in out.err
+
+
 # ---------------------------------------------------------------------------
 # fuzz of the subspace file loader: any record or text is squared or
 # refused with exit 2, never a traceback

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given
@@ -23,13 +23,15 @@ from stablesq.qlinalg import (
     _coefficient,
     _columns,
     _divides,
+    _fraction_row,
     _integer_row,
+    _integer_rref,
+    _kernel,
     _linear_form,
     _place,
     _primitive_gcd,
     _rank_mod_p,
     _restriction,
-    _rref,
     apolar_dual,
     apolar_perp,
     catalecticant_rows,
@@ -559,6 +561,11 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return rows[:cursor], pivots
 
 
+def integer_rref(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+    """`_integer_rref` of rows of ints or Fractions, each scaled to integers."""
+    return _integer_rref([_integer_row(list(r)) for r in rows])
+
+
 # multiples of the prime vanish modulo it, so they push the rank modulo
 # the prime below the rank over Q
 prime_multiples = st.sampled_from((_PRIME, -_PRIME, 3 * _PRIME))
@@ -585,7 +592,8 @@ def matrices(draw):
 @example([[0, 0, 0], [Fraction(0), 0, 0]])
 @example([[2, Fraction(1, 3), 0], [4, Fraction(2, 3), 1], [2, Fraction(1, 3), 0]])
 def test_rref_matches_fraction_elimination(rows):
-    got_rows, got_pivots = _rref(rows)
+    mat, got_pivots = integer_rref(rows)
+    got_rows = [_fraction_row(r, c) for r, c in zip(mat, got_pivots)]
     want_rows, want_pivots = fraction_rref([[Fraction(x) for x in r] for r in rows])
     assert got_pivots == want_pivots
     assert got_rows == want_rows
@@ -597,7 +605,7 @@ def test_rref_matches_fraction_elimination(rows):
 def test_rank_mod_p_never_exceeds_the_rank(rows):
     mat = [r for r in map(_integer_row, rows) if any(r)]
     q = len(rows[0]) if rows else 0
-    assert _rank_mod_p(mat, q) <= len(_rref(rows)[1])
+    assert _rank_mod_p(mat, q) <= len(integer_rref(rows)[1])
 
 
 @st.composite
@@ -630,7 +638,7 @@ def test_certified_dim_and_lazy_rref_match_the_exact_kernels(case):
     n, d, rows = case
     U = RationalSubspace(n, d, rows)
     want_rows, want_pivots = fraction_rref([[Fraction(x) for x in r] for r in rows])
-    assert U.dim == len(_rref(rows)[1]) == len(want_pivots)
+    assert U.dim == len(integer_rref(rows)[1]) == len(want_pivots)
     assert U.codim == dim_component(n, d) - U.dim
     assert U.pivots == tuple(want_pivots)
     assert U.rows == tuple(map(tuple, want_rows))
@@ -675,6 +683,132 @@ def test_square_rational_is_span_of_all_products(U):
     S = square_rational(U)
     assert S.pivots == tuple(pivots)
     assert S.rows == tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the colon, the apolar kernels and `contains` against the paths they
+# replaced: the tracker-augmented colon and the Fraction null space
+
+
+def tracker_quotient(U: RationalSubspace, l) -> RationalSubspace:
+    """(U : l) from U's reduced rows above the rows l*mu, each row augmented
+    with an identity tracker: the reduced rows whose left part vanishes are
+    the combinations of the mu with l*g in U."""
+    n, d, order = U.n, U.d, U.order
+    q_hi = dim_component(n, d)
+    multiples = linear_multiples(_integer_row([Fraction(_coefficient(x)) for x in l]), n, d, order)
+    m = len(multiples)
+    aug = [list(row) + [0] * m for row in U._reduced()[0]]
+    for r, lmu in enumerate(multiples):
+        aug.append(_as_vector(lmu, n, d, order) + [int(i == r) for i in range(m)])
+    reduced, _ = _integer_rref(aug)
+    kernel_rows = [row[q_hi:] for row in reduced if not any(row[:q_hi])]
+    return RationalSubspace(n, d - 1, kernel_rows, order)
+
+
+def fraction_null_space(rows: list[list], q: int) -> list[list[Fraction]]:
+    """Basis of the right kernel in Fractions, one vector per free column."""
+    rref, pivots = fraction_rref([[Fraction(x) for x in r] for r in rows])
+    out = []
+    for free in sorted(set(range(q)) - set(pivots)):
+        vec = [Fraction(0)] * q
+        vec[free] = Fraction(1)
+        for r, p in zip(rref, pivots):
+            vec[p] = -r[free]
+        out.append(vec)
+    return out
+
+
+def fraction_span(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced echelon form that identifies the span of the rows."""
+    return fraction_rref([[Fraction(x) for x in r] for r in rows])
+
+
+@st.composite
+def colon_cases(draw):
+    """(U, l): dense or monomial-span U, the zero and the full space among
+    them, and l with int, Fraction, "p/q" and zero entries, not all zero."""
+    n, d = draw(st.sampled_from(((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))))
+    order = draw(st.sampled_from([LEX, GRLEX]))
+    q = dim_component(n, d)
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 10**6))
+        U = random_subspace(n, d, draw(st.integers(0, q)), random.Random(seed), 9, order)
+    else:
+        members = draw(st.sets(st.sampled_from(_basis_tuples(n, d))))
+        U = monomial_span(MonomialSubspace.from_members(n, d, members), order)
+    l = draw(
+        st.lists(st.one_of(st.just(0), exact_coefficients), min_size=n, max_size=n).filter(
+            lambda l: any(Fraction(x) for x in l)
+        )
+    )
+    return U, l
+
+
+@given(colon_cases())
+@example((random_subspace(3, 3, 2, random.Random(4), 9), [Fraction(3, 2), "-2/4", 0]))
+def test_quotient_matches_the_tracker_colon(case):
+    U, l = case
+    got = quotient_by_linear_form(U, l)
+    assert got == tracker_quotient(U, l)
+    assert got.rows == tracker_quotient(U, l).rows
+
+
+@st.composite
+def integer_matrices(draw):
+    q = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**20), 10**20))
+    rows = draw(st.lists(st.lists(entry, min_size=q, max_size=q), max_size=8))
+    # repeats and integer combinations, so that the kernel is not zero
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.insert(draw(st.integers(0, len(rows))), [s * x + t * y for x, y in zip(a, b)])
+    return rows, q
+
+
+@given(integer_matrices())
+@example(([], 3))
+@example(([[0, 0, 0]], 3))
+@example(([[2, 3, 0], [0, 5, 7]], 3))
+@example(([[6, 0, 4, 0, 3], [0, 10, 0, 15, 0]], 5))
+def test_kernel_matches_the_fraction_null_space(case):
+    rows, q = case
+    kernel = _kernel(rows, q)
+    assert all(type(x) is int for v in kernel for x in v)
+    assert all(sum(a * b for a, b in zip(v, r)) == 0 for v in kernel for r in rows)
+    want = fraction_null_space(rows, q)
+    assert len(kernel) == len(want)
+    assert fraction_span(kernel) == fraction_span(want)
+    # already the reduced echelon form, primitive with positive leads
+    assert _integer_rref(kernel)[0] == kernel
+
+
+@given(colon_cases())
+def test_apolar_kernels_match_the_fraction_null_space(case):
+    U, _ = case
+    weights = [prod(map(factorial, M)) for M in U.columns]
+    dual = apolar_dual(U)
+    assert all(type(x) is int for v in dual for x in v)
+    assert _integer_rref(dual)[0] == dual
+    weighted = [[w * x for w, x in zip(weights, r)] for r in U.rows]
+    want = fraction_null_space(weighted, len(weights))
+    assert fraction_span(dual) == fraction_span(want)
+    assert apolar_perp(dual, U.n, U.d, U.order) == U
+    assert apolar_perp(want, U.n, U.d, U.order) == U
+
+
+@given(colon_cases(), st.data())
+def test_contains_exactly_when_appending_keeps_the_dimension(case, data):
+    U, _ = case
+    q = len(U.columns)
+    if U.dim and data.draw(st.booleans()):  # a combination of the rows
+        cs = data.draw(st.lists(rationals, min_size=U.dim, max_size=U.dim))
+        v = [sum(c * r[j] for c, r in zip(cs, U.rows)) for j in range(q)]
+    else:
+        v = data.draw(st.lists(st.one_of(st.just(0), rationals), min_size=q, max_size=q))
+    assert U.contains(v) == (span([*U.rows, v], U.n, U.d, U.order).dim == U.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 A subspace is the row space of integer vectors whose columns are the
 degree-d monomials sorted descending under a chosen order.  Its dimension
-is certified when it is built: the rank modulo the prime 2^61 - 1 is a
+is certified when it is built: the rank modulo the prime 32749 is a
 lower bound on the rank over Q, so it is exact when it equals the number
 of rows or of columns, and exact elimination decides every other case.
+The prime is the largest below 2^15, so the modular elimination runs on
+one-digit CPython ints.  The certification does not depend on the prime: a
+smaller one changes only how often the exact elimination is reached, never
+an answer.
 The reduced row echelon form, whose pivot columns are the initial
 monomials of the space, is built on first use.  Two subspaces are equal
 exactly when these forms coincide.  Elimination is fraction-free over the
@@ -38,10 +42,18 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"E[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
+_EXACT = frozenset((int, Fraction))
+
+
 def _coefficient(x):
-    """An exact coefficient: ints and Fractions pass through, others are parsed."""
-    if isinstance(x, (int, Fraction)):
+    """An exact coefficient: ints and Fractions pass through, strings are
+    parsed; floats and bools are refused, since neither is an exact coefficient."""
+    if type(x) in _EXACT:  # one set lookup on the common path
         return x
+    if isinstance(x, (bool, float)):
+        raise InvalidInputError(
+            f"bad coefficient: {x!r} is a {type(x).__name__}, not an int, Fraction or string"
+        )
     if isinstance(x, str):
         exp = _EXPONENT.search(x)
         digits = exp[1].replace("_", "").lstrip("0") if exp else ""
@@ -124,35 +136,58 @@ def _fraction_row(r: list[int], c: int) -> list[Fraction]:
     return [Fraction(a, r[c]) if a else zero for a in r]
 
 
-# a large prime, so that a rank drop modulo it is rare; the exact
-# elimination decides every case where it happens
-_PRIME = 2**61 - 1
+# the largest prime below 2^15: residues and the multiplier are below
+# 2^15, so every a - f*b of the elimination is below 2^30 in magnitude, a
+# one-digit CPython int.  A rank drop modulo it only costs time: the
+# certification in RationalSubspace, unchanged by the choice of prime,
+# sends every such case to the exact elimination.
+_PRIME = 32749
 
 
 def _rank_mod_p(mat: list[list[int]], q: int) -> int:
-    """Rank modulo _PRIME of integer rows with q columns.
+    """Rank modulo _PRIME of integer rows with q columns; mat is not changed.
 
-    Each row is reduced against the echelon rows found so far, and the scan
-    stops once the rank reaches min(rows, q).  A minor that vanishes over Q
-    vanishes modulo the prime, so the result never exceeds the rank over Q.
+    Each row is reduced modulo the prime once, into a new list.  The first
+    row with a given leading column is a pivot with no reduction; the other
+    rows wait until every row has been read, then each is reduced from its
+    own leading column against the pivots it meets.  A pivot row is kept as
+    it is, with the inverse of its leading entry.  The scan stops once the
+    rank reaches min(rows, q).  A minor that vanishes over Q vanishes modulo
+    the prime, so the result never exceeds the rank over Q, and the caller
+    trusts it only when it equals the row count or q.  _PRIME < 2^15 keeps
+    every product below 2^30.
     """
-    echelon: dict[int, list[int]] = {}  # pivot column c -> row[c:], led by 1
+    p = _PRIME
     limit = min(len(mat), q)
+    pivots: dict[int, tuple[list[int], int]] = {}  # column c -> (row[c+1:], 1/row[c])
+    waiting = []
     for row in mat:
-        if len(echelon) == limit:
-            break
-        r = [a % _PRIME for a in row]
-        for c in range(q):
+        r = [a % p for a in row]
+        c = next((c for c, a in enumerate(r) if a), q)
+        if c == q:
+            continue
+        if c in pivots:
+            waiting.append((c, r))
+            continue
+        pivots[c] = r[c + 1:], pow(r[c], -1, p)
+        if len(pivots) == limit:
+            return limit
+    for start, r in waiting:
+        for c in range(start, q):
             f = r[c]
             if not f:
                 continue
-            lead = echelon.get(c)
-            if lead is None:
-                inv = pow(f, -1, _PRIME)
-                echelon[c] = [a * inv % _PRIME for a in r[c:]]
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = r[c + 1:], pow(f, -1, p)
+                if len(pivots) == limit:
+                    return limit
                 break
-            r[c:] = [(a - f * b) % _PRIME for a, b in zip(r[c:], lead)]
-    return len(echelon)
+            tail, inv = pivot
+            f = f * inv % p
+            # r[c] is now 0 and is not read again
+            r[c + 1:] = [(a - f * b) % p for a, b in zip(r[c + 1:], tail)]
+    return len(pivots)
 
 
 def _kernel(mat, q: int) -> list[list[int]]:

@@ -301,6 +301,8 @@ def _exit_code(argv):
         (None, None, ("m", "--n", "3", "--d", "2", "--k", "1", "--format", "csv", "--witnesses")),
         (None, None, ("m0", "--n", "3", "--d", "3", "--k", "1", "--format", "csv", "--witnesses")),
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--budget", "5")),
+        ("u.json", {"n": 2, "d": 1, "rows": [[0.1, 1]]}, ()),
+        ("u.json", {"n": 2, "d": 1, "rows": [[True, 1]]}, ()),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

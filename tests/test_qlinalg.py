@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given
@@ -250,6 +250,18 @@ def test_linear_form_coefficients_are_checked(bad):
         quotient_by_linear_form(U, [bad, 1, 0])
     with pytest.raises(InvalidInputError):
         eliminate_variable({(2, 0, 1): 1}, 3, 3, [bad, 1, 1])
+
+
+def test_float_and_bool_coefficients_are_refused():
+    # a float is binary, not the decimal it was written as, and a bool is no
+    # coefficient; the string "0.1" is exactly 1/10
+    for bad in (0.1, 1.0, True, False):
+        with pytest.raises(InvalidInputError):
+            RationalSubspace(2, 1, [[bad, 1]])
+        with pytest.raises(InvalidInputError):
+            _coefficient(bad)
+    assert RationalSubspace(2, 1, [["0.1", 1]]) == RationalSubspace(2, 1, [[1, 10]])
+    assert _coefficient(Fraction(1, 10)) == _coefficient("0.1") == Fraction(1, 10)
 
 
 def test_rational_serialization_round_trip():
@@ -600,12 +612,45 @@ def test_rref_matches_fraction_elimination(rows):
     assert all(type(x) is Fraction for r in got_rows for x in r)
 
 
+def row_at_a_time_rank_mod_p(mat: list[list[int]], q: int) -> int:
+    """Rank modulo _PRIME by the elimination `_rank_mod_p` replaced: rows in
+    input order, each reduced from column 0 against pivots scaled to a leading 1."""
+    echelon: dict[int, list[int]] = {}  # pivot column c -> row[c:], led by 1
+    limit = min(len(mat), q)
+    for row in mat:
+        if len(echelon) == limit:
+            break
+        r = [a % _PRIME for a in row]
+        for c in range(q):
+            f = r[c]
+            if not f:
+                continue
+            lead = echelon.get(c)
+            if lead is None:
+                inv = pow(f, -1, _PRIME)
+                echelon[c] = [a * inv % _PRIME for a in r[c:]]
+                break
+            r[c:] = [(a - f * b) % _PRIME for a, b in zip(r[c:], lead)]
+    return len(echelon)
+
+
 @given(matrices())
 @example([[_PRIME, 1], [0, _PRIME]])
+# repeated leading columns: three rows lead at column 0, two at column 1
+@example([[1, 2, 3, 4], [2, 5, 7, 1], [0, 3, 1, 4], [3, 1, 4, 1], [0, 6, 2, 9]])
+# more rows than columns: rank q is reached while reducing the second row
+# that leads at column 0, before the last row is read
+@example([[1, 1], [2, 3], [5, 7], [4, 4]])
+# rows that are multiples of the prime, whole or in part
+@example([[_PRIME, 2 * _PRIME, -_PRIME], [1, _PRIME, 3 * _PRIME], [2, 0, _PRIME], [0, 5, 1]])
 def test_rank_mod_p_never_exceeds_the_rank(rows):
     mat = [r for r in map(_integer_row, rows) if any(r)]
     q = len(rows[0]) if rows else 0
-    assert _rank_mod_p(mat, q) <= len(integer_rref(rows)[1])
+    before = [list(r) for r in mat]
+    rank = _rank_mod_p(mat, q)
+    assert mat == before
+    assert rank == row_at_a_time_rank_mod_p(mat, q)
+    assert rank <= len(integer_rref(rows)[1])
 
 
 @st.composite
@@ -646,11 +691,18 @@ def test_certified_dim_and_lazy_rref_match_the_exact_kernels(case):
 
 def test_rank_zero_modulo_the_prime_falls_back_to_exact_elimination():
     assert _rank_mod_p([[_PRIME]], 1) == 0
-    U = RationalSubspace(1, 0, [[2**61 - 1]])
+    U = RationalSubspace(1, 0, [[_PRIME]])
+    assert U._echelon is not None  # built by the fallback, not on first use
     assert U.dim == 1
     assert U.rows == ((1,),)
     # rank 1 modulo the prime, 2 over Q
     assert RationalSubspace(2, 1, [[1, 0], [1, _PRIME]]).dim == 2
+
+
+def test_prime_keeps_the_modular_elimination_in_one_digit_ints():
+    assert all(_PRIME % k for k in range(2, isqrt(_PRIME) + 1))
+    # a - f*b with residues a, f, b below the prime: under 2^30 in magnitude
+    assert (_PRIME - 1) ** 2 < 2**30
 
 
 def test_reduced_form_is_built_on_first_use():

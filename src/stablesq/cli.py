@@ -18,7 +18,7 @@ from functools import partial
 from itertools import chain, product
 
 from .errors import BudgetExceededError, InvalidInputError
-from .monomial import MonomialOrder, dim_component, monomial_to_text
+from .monomial import LEX, MonomialOrder, dim_component, monomial_to_text
 from .qlinalg import (
     RationalSubspace,
     hilbert_function_rational,
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("square", help="square a subspace read from a file")
     p.add_argument("file")
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--order", type=_parse_order, default=MonomialOrder.lex())
+    p.add_argument("--order", type=_parse_order, default=None)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("hilbert", help="Hilbert function of the quotient by a subspace")
@@ -297,12 +297,14 @@ def _cmd_square(args) -> int:
     rational = isinstance(U, RationalSubspace)
     if rational and args.budget is not None:
         raise InvalidInputError("--budget applies to monomial subspaces only")
+    if rational and args.order is not None:
+        raise InvalidInputError("--order applies to monomial subspaces only")
     sq = square_rational(U) if rational else square(U, budget=args.budget)
     kind = "rational" if rational else "monomial"
     record = {"kind": kind, "n": sq.n, "d": sq.d, "dim": sq.dim, "codim": sq.codim}
     text = [f"U^2 in degree {sq.d}: dim = {sq.dim}, codim = {sq.codim}"]
     if not rational:
-        missing = list(map(monomial_to_text, sq.sorted_complement(args.order)))
+        missing = list(map(monomial_to_text, sq.sorted_complement(args.order or LEX)))
         record["complement"] = missing
         if missing:
             text.append("missing monomials: " + ", ".join(missing))

@@ -17,37 +17,17 @@ from typing import Iterator
 from .errors import InvalidInputError
 
 
-class Monomial(tuple):
-    """Exponent tuple with a degree; hashable and usable as a plain tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, exponents) -> "Monomial":
-        exps = tuple(exponents)
-        if not exps:
-            raise InvalidInputError("monomial needs at least one variable")
-        if any(type(e) is not int or e < 0 for e in exps):
-            raise InvalidInputError(f"exponents must be nonnegative integers: {exps!r}")
-        return super().__new__(cls, exps)
-
-    @property
-    def n(self) -> int:
-        return len(self)
-
-    @property
-    def degree(self) -> int:
-        return sum(self)
-
-    def __repr__(self) -> str:
-        return f"Monomial({monomial_to_text(self)!r}, n={len(self)})"
-
-
-def exponent_tuple(M, n: int, d: int) -> tuple[int, ...]:
-    """M as a plain exponent tuple, checked to be a degree-d monomial in n
-    variables; an entry must be a nonnegative int (not a bool or float)."""
+def exponents(M) -> tuple[int, ...]:
+    """M as a plain tuple, checked to hold nonnegative ints (not bools or floats)."""
     t = M if type(M) is tuple else tuple(M)
     if not {int}.issuperset(map(type, t)) or min(t, default=0) < 0:
         raise InvalidInputError(f"exponents must be nonnegative integers: {t!r}")
+    return t
+
+
+def exponent_tuple(M, n: int, d: int) -> tuple[int, ...]:
+    """`exponents(M)`, checked to be a degree-d monomial in n variables."""
+    t = exponents(M)
     if len(t) != n:
         raise InvalidInputError(f"{monomial_to_text(t)} does not live in {n} variables")
     if sum(t) != d:
@@ -66,12 +46,14 @@ def monomial_to_text(exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def monomial_from_text(text: str, n: int) -> Monomial:
-    """Parse x-notation back into a Monomial in n variables."""
+def monomial_from_text(text: str, n: int) -> tuple[int, ...]:
+    """Parse x-notation back into an exponent tuple in n variables."""
+    if n < 1:
+        raise InvalidInputError("monomial needs at least one variable")
     stripped = text.strip()
     exps = [0] * n
     if stripped == "1":
-        return Monomial(exps)
+        return tuple(exps)
     for factor in stripped.split("*"):
         factor = factor.strip()
         if "^" in factor:
@@ -90,7 +72,7 @@ def monomial_from_text(text: str, n: int) -> Monomial:
         if e < 1:
             raise InvalidInputError(f"exponent must be positive in {factor!r}")
         exps[idx - 1] += e
-    return Monomial(exps)
+    return tuple(exps)
 
 
 @dataclass(frozen=True)
@@ -195,27 +177,15 @@ def _power_free(n: int, d: int) -> list[tuple[int, ...]]:
     return [t for t in _basis_tuples(n, d) if max(t) < d]
 
 
-def enumerate_monomials(n: int, d: int, order: MonomialOrder = LEX) -> list[Monomial]:
+def enumerate_monomials(n: int, d: int, order: MonomialOrder = LEX) -> list[tuple[int, ...]]:
     """Degree-d monomials in n variables, sorted descending under the order."""
-    return sorted(
-        (Monomial(t) for t in _basis_tuples(n, d)), key=order.key, reverse=True
-    )
+    return sorted(_basis_tuples(n, d), key=order.key, reverse=True)
 
 
-def multiply(M, T) -> Monomial:
+def multiply(M, T) -> tuple[int, ...]:
     if len(M) != len(T):
         raise InvalidInputError("cannot multiply monomials in different variable counts")
-    return Monomial(tuple(a + b for a, b in zip(M, T)))
-
-
-def divides(M, T) -> bool:
-    return len(M) == len(T) and all(a <= b for a, b in zip(M, T))
-
-
-def quotient(T, M) -> Monomial:
-    if not divides(M, T):
-        raise InvalidInputError(f"{monomial_to_text(M)} does not divide {monomial_to_text(T)}")
-    return Monomial(tuple(b - a for a, b in zip(M, T)))
+    return tuple(a + b for a, b in zip(M, T))
 
 
 def divisors_of_degree(T, d: int) -> Iterator[tuple[int, ...]]:
@@ -345,18 +315,18 @@ def pivot(M) -> int:
     return 1
 
 
-def reduce(M) -> Monomial:
+def reduce(M) -> tuple[int, ...]:
     """One step toward x_1^d: replace one factor x_p(M) by x_1."""
     p = pivot(M)
     if p == 1:
-        return Monomial(M)
+        return tuple(M)
     exps = list(M)
     exps[0] += 1
     exps[p - 1] -= 1
-    return Monomial(exps)
+    return tuple(exps)
 
 
-def expand(M) -> frozenset[Monomial]:
+def expand(M) -> frozenset[tuple[int, ...]]:
     """The monomials that `reduce` maps onto M.
 
     Empty when x_1 does not divide M.  For M = x_1^d the set has n elements
@@ -369,17 +339,17 @@ def expand(M) -> frozenset[Monomial]:
         return frozenset()
     p = pivot(M)
     if p == 1:
-        out = [Monomial(M)]
+        out = [tuple(M)]
         for j in range(1, n):
             exps = list(M)
             exps[0] -= 1
             exps[j] += 1
-            out.append(Monomial(exps))
+            out.append(tuple(exps))
         return frozenset(out)
     out = []
     for j in range(2, p + 1):
         exps = list(M)
         exps[0] -= 1
         exps[j - 1] += 1
-        out.append(Monomial(exps))
+        out.append(tuple(exps))
     return frozenset(out)

@@ -29,7 +29,7 @@ from operator import add, mul
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
-    LEX, Monomial, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
+    LEX, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
 )
 from .subspace import MonomialSubspace, json_int
 
@@ -68,7 +68,7 @@ def _coefficient(x):
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int, d: int, order: MonomialOrder) -> tuple[Monomial, ...]:
+def _columns(n: int, d: int, order: MonomialOrder) -> tuple[tuple[int, ...], ...]:
     return tuple(enumerate_monomials(n, d, order))
 
 
@@ -298,7 +298,7 @@ class RationalSubspace:
         return dim_component(self.n, self.d) - self.dim
 
     @property
-    def columns(self) -> tuple[Monomial, ...]:
+    def columns(self) -> tuple[tuple[int, ...], ...]:
         return _columns(self.n, self.d, self.order)
 
     def contains(self, vector) -> bool:

@@ -13,7 +13,7 @@ import os
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
-from .monomial import Monomial, dim_component
+from .monomial import dim_component
 from .subspace import MonomialSubspace
 
 DEFAULT_BUDGET = 10_000_000
@@ -129,18 +129,18 @@ def count_strongly_stable(n: int, d: int, k: int, budget: int | None = None) -> 
     return len(enumerate_strongly_stable(n, d, k, budget=budget))
 
 
-def extremal_complement(n: int, d: int, k: int) -> list[Monomial]:
+def extremal_complement(n: int, d: int, k: int) -> list[tuple[int, ...]]:
     """Complement {x_1^d} plus {x_1^{d-1} x_j : 2 <= j <= k}; needs k <= n."""
     if not (1 <= k <= n):
         raise InvalidInputError(f"need 1 <= k <= n={n}, got k={k}")
     if d < 1:
         raise InvalidInputError(f"need d >= 1, got d={d}")
-    comp = [Monomial((d,) + (0,) * (n - 1))]
+    comp = [(d,) + (0,) * (n - 1)]
     for j in range(2, k + 1):
         exps = [0] * n
         exps[0] = d - 1
         exps[j - 1] += 1
-        comp.append(Monomial(exps))
+        comp.append(tuple(exps))
     return comp
 
 

@@ -19,13 +19,13 @@ from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
     LEX,
-    Monomial,
     MonomialOrder,
     _basis_tuples,
     arrangements,
     dim_component,
     divisors_of_degree,
     exponent_tuple,
+    exponents,
     monomial_to_text,
     ranked_classes,
 )
@@ -84,10 +84,9 @@ class MonomialSubspace:
         return cached
 
     def is_member(self, M) -> bool:
-        M = Monomial(M)
-        if len(M) != self.n or M.degree != self.d:
-            return False
-        return M not in self.complement
+        """False for a monomial of another length or degree."""
+        t = exponents(M)
+        return len(t) == self.n and sum(t) == self.d and t not in self.complement
 
     def sorted_complement(self, order: MonomialOrder = LEX) -> list[tuple[int, ...]]:
         return sorted(self.complement, key=order.key, reverse=True)

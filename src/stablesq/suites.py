@@ -1049,9 +1049,13 @@ def conjecture_scan(
     return out
 
 
-SUITES["conjecture"] = lambda opts: conjecture_scan(
-    (3, 4), (3, 4, 5), (1, 2), trials=max(4, opts.trials // 10), seed=opts.seed
-)
+def _conjecture_suite(opts: SuiteOptions) -> list[CheckResult]:
+    return conjecture_scan(
+        (3, 4), (3, 4, 5), (1, 2), trials=max(4, opts.trials // 10), seed=opts.seed
+    )
+
+
+SUITES["conjecture"] = _conjecture_suite
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,10 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--budget", "5")),
         ("u.json", {"n": 2, "d": 1, "rows": [[0.1, 1]]}, ()),
         ("u.json", {"n": 2, "d": 1, "rows": [[True, 1]]}, ()),
+        # --order sorts the missing monomials of a monomial square only
+        ("u.json", {"n": 3, "d": 2, "rows": [["1", "0", "0", "0", "0", "1"]]},
+         ("--order", "block:5")),
+        ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--order", "lex")),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

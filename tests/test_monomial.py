@@ -9,13 +9,11 @@ from stablesq.errors import InvalidInputError
 from stablesq.monomial import (
     GRLEX,
     LEX,
-    Monomial,
     MonomialOrder,
     _basis_tuples,
     arrangements,
     count_divisors,
     dim_component,
-    divides,
     divisors_of_degree,
     enumerate_monomials,
     expand,
@@ -23,7 +21,6 @@ from stablesq.monomial import (
     monomial_to_text,
     multiply,
     pivot,
-    quotient,
     ranked_classes,
     reduce,
 )
@@ -46,14 +43,15 @@ def test_text_round_trip_exhaustive():
     for n in (2, 3, 4):
         for d in (1, 2, 3):
             for t in _basis_tuples(n, d):
-                M = Monomial(t)
-                assert monomial_from_text(monomial_to_text(M), n) == M
+                assert monomial_from_text(monomial_to_text(t), n) == t
 
 
 def test_text_examples():
-    assert monomial_to_text(Monomial((2, 0, 1))) == "x1^2*x3"
-    assert monomial_from_text("x1^2*x3", 3) == Monomial((2, 0, 1))
-    assert monomial_from_text("1", 2) == Monomial((0, 0))
+    assert monomial_to_text((2, 0, 1)) == "x1^2*x3"
+    assert monomial_from_text("x1^2*x3", 3) == (2, 0, 1)
+    assert monomial_from_text("1", 2) == (0, 0)
+    with pytest.raises(InvalidInputError):
+        monomial_from_text("1", 0)  # a monomial needs at least one variable
     with pytest.raises(InvalidInputError):
         monomial_from_text("x0", 2)
     with pytest.raises(InvalidInputError):
@@ -75,8 +73,8 @@ def test_orders_sort_descending():
 def test_lex_largest_is_last_variable():
     # ascending variable convention: x_n beats everything of equal degree
     ms = enumerate_monomials(2, 2, LEX)
-    assert ms[0] == Monomial((0, 2))
-    assert ms[-1] == Monomial((2, 0))
+    assert ms[0] == (0, 2)
+    assert ms[-1] == (2, 0)
 
 
 def test_order_parse_round_trip():
@@ -91,20 +89,18 @@ def test_order_parse_round_trip():
 @given(monomials(), st.data())
 def test_multiply_quotient_inverse(M, data):
     N = data.draw(st.sampled_from(_basis_tuples(len(M), 2)))
-    M, N = Monomial(M), Monomial(N)
     P = multiply(M, N)
-    assert P.degree == M.degree + N.degree
-    assert divides(N, P)
-    assert quotient(P, N) == M
+    assert sum(P) == sum(M) + sum(N)
+    assert all(a <= b for a, b in zip(N, P))
+    assert tuple(b - a for a, b in zip(N, P)) == M
 
 
 def test_divisors_of_degree_against_brute_force():
-    for t in _basis_tuples(3, 4):
-        T = Monomial(t)
+    for T in _basis_tuples(3, 4):
         for d in (0, 1, 2, 3, 4):
             got = sorted(divisors_of_degree(T, d))
             brute = sorted(
-                Monomial(m) for m in _basis_tuples(3, d) if divides(Monomial(m), T)
+                m for m in _basis_tuples(3, d) if all(a <= b for a, b in zip(m, T))
             )
             assert got == brute
             assert count_divisors(T, d) == len(brute)
@@ -161,37 +157,35 @@ def test_moving_a_unit_to_a_smaller_exponent_never_lowers_the_divisor_count():
 
 
 def test_pivot_reduce_expand_relations():
-    assert pivot(Monomial((3, 0, 0))) == 1
-    assert pivot(Monomial((2, 0, 1))) == 3
-    assert pivot(Monomial((0, 1, 1))) == 2
+    assert pivot((3, 0, 0)) == 1
+    assert pivot((2, 0, 1)) == 3
+    assert pivot((0, 1, 1)) == 2
     with pytest.raises(InvalidInputError):
-        pivot(Monomial((0, 0, 0)))
+        pivot((0, 0, 0))
     # reduction moves the pivot variable down to x1
-    assert reduce(Monomial((1, 0, 1))) == Monomial((2, 0, 0))
-    assert reduce(Monomial((3, 0, 0))) == Monomial((3, 0, 0))
+    assert reduce((1, 0, 1)) == (2, 0, 0)
+    assert reduce((3, 0, 0)) == (3, 0, 0)
 
 
 def test_expand_is_reduce_preimage():
     for n in (2, 3, 4):
         for d in (2, 3, 4):
-            for t in _basis_tuples(n, d):
-                M = Monomial(t)
+            for M in _basis_tuples(n, d):
                 up = expand(M)
                 for T in up:
-                    assert reduce(Monomial(T)) == M
+                    assert reduce(T) == M
                 # completeness: everything reducing to M is in expand(M)
-                for s in _basis_tuples(n, d):
-                    T = Monomial(s)
+                for T in _basis_tuples(n, d):
                     if reduce(T) == M:
-                        assert tuple(T) in {tuple(x) for x in up}
+                        assert T in up
 
 
 def test_expand_sizes():
     # pure power of x1 expands to one monomial per variable
-    assert len(expand(Monomial((3, 0, 0, 0)))) == 4
+    assert len(expand((3, 0, 0, 0))) == 4
     # x1-divisible with pivot p expands to p - 1 monomials
-    M = Monomial((2, 0, 1, 1))
+    M = (2, 0, 1, 1)
     assert pivot(M) == 3
     assert len(expand(M)) == 2
     # not divisible by x1: empty
-    assert expand(Monomial((0, 2, 1))) == frozenset()
+    assert expand((0, 2, 1)) == frozenset()

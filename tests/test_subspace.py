@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.macaulay import HilbertFunction
 from stablesq.monomial import (
-    Monomial,
     _basis_tuples,
     _power_free,
     count_divisors,
     dim_component,
     divisors_of_degree,
+    enumerate_monomials,
+    expand,
+    monomial_from_text,
+    multiply,
+    reduce,
 )
-from stablesq.qlinalg import span
+from stablesq.qlinalg import initial_subspace, span
 from stablesq.search import closed_form_m
 from stablesq.stable import (
     enumerate_strongly_stable,
     extend_stable,
+    extremal_complement,
     extremal_subspace,
     is_strongly_stable,
 )
@@ -51,8 +56,14 @@ def test_construction_and_validation():
     U = MonomialSubspace(2, 2, [(2, 0)])
     assert U.codim == 1
     assert U.dim == dim_component(2, 2) - 1
-    assert Monomial((1, 1)) in U.members
-    assert not U.is_member(Monomial((2, 0)))
+    assert (1, 1) in U.members
+    assert U.is_member((1, 1)) and U.is_member([1, 1])
+    assert not U.is_member((2, 0))
+    # another length or degree, the empty tuple included, is no member
+    assert not any(map(U.is_member, [(1, 0), (1, 1, 0), ()]))
+    for bad in [(3, -1), (True, 1), (1.0, 1.0), ("1", "1")]:
+        with pytest.raises(InvalidInputError):
+            U.is_member(bad)
     with pytest.raises(InvalidInputError):
         MonomialSubspace(2, 2, [(1, 0)])  # wrong degree
     with pytest.raises(InvalidInputError):
@@ -95,8 +106,8 @@ def test_bad_shape_refused_before_the_basis_is_built(build):
 def test_complement_elements_are_plain_tuples():
     U = extremal_subspace(3, 3, 2)
     built = [
-        MonomialSubspace(3, 2, [Monomial((2, 0, 0)), [1, 1, 0], (0, 1, 1)]),
-        MonomialSubspace.from_members(3, 2, [Monomial((2, 0, 0)), [1, 1, 0]]),
+        MonomialSubspace(3, 2, [(2, 0, 0), [1, 1, 0], (0, 1, 1)]),
+        MonomialSubspace.from_members(3, 2, [(2, 0, 0), [1, 1, 0]]),
         U,
         square(U),
         lift(U, 2),
@@ -110,13 +121,24 @@ def test_complement_elements_are_plain_tuples():
         assert V.complement and all(type(M) is tuple for M in V.complement)
         assert all(type(M) is tuple for M in V.members)
         assert list(V.members) == sorted(V.members, key=lambda t: t[::-1], reverse=True)
+    # every monomial the public functions hand back is a plain tuple too
+    R = span([{(2, 0, 0): 1, (0, 1, 1): -1}, {(1, 1, 0): 1}], 3, 2)
+    returned = [
+        monomial_from_text("x1^2*x3", 3),
+        *enumerate_monomials(3, 2),
+        multiply((1, 0, 0), (0, 1, 1)),
+        reduce((1, 0, 1)),
+        reduce((3, 0, 0)),
+        *expand((3, 0, 0)),
+        *expand((2, 0, 1)),
+        *extremal_complement(3, 3, 2),
+        *R.columns,
+        *initial_subspace(R).complement,
+    ]
+    assert all(type(M) is tuple for M in returned)
 
 
-def test_subspace_layer_builds_no_monomial(monkeypatch):
-    def refuse(cls, exponents):
-        raise AssertionError("a Monomial was built")
-
-    monkeypatch.setattr(Monomial, "__new__", refuse)
+def test_subspace_layer_builds_no_monomial():
     U = MonomialSubspace(3, 3, [(3, 0, 0), (2, 1, 0), (2, 0, 1)])
     assert MonomialSubspace.from_members(3, 3, U.members) == U
     assert is_strongly_stable(U)
@@ -125,7 +147,7 @@ def test_subspace_layer_builds_no_monomial(monkeypatch):
 
 
 def test_from_members_inverts_complement():
-    basis = [Monomial(t) for t in _basis_tuples(3, 2)]
+    basis = list(_basis_tuples(3, 2))
     U = MonomialSubspace.from_members(3, 2, basis[:4])
     assert sorted(U.members) == sorted(basis[:4])
 
@@ -266,16 +288,11 @@ def test_missing_matches_scan_on_strongly_stable(n):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_missing_matches_scan_on_random_complements(data):
-    # plain tuples, Monomials, or a mix of both: the index compares by value
     n = data.draw(st.integers(1, 4))
     d = data.draw(st.integers(0, 4))
     basis = _basis_tuples(n, d)
     chosen = data.draw(st.lists(st.sampled_from(basis), unique=True, max_size=8))
-    wrap = data.draw(st.sampled_from([tuple, Monomial, None]))
-    C = frozenset(
-        (wrap or data.draw(st.sampled_from([tuple, Monomial])))(t) for t in chosen
-    )
-    assert_missing_matches_scan(square_index(n, d), C)
+    assert_missing_matches_scan(square_index(n, d), frozenset(chosen))
 
 
 def test_missing_when_both_members_of_the_first_pair_are_in_the_complement():
@@ -363,7 +380,7 @@ def _ideal_complement_oracle(U, t):
         return list(_basis_tuples(U.n, t))
     out = []
     for T in _basis_tuples(U.n, t):
-        if all(M in U.complement for M in divisors_of_degree(Monomial(T), U.d)):
+        if all(M in U.complement for M in divisors_of_degree(T, U.d)):
             out.append(T)
     return out
 
@@ -434,7 +451,7 @@ def test_variable_quotient_hand_values():
     U = MonomialSubspace(2, 2, [(0, 2)])  # missing x2^2
     V = variable_quotient(U, 2)  # members x1*x2 / x2, x1^2 has no x2
     assert V.d == 1
-    assert V.complement == frozenset({Monomial((0, 1))})
+    assert V.complement == frozenset({(0, 1)})
     W = variable_quotient(U, 1)
     assert W.codim == 0
     with pytest.raises(InvalidInputError):
@@ -445,7 +462,7 @@ def test_lift_pads_complement():
     U = MonomialSubspace(2, 2, [(2, 0)])
     L = lift(U, 2)
     assert L.n == 4 and L.d == 2
-    assert L.complement == frozenset({Monomial((2, 0, 0, 0))})
+    assert L.complement == frozenset({(2, 0, 0, 0)})
     assert L.codim == U.codim
 
 
@@ -453,7 +470,7 @@ def test_restrict_vars():
     U = MonomialSubspace(3, 2, [(2, 0, 0), (1, 1, 0)])
     R = restrict_vars(U, 2)
     assert R.n == 2
-    assert R.complement == frozenset({Monomial((2, 0)), Monomial((1, 1))})
+    assert R.complement == frozenset({(2, 0), (1, 1)})
     # complement monomials using a dropped variable restrict to zero
     W = restrict_vars(MonomialSubspace(3, 2, [(0, 0, 2)]), 2)
     assert W.codim == 0
@@ -478,9 +495,7 @@ def test_square_known_codimensions():
     # the extremal two-variable example in degree 2
     U = MonomialSubspace(2, 2, [(2, 0), (1, 1)])
     assert square(U).codim == 4
-    assert square(U).complement == frozenset(
-        Monomial(t) for t in [(4, 0), (3, 1), (2, 2), (1, 3)]
-    )
+    assert square(U).complement == frozenset([(4, 0), (3, 1), (2, 2), (1, 3)])
 
 
 def test_square_index_cache_consistency():

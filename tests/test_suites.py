@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import astuple
 from itertools import combinations
 
@@ -29,6 +30,12 @@ def test_registry_names():
         "gram",
         "conjecture",
     }
+
+
+def test_every_suite_pickles():
+    # a suite sent to a worker process pickles by reference to its module
+    for name, suite in SUITES.items():
+        assert pickle.loads(pickle.dumps(suite)) == suite, name
 
 
 def test_check_result_line_format():

@@ -247,6 +247,20 @@ class RationalSubspace:
                 raise InvalidInputError(
                     f"coefficient vector has length {len(r)}, expected {q}"
                 )
+        self._certify(n, d, mat, order)
+
+    @classmethod
+    def _built(cls, n: int, d: int, mat: list[list[int]], order: MonomialOrder):
+        """The row space of int rows of length dim A_d that this module built;
+        the rows are certified but not checked."""
+        U = object.__new__(cls)
+        U._certify(n, d, mat, order)
+        return U
+
+    def _certify(self, n: int, d: int, mat: list[list[int]], order: MonomialOrder) -> None:
+        """Set the fields from checked int rows: the rank modulo the prime,
+        trusted when it is the row or column count, else exact elimination."""
+        q = dim_component(n, d)
         mat = [r for r in mat if any(r)]
         rank = _rank_mod_p(mat, q)
         echelon = None
@@ -386,7 +400,7 @@ def apolar_perp(vectors, n: int, d: int, order: MonomialOrder = LEX) -> Rational
     """
     weights = _apolar_weights(n, d, order)
     rows = [_integer_row(list(map(mul, weights, _as_vector(v, n, d, order)))) for v in vectors]
-    return RationalSubspace(n, d, _kernel(rows, len(weights)), order)
+    return RationalSubspace._built(n, d, _kernel(rows, len(weights)), order)
 
 
 def multiply_forms(f: dict, g: dict) -> dict:
@@ -418,12 +432,32 @@ def linear_multiples(l, n: int, d: int, order: MonomialOrder = LEX) -> list[dict
     return [multiply_forms(lform, {mu: 1}) for mu in _columns(n, d - 1, order)]
 
 
-def _form(row, cols) -> dict:
-    return {M: x for M, x in zip(cols, row) if x != 0}
+@lru_cache(maxsize=8)
+def _product_columns(n: int, d1: int, d2: int, order: MonomialOrder) -> tuple:
+    """Entry [i][j] is the degree-(d1 + d2) column of the product of the
+    i-th degree-d1 and the j-th degree-d2 column."""
+    idx = _column_index(n, d1 + d2, order)
+    right = _columns(n, d2, order)
+    return tuple(
+        tuple(idx[tuple(map(add, M, N))] for N in right) for M in _columns(n, d1, order)
+    )
+
+
+def _sparse(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+    return [[(c, x) for c, x in enumerate(r) if x] for r in rows]
 
 
 def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
-    """Span of all pairwise products of basis rows."""
+    """Span of all pairwise products of the reduced rows of U and V.
+
+    Each integer reduced row becomes its nonzero (column, coefficient)
+    pairs, and the product of two rows is scattered into its degree
+    d_U + d_V row through the cached table of column products
+    (`_product_columns`), so no exponent tuple is made per term.  A square
+    (V equal to U) takes each unordered pair of rows once.  The rows are
+    int lists that this module built, so the result is certified without
+    the input checks of the public constructor.
+    """
     if U.n != V.n:
         raise InvalidInputError(f"mixed variable counts {U.n} and {V.n}")
     if U.order != V.order:
@@ -436,19 +470,21 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
             seen=qC,
         )
     # the integer reduced rows are sparse: 1 + codim entries for a dense U
-    forms_U = [_form(a, U.columns) for a in U._reduced()[0]]
+    rows_U = _sparse(U._reduced()[0])
     if V is U or V == U:  # a square: each a_i * a_j once, i <= j
-        pairs = combinations_with_replacement(forms_U, 2)
+        pairs = combinations_with_replacement(rows_U, 2)
     else:
-        pairs = product(forms_U, [_form(b, V.columns) for b in V._reduced()[0]])
-    idx = _column_index(U.n, dC, U.order)
+        pairs = product(rows_U, _sparse(V._reduced()[0]))
+    table = _product_columns(U.n, U.d, V.d, U.order)
     rows = []
     for f, g in pairs:
         row = [0] * qC
-        for T, x in multiply_forms(f, g).items():
-            row[idx[T]] = x
+        for i, x in f:
+            to = table[i]
+            for j, y in g:
+                row[to[j]] += x * y
         rows.append(row)
-    return RationalSubspace(U.n, dC, rows, U.order)
+    return RationalSubspace._built(U.n, dC, rows, U.order)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:
@@ -477,7 +513,7 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
     lmus = linear_multiples(l, n, d, order)
     forms = [_normal_form(_place(f, n, d, order), (rows, pivots), scale) for f in lmus]
-    return RationalSubspace(n, d - 1, _kernel(list(zip(*forms)), len(forms)), order)
+    return RationalSubspace._built(n, d - 1, _kernel(list(zip(*forms)), len(forms)), order)
 
 
 def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFunction:

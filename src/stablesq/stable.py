@@ -104,7 +104,7 @@ def enumerate_strongly_stable(
                 seen=nodes,
             )
         if len(chosen) == k:
-            results.append(MonomialSubspace(n, d, chosen))
+            results.append(MonomialSubspace._built(n, d, chosen))
             return
         last = lexkey(chosen[-1])
         candidates = set()

@@ -7,7 +7,7 @@ the complement, which stays small in the regimes of interest.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
 from heapq import merge
@@ -43,7 +43,17 @@ class MonomialSubspace:
     def __init__(self, n: int, d: int, complement: Iterable):
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-        comp = frozenset(exponent_tuple(M, n, d) for M in complement)
+        self._set(n, d, frozenset(exponent_tuple(M, n, d) for M in complement))
+
+    @classmethod
+    def _built(cls, n: int, d: int, complement: Iterable) -> "MonomialSubspace":
+        """The subspace on a complement of degree-d exponent tuples in n
+        variables that the library built; the tuples are not checked."""
+        U = object.__new__(cls)
+        U._set(n, d, frozenset(complement))
+        return U
+
+    def _set(self, n: int, d: int, comp: frozenset) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "complement", comp)
@@ -205,7 +215,7 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
                 f"over the budget {budget}",
                 seen=candidates,
             )
-    return MonomialSubspace(U.n, 2 * U.d, index.missing(U.complement))
+    return MonomialSubspace._built(U.n, 2 * U.d, index.missing(U.complement))
 
 
 def _last_variable(t: tuple[int, ...]) -> int:
@@ -389,20 +399,20 @@ class SquareIndex:
         """The positions in `entries` of the T outside U^2, for U with this
         complement, in no particular order."""
         end = self._grow(2 * len(complement))
-        entries = self.entries
+        entries, owners = self.entries, self._owners
+        # an entry whose first pair lies in C is listed under both of its
+        # members, so the positions are gathered into a set and read once
+        listed = set()
         for c in complement:
-            for p in self._owners.get(c, ()):
-                if p >= end:
+            owned = owners.get(c)
+            if owned:
+                listed.update(owned[: bisect_left(owned, end)])
+        for p in listed:
+            for M, N in entries[p][1]:
+                if M not in complement and N not in complement:
                     break
-                pairs = entries[p][1]
-                M = pairs[0][0]
-                if M != c and M in complement:
-                    continue  # visited from M, the first member in C
-                for M, N in pairs:
-                    if M not in complement and N not in complement:
-                        break
-                else:
-                    yield p
+            else:
+                yield p
 
     def missing(self, complement) -> list[tuple[int, ...]]:
         """The degree-2d monomials outside U^2, for U with this complement,

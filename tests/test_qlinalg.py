@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, gcd, isqrt, lcm, prod
 
 import pytest
@@ -11,15 +11,18 @@ from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
     GRLEX,
     LEX,
+    MonomialOrder,
     _basis_tuples,
     dim_component,
     enumerate_monomials,
+    multiply,
 )
 from stablesq.qlinalg import (
     _PRIME,
     RationalSubspace,
     _as_vector,
     _coefficient,
+    _column_index,
     _columns,
     _divides,
     _fraction_row,
@@ -29,6 +32,7 @@ from stablesq.qlinalg import (
     _linear_form,
     _place,
     _primitive_gcd,
+    _product_columns,
     _rank_mod_p,
     _restriction,
     apolar_dual,
@@ -734,6 +738,140 @@ def test_square_rational_is_span_of_all_products(U):
     S = square_rational(U)
     assert S.pivots == tuple(pivots)
     assert S.rows == tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the product through the column table against the dict scatter it replaced,
+# and the certified builder against the checked constructor
+
+
+def oracle_product(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
+    """product_rational as the dict scatter: each pair of reduced rows is
+    multiplied as {exponent tuple: coefficient} forms by `multiply_forms`
+    and placed by `_column_index`, and the rows go through the checked
+    constructor."""
+    def form(row, cols) -> dict:
+        return {M: x for M, x in zip(cols, row) if x != 0}
+
+    forms_U = [form(a, U.columns) for a in U._reduced()[0]]
+    if V is U or V == U:
+        pairs = combinations_with_replacement(forms_U, 2)
+    else:
+        pairs = product(forms_U, [form(b, V.columns) for b in V._reduced()[0]])
+    d = U.d + V.d
+    idx = _column_index(U.n, d, U.order)
+    rows = []
+    for f, g in pairs:
+        row = [0] * dim_component(U.n, d)
+        for T, x in multiply_forms(f, g).items():
+            row[idx[T]] = x
+        rows.append(row)
+    return RationalSubspace(U.n, d, rows, U.order)
+
+
+def oracle_hilbert_values(U: RationalSubspace, max_degree: int) -> tuple[int, ...]:
+    """The Hilbert function by the oracle product, one degree at a time,
+    with no stop once a degree is filled."""
+    values = [dim_component(U.n, i) for i in range(min(U.d, max_degree + 1))]
+    linear = monomial_span(MonomialSubspace.full(U.n, 1), U.order)
+    current = U
+    for _ in range(U.d, max_degree + 1):
+        values.append(current.codim)
+        current = oracle_product(current, linear)
+    return tuple(values)
+
+
+PRODUCT_ORDERS = (LEX, GRLEX, MonomialOrder.block(1))
+
+
+@st.composite
+def product_operands(draw, n: int, d: int, order: MonomialOrder):
+    """A dense, monomial-span, zero or full subspace of degree d."""
+    kind = draw(st.sampled_from(("dense", "monomial", "zero", "full")))
+    if kind == "dense":
+        codim = draw(st.integers(0, dim_component(n, d) - 1))
+        seed = draw(st.integers(0, 10**6))
+        return random_subspace(n, d, codim, random.Random(seed), bound=9, order=order)
+    if kind == "monomial":
+        members = draw(st.sets(st.sampled_from(_basis_tuples(n, d)), min_size=1))
+        return monomial_span(MonomialSubspace.from_members(n, d, members), order)
+    if kind == "zero":
+        return RationalSubspace(n, d, [], order)
+    return monomial_span(MonomialSubspace.full(n, d), order)
+
+
+@st.composite
+def product_cases(draw):
+    """(U, V) with V the same object, an equal copy, or any subspace of
+    any degree; n = 1..4, degrees 0..3, lex, grlex or block:1."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from(PRODUCT_ORDERS if n > 1 else PRODUCT_ORDERS[:2]))
+    U = draw(product_operands(n, draw(st.integers(0, 3)), order))
+    partner = draw(st.sampled_from(("same", "copy", "other")))
+    if partner == "same":
+        return U, U
+    if partner == "copy":
+        return U, RationalSubspace(n, U.d, [list(r) for r in U.rows], order)
+    return U, draw(product_operands(n, draw(st.integers(0, 3)), order))
+
+
+@given(product_cases())
+@example((random_subspace(3, 1, 1, random.Random(1), 9), random_subspace(3, 2, 2, random.Random(2), 9)))
+@example((random_subspace(3, 3, 2, random.Random(3), 9), random_subspace(3, 1, 0, random.Random(4), 9)))
+def test_product_rational_matches_the_dict_scatter(case):
+    U, V = case
+    got, want = product_rational(U, V), oracle_product(U, V)
+    assert got == want
+    assert got.codim == want.codim
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2)).flatmap(
+        lambda ndk: st.tuples(
+            st.sampled_from(PRODUCT_ORDERS if ndk[0] > 1 else PRODUCT_ORDERS[:2]).flatmap(
+                lambda order: product_operands(ndk[0], ndk[1], order)
+            ),
+            st.just(ndk[1] + ndk[2]),
+        )
+    )
+)
+def test_hilbert_function_rational_matches_the_oracle_chain(case):
+    U, max_degree = case
+    assert hilbert_function_rational(U, max_degree).values == oracle_hilbert_values(U, max_degree)
+
+
+@pytest.mark.parametrize("order", PRODUCT_ORDERS[:2])
+def test_product_columns_index_the_products_of_columns(order):
+    for n, d1, d2 in product(range(1, 5), range(4), range(4)):
+        idx = _column_index(n, d1 + d2, order)
+        table = _product_columns(n, d1, d2, order)
+        assert len(table) == dim_component(n, d1)
+        for i, M in enumerate(enumerate_monomials(n, d1, order)):
+            assert table[i] == tuple(
+                idx[multiply(M, N)] for N in enumerate_monomials(n, d2, order)
+            )
+
+
+def test_product_columns_of_a_block_order():
+    order = MonomialOrder.block(1)
+    idx = _column_index(3, 5, order)
+    table = _product_columns(3, 2, 3, order)
+    for i, M in enumerate(enumerate_monomials(3, 2, order)):
+        for j, N in enumerate(enumerate_monomials(3, 3, order)):
+            assert table[i][j] == idx[multiply(M, N)]
+
+
+@given(subspace_inputs())
+@example((1, 0, [[_PRIME]]))
+@example((2, 1, [[1, 0], [1, _PRIME]]))
+def test_built_subspace_equals_the_checked_construction(case):
+    n, d, rows = case
+    mat = [list(_integer_row(list(r))) for r in rows]
+    built = RationalSubspace._built(n, d, [list(r) for r in mat], LEX)
+    checked = RationalSubspace(n, d, mat)
+    assert built == checked
+    assert built.dim == checked.dim
+    assert built.pivots == checked.pivots
 
 
 # ---------------------------------------------------------------------------

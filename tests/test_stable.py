@@ -37,6 +37,19 @@ def test_enumeration_matches_brute_force():
         assert count_strongly_stable(n, d, k) == len(got)
 
 
+def test_enumerated_subspaces_equal_their_validated_rebuilds():
+    # the enumeration builds its subspaces without checking the tuples; the
+    # public constructor checks each one again
+    for n, d, k in ((1, 3, 1), (2, 3, 3), (3, 3, 4), (4, 2, 3), (3, 4, 6)):
+        found = enumerate_strongly_stable(n, d, k)
+        assert found
+        for U in found:
+            rebuilt = MonomialSubspace(n, d, U.complement)
+            assert (U.n, U.d, U.codim) == (n, d, k)
+            assert U == rebuilt and hash(U) == hash(rebuilt)
+            assert U.members == rebuilt.members
+
+
 def _closed_under_all_moves(U):
     """Oracle: closure of the complement under every move x_j * M / x_i, j < i."""
     comp = {tuple(M) for M in U.complement}

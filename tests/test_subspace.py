@@ -186,6 +186,17 @@ def test_square_matches_naive_oracle_random(U):
     assert square(U).complement == product_naive(U, U).complement
 
 
+@given(any_subspace())
+def test_square_equals_its_validated_rebuild(U):
+    # square builds its result without checking the tuples of index.missing;
+    # the public constructor checks each one again
+    S = square(U)
+    rebuilt = MonomialSubspace(S.n, S.d, S.complement)
+    assert (S.n, S.d) == (U.n, 2 * U.d)
+    assert S == rebuilt and hash(S) == hash(rebuilt)
+    assert S.members == rebuilt.members
+
+
 @given(complements(3, 2, 6))
 def test_square_index_matches_product(U):
     idx = square_index(3, 2)

@@ -28,7 +28,6 @@ from .qlinalg import (
 from .search import compute_m, compute_m0_monomial, verify_table
 from .stable import enumerate_strongly_stable
 from .subspace import (
-    MonomialSubspace,
     ideal_hilbert_function,
     square,
     subspace_from_json,

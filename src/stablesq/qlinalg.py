@@ -403,33 +403,28 @@ def apolar_perp(vectors, n: int, d: int, order: MonomialOrder = LEX) -> Rational
     return RationalSubspace._built(n, d, _kernel(rows, len(weights)), order)
 
 
-def multiply_forms(f: dict, g: dict) -> dict:
-    """Product of two forms given as {exponent tuple: coefficient} dicts."""
-    out: dict = {}
-    for M, x in f.items():
-        for N, y in g.items():
-            T = tuple(map(add, M, N))
-            out[T] = out.get(T, 0) + x * y
-    return out
-
-
-def _linear(l, n: int) -> list[int]:
-    """The n checked coefficients of a linear form, as a primitive integer vector."""
-    lvec = _integer_row([_coefficient(x) for x in l])
+def _linear(l, n: int) -> list:
+    """The n checked coefficients of a linear form."""
+    lvec = [_coefficient(x) for x in l]
     if len(lvec) != n:
         raise InvalidInputError(f"linear form needs {n} coefficients, got {len(lvec)}")
-    g = gcd(*lvec)
-    return [x // g for x in lvec] if g > 1 else lvec
+    return lvec
 
 
-def _linear_form(l) -> dict:
-    return {tuple(int(j == i) for j in range(len(l))): c for i, c in enumerate(l) if c != 0}
+def _linear_pairs(l: list, n: int, order: MonomialOrder) -> list[tuple[int, int]]:
+    """The nonzero (column, coefficient) pairs of l: the column of x_i takes l[i]."""
+    return _sparse([l[M.index(1)] for M in _columns(n, 1, order)])
 
 
-def linear_multiples(l, n: int, d: int, order: MonomialOrder = LEX) -> list[dict]:
-    """The forms l*mu for mu in the degree d-1 basis: multiplication by l."""
-    lform = _linear_form(l)
-    return [multiply_forms(lform, {mu: 1}) for mu in _columns(n, d - 1, order)]
+def linear_multiples(l, n: int, d: int, order: MonomialOrder = LEX) -> list[list]:
+    """The forms l*mu for mu in the degree d-1 basis, as coefficient lists
+    over the degree-d columns under order, each made by `_multiply`; l has n
+    exact coefficients (ints, Fractions or rational strings)."""
+    if d < 1:
+        raise InvalidInputError(f"linear multiples need degree d >= 1, got d={d}")
+    lpairs = _linear_pairs(_linear(l, n), n, order)
+    table, q = _product_columns(n, d - 1, 1, order), dim_component(n, d)
+    return [_multiply([(i, 1)], lpairs, table, q) for i in range(len(table))]
 
 
 @lru_cache(maxsize=8)
@@ -443,16 +438,27 @@ def _product_columns(n: int, d1: int, d2: int, order: MonomialOrder) -> tuple:
     )
 
 
-def _sparse(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
-    return [[(c, x) for c, x in enumerate(r) if x] for r in rows]
+def _sparse(r: list) -> list[tuple[int, int]]:
+    return [(c, x) for c, x in enumerate(r) if x]
+
+
+def _multiply(f: list, g: list, table: tuple, q: int) -> list:
+    """The product of two forms given as nonzero (column, coefficient) pairs,
+    over the q columns of table[i][j], the product of columns i and j."""
+    row = [0] * q
+    for i, x in f:
+        to = table[i]
+        for j, y in g:
+            row[to[j]] += x * y
+    return row
 
 
 def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
     """Span of all pairwise products of the reduced rows of U and V.
 
     Each integer reduced row becomes its nonzero (column, coefficient)
-    pairs, and the product of two rows is scattered into its degree
-    d_U + d_V row through the cached table of column products
+    pairs, and each pair of rows is multiplied by `_multiply`, the one
+    product kernel of forms, through the cached table of column products
     (`_product_columns`), so no exponent tuple is made per term.  A square
     (V equal to U) takes each unordered pair of rows once.  The rows are
     int lists that this module built, so the result is certified without
@@ -470,20 +476,13 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
             seen=qC,
         )
     # the integer reduced rows are sparse: 1 + codim entries for a dense U
-    rows_U = _sparse(U._reduced()[0])
+    rows_U = [*map(_sparse, U._reduced()[0])]
     if V is U or V == U:  # a square: each a_i * a_j once, i <= j
         pairs = combinations_with_replacement(rows_U, 2)
     else:
-        pairs = product(rows_U, _sparse(V._reduced()[0]))
+        pairs = product(rows_U, map(_sparse, V._reduced()[0]))
     table = _product_columns(U.n, U.d, V.d, U.order)
-    rows = []
-    for f, g in pairs:
-        row = [0] * qC
-        for i, x in f:
-            to = table[i]
-            for j, y in g:
-                row[to[j]] += x * y
-        rows.append(row)
+    rows = [_multiply(f, g, table, qC) for f, g in pairs]
     return RationalSubspace._built(U.n, dC, rows, U.order)
 
 
@@ -501,8 +500,8 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     """The colon space (U : l) = {g of degree d-1 : l*g in U}."""
     if U.d < 1:
         raise InvalidInputError("cannot divide a degree-0 subspace")
-    # (U : l) = (U : c*l) for c != 0, so l is taken primitive and integral
-    l = _linear(l, U.n)
+    # (U : l) = (U : c*l) for c != 0, so l is taken integral
+    l = _integer_row(_linear(l, U.n))
     if not any(l):
         raise InvalidInputError("the zero form does not define a colon space")
     n, d, order = U.n, U.d, U.order
@@ -511,8 +510,7 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     # multiple of the map
     rows, pivots = U._reduced()
     scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    lmus = linear_multiples(l, n, d, order)
-    forms = [_normal_form(_place(f, n, d, order), (rows, pivots), scale) for f in lmus]
+    forms = [_normal_form(f, (rows, pivots), scale) for f in linear_multiples(l, n, d, order)]
     return RationalSubspace._built(n, d - 1, _kernel(list(zip(*forms)), len(forms)), order)
 
 
@@ -703,36 +701,36 @@ def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     hyperplane unchanged.  With den the lcm of the denominators of f, top
     the largest exponent of x_n in f and L = -(l_1 x_1 + ... + l_(n-1) x_(n-1)),
     returns den * l_n^top * f(x', L / l_n) as integer coefficients over the
-    degree-d basis in n - 1 variables, and the scale den * l_n^top.
+    degree-d basis in n - 1 variables, and the scale den * l_n^top.  Horner's
+    rule runs on int lists, each step h <- h*L by `_multiply`; the form and l
+    are checked before the order meets n - 1 variables.
     """
     if n < 2:
         raise InvalidInputError("elimination needs at least 2 variables")
-    *head, last = _linear(l, n)
+    lvec = _integer_row(_linear(l, n))
+    g = gcd(*lvec) or 1
+    *head, last = [x // g for x in lvec]
     if last == 0:
         raise InvalidInputError("last coefficient must be nonzero to eliminate")
-    if isinstance(vector, dict):
-        # only the given entries, checked in column order as a list would be
-        idx = _column_index(n, d, order)
-        placed = {exponent_tuple(key, n, d): x for key, x in vector.items()}
-        terms = [(M, _coefficient(placed[M])) for M in sorted(placed, key=idx.__getitem__)]
-    else:
-        terms = zip(_columns(n, d, order), _as_vector(vector, n, d, order))
+    terms = zip(_columns(n, d, order), _as_vector(vector, n, d, order))
     terms = [(M, x) for M, x in terms if x]
     den = lcm(*(x.denominator for _, x in terms))
     # den * f = sum of f_e * x_n^e with f_e free of x_n and integral
     parts: dict = {}
     for M, x in terms:
-        parts.setdefault(M[-1], {})[M[:-1]] = x.numerator * (den // x.denominator)
+        parts.setdefault(M[-1], []).append((M[:-1], x.numerator * (den // x.denominator)))
     top = max(parts, default=0)
-    L = _linear_form([-x for x in head])
-    # Horner's rule: sum of f_e * L^e * l_n^(top - e), from e = top down
-    h: dict = {}
+    L = _linear_pairs([-x for x in head], n - 1, order)
+    # Horner's rule: h <- h * L + f_e * l_n^(top - e), of degree d - e, from e = top down
+    h = [0] * dim_component(n - 1, d - top)
     for e in range(top, -1, -1):
-        h = multiply_forms(h, L)
-        scale = last ** (top - e)
-        for T, c in parts.get(e, {}).items():
-            h[T] = h.get(T, 0) + c * scale
-    return [h.get(M, 0) for M in _columns(n - 1, d, order)], den * last**top
+        if e < top:
+            table = _product_columns(n - 1, d - e - 1, 1, order)
+            h = _multiply(_sparse(h), L, table, dim_component(n - 1, d - e))
+        idx = _column_index(n - 1, d - e, order)
+        for T, c in parts.get(e, ()):
+            h[idx[T]] += c * last ** (top - e)
+    return h, den * last**top
 
 
 def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):

@@ -235,13 +235,12 @@ def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunct
     if max_degree < 0:
         raise InvalidInputError(f"need max_degree >= 0, got {max_degree}")
     n, d = U.n, U.d
-    values = []
-    for i in range(min(d, max_degree + 1)):
-        values.append(dim_component(n, i))
+    values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
     if max_degree >= d:
         comp = U.complement
         values.append(len(comp))
-        for _ in range(d, max_degree):
+        # A_1 * A_i = A_(i+1): once a degree is filled, so is every later one
+        while len(values) <= max_degree and comp:
             # a monomial c of the next degree is outside the ideal exactly
             # when every c / x_l is; c is made once, from c / x_j for its
             # largest variable x_j
@@ -253,6 +252,7 @@ def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunct
                 if all(c[:l] + (c[l] - 1,) + c[l + 1 :] in comp for l in range(n) if c[l])
             }
             values.append(len(comp))
+        values += [0] * (max_degree + 1 - len(values))
     return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Callable, Iterator
 
 from .errors import InvalidInputError
@@ -33,7 +34,6 @@ from .qlinalg import (
     hilbert_function_rational,
     initial_subspace,
     linear_multiples,
-    multiply_forms,
     product_rational,
     quotient_by_linear_form,
     random_linear_form,
@@ -231,7 +231,9 @@ def check_power_complement_square_rational(t: _Tally) -> None:
     for n, d in ((3, 2), (3, 3), (4, 2)):
         for _ in range(5):
             l = random_linear_form(n, rng, bound=5)
-            form = reduce(multiply_forms, [linear_multiples(l, n, 1)[0]] * d)  # l^d
+            form = [1]  # l^0
+            for j in range(1, d + 1):  # l^j = l * l^(j-1)
+                form = [sum(map(mul, form, c)) for c in zip(*linear_multiples(l, n, j))]
             U = apolar_perp([form], n, d)
             c = square_rational(U).codim
             t.case(

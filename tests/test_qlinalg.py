@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, gcd, isqrt, lcm, prod
+from operator import add
 
 import pytest
 from hypothesis import example, given
@@ -29,7 +30,6 @@ from stablesq.qlinalg import (
     _integer_row,
     _integer_rref,
     _kernel,
-    _linear_form,
     _place,
     _primitive_gcd,
     _product_columns,
@@ -44,7 +44,6 @@ from stablesq.qlinalg import (
     initial_subspace,
     linear_multiples,
     monomial_span,
-    multiply_forms,
     power_in_span,
     product_rational,
     quotient_by_linear_form,
@@ -159,6 +158,11 @@ def test_hilbert_function_rational_matches_monomial():
             a = hilbert_function_rational(monomial_span(U), 2 * d)
             b = ideal_hilbert_function(U, 2 * d)
             assert a.values == b.values
+    # both stop once a degree is filled and pad the rest with zeros
+    U = MonomialSubspace(3, 2, [(1, 1, 0)])
+    a = hilbert_function_rational(monomial_span(U), 10**6)
+    b = ideal_hilbert_function(U, 10**6)
+    assert a.values == b.values == (1, 3, 1) + (0,) * (10**6 - 2)
 
 
 def test_catalecticant_rank_detects_powers():
@@ -244,15 +248,32 @@ def test_eliminate_variable():
         eliminate_variable({(2, 0, 1): 1}, 3, 3, [1, 1, 0])
 
 
-@pytest.mark.parametrize("bad", ["abc", "1e3000000"])
+@pytest.mark.parametrize("bad", ["abc", "1e3000000", 0.5, True])
 def test_linear_form_coefficients_are_checked(bad):
     # an unparsable coefficient, or an exponent over MAX_EXPONENT, is invalid
-    # input, refused before Fraction's parser could expand it
+    # input, refused before Fraction's parser could expand it; so are floats
+    # and bools
     U = monomial_span(MonomialSubspace(3, 2, [(2, 0, 0)]))
     with pytest.raises(InvalidInputError):
         quotient_by_linear_form(U, [bad, 1, 0])
     with pytest.raises(InvalidInputError):
         eliminate_variable({(2, 0, 1): 1}, 3, 3, [bad, 1, 1])
+    with pytest.raises(InvalidInputError):
+        linear_multiples([bad, 1, 0], 3, 2)
+
+
+@pytest.mark.parametrize(
+    "l, n, d, message",
+    [
+        ([1, 2], 3, 2, "needs 3 coefficients, got 2"),
+        ([1, 2, 3, 4], 3, 2, "needs 3 coefficients, got 4"),
+        ([1, 2, 3], 3, 0, "got d=0"),
+        ([1, 2, 3], 3, -2, "got d=-2"),
+    ],
+)
+def test_linear_multiples_refuses_a_bad_shape(l, n, d, message):
+    with pytest.raises(InvalidInputError, match=message):
+        linear_multiples(l, n, d)
 
 
 def test_float_and_bool_coefficients_are_refused():
@@ -344,6 +365,27 @@ def as_form(row, cols) -> dict:
     return dict(zip(cols, row))
 
 
+def multiply_forms(f: dict, g: dict) -> dict:
+    """Product of two forms given as {exponent tuple: coefficient} dicts:
+    the oracle the column-table kernel is checked against."""
+    out: dict = {}
+    for M, x in f.items():
+        for N, y in g.items():
+            T = tuple(map(add, M, N))
+            out[T] = out.get(T, 0) + x * y
+    return out
+
+
+def linear_form(l) -> dict:
+    return {tuple(int(j == i) for j in range(len(l))): c for i, c in enumerate(l) if c != 0}
+
+
+def oracle_multiples(l, n: int, d: int, order=LEX) -> list[dict]:
+    """l * mu for mu in the degree d-1 columns, by `multiply_forms`."""
+    lform = linear_form(l)
+    return [multiply_forms(lform, {mu: 1}) for mu in _columns(n, d - 1, order)]
+
+
 @st.composite
 def dense_forms(draw, n: int, d: int):
     q = dim_component(n, d)
@@ -400,7 +442,7 @@ def fraction_eliminate_variable(vector, n: int, d: int, l, order=LEX):
     for M, x in zip(_columns(n, d, order), _as_vector(vector, n, d, order)):
         if x != 0:
             parts.setdefault(M[-1], {})[M[:-1]] = x
-    s = _linear_form([-x / lvec[-1] for x in lvec[:-1]])
+    s = linear_form([-x / lvec[-1] for x in lvec[:-1]])
     g: dict = {}
     for e in range(max(parts, default=0), -1, -1):
         g = multiply_forms(g, s)
@@ -421,7 +463,7 @@ def restriction_cases(draw):
     """(form, n, d, l, order): dict or list forms, the zero form among
     them, and l with a nonzero, possibly negative or rational, l_n."""
     n, d = draw(st.integers(2, 5)), draw(st.integers(0, 5))
-    order = draw(st.sampled_from([LEX, GRLEX]))
+    order = draw(st.sampled_from(PRODUCT_ORDERS if n >= 3 else PRODUCT_ORDERS[:2]))
     cols = _columns(n, d, order)
     f = draw(
         st.one_of(
@@ -501,12 +543,12 @@ def non_coordinate_forms(n: int):
 def test_quotient_rows_times_l_lie_in_u(case):
     U, l = case
     V = quotient_by_linear_form(U, l)
-    lform = linear_multiples(l, U.n, 1)[0]
+    lform = linear_form(l)
     for row in V.rows:
         assert U.contains(multiply_forms(lform, as_form(row, V.columns)))
     # multiplication by l is injective, so (U : l) has the dimension of
     # U meet l * A_(d-1)
-    multiples = linear_multiples(l, U.n, U.d)
+    multiples = oracle_multiples(l, U.n, U.d)
     meet = len(multiples) + U.dim - span(list(U.rows) + multiples, U.n, U.d).dim
     assert V.dim == meet
 
@@ -537,8 +579,25 @@ def test_linear_multiples_is_multiplication_by_l():
     l = [2, 0, -3]
     rows = linear_multiples(l, 3, 2)
     assert len(rows) == 3
-    assert {(2, 0, 0): 2, (1, 0, 1): -3} in rows  # l * x1
-    assert linear_multiples(l, 3, 1) == [{(1, 0, 0): 2, (0, 0, 1): -3}]
+    # over x3^2, x2 x3, x1 x3, x2^2, x1 x2, x1^2: l * x3, l * x2, l * x1
+    assert rows[2] == [0, 0, -3, 0, 0, 2]
+    assert linear_multiples(l, 3, 1) == [[-3, 0, 2]]  # over x3, x2, x1
+    assert linear_multiples(["1/2", Fraction(1, 3)], 2, 1) == [[Fraction(1, 3), Fraction(1, 2)]]
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+        lambda nd: st.tuples(
+            st.just(nd),
+            st.lists(st.one_of(st.just(0), exact_coefficients), min_size=nd[0], max_size=nd[0]),
+            st.sampled_from(PRODUCT_ORDERS if nd[0] >= 2 else PRODUCT_ORDERS[:2]),
+        )
+    )
+)
+def test_linear_multiples_match_the_dict_oracle(case):
+    (n, d), l, order = case
+    want = oracle_multiples([_coefficient(x) for x in l], n, d, order)
+    assert linear_multiples(l, n, d, order) == [_place(f, n, d, order) for f in want]
 
 
 # ---------------------------------------------------------------------------
@@ -876,7 +935,7 @@ def tracker_quotient(U: RationalSubspace, l) -> RationalSubspace:
     the combinations of the mu with l*g in U."""
     n, d, order = U.n, U.d, U.order
     q_hi = dim_component(n, d)
-    multiples = linear_multiples(_integer_row([Fraction(_coefficient(x)) for x in l]), n, d, order)
+    multiples = oracle_multiples(_integer_row([Fraction(_coefficient(x)) for x in l]), n, d, order)
     m = len(multiples)
     aug = [list(row) + [0] * m for row in U._reduced()[0]]
     for r, lmu in enumerate(multiples):
@@ -909,7 +968,7 @@ def colon_cases(draw):
     """(U, l): dense or monomial-span U, the zero and the full space among
     them, and l with int, Fraction, "p/q" and zero entries, not all zero."""
     n, d = draw(st.sampled_from(((1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))))
-    order = draw(st.sampled_from([LEX, GRLEX]))
+    order = draw(st.sampled_from(PRODUCT_ORDERS if n >= 2 else PRODUCT_ORDERS[:2]))
     q = dim_component(n, d)
     if draw(st.booleans()):
         seed = draw(st.integers(0, 10**6))
@@ -1133,7 +1192,7 @@ def forms(draw, n: int, d: int):
 
 
 def power_of(L, d: int) -> dict:
-    lform = linear_multiples(L, len(L), 1)[0]
+    lform = linear_form(L)
     P = {(0,) * len(L): 1}
     for _ in range(d):
         P = multiply_forms(P, lform)

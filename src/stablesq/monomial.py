@@ -338,18 +338,11 @@ def expand(M) -> frozenset[tuple[int, ...]]:
     if M[0] == 0:
         return frozenset()
     p = pivot(M)
-    if p == 1:
-        out = [tuple(M)]
-        for j in range(1, n):
-            exps = list(M)
-            exps[0] -= 1
-            exps[j] += 1
-            out.append(tuple(exps))
-        return frozenset(out)
-    out = []
-    for j in range(2, p + 1):
+    # one factor x_1 moves to x_2 .. x_n when M = x_1^d, else to x_2 .. x_p
+    out = [tuple(M)] if p == 1 else []
+    for j in range(1, n if p == 1 else p):
         exps = list(M)
         exps[0] -= 1
-        exps[j - 1] += 1
+        exps[j] += 1
         out.append(tuple(exps))
     return frozenset(out)

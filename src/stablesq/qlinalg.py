@@ -235,19 +235,7 @@ class RationalSubspace:
     __slots__ = ("n", "d", "order", "dim", "_basis", "_echelon", "_rows")
 
     def __init__(self, n: int, d: int, rows, order: MonomialOrder = LEX):
-        q = dim_component(n, d)
-        mat = []
-        for r in rows:
-            r = list(_place(r, n, d, order))
-            if not _all_int(r):
-                r = _integer_row([_coefficient(x) for x in r])
-            mat.append(r)
-        for r in mat:
-            if len(r) != q:
-                raise InvalidInputError(
-                    f"coefficient vector has length {len(r)}, expected {q}"
-                )
-        self._certify(n, d, mat, order)
+        self._certify(n, d, [_integer_row(_as_vector(r, n, d, order)) for r in rows], order)
 
     @classmethod
     def _built(cls, n: int, d: int, mat: list[list[int]], order: MonomialOrder):
@@ -357,20 +345,22 @@ def rational_subspace_from_json(data: dict) -> RationalSubspace:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 
 
-def _place(vector, n: int, d: int, order: MonomialOrder):
-    """A coefficient list over the columns; the coefficients are not checked."""
-    if not isinstance(vector, dict):
-        return vector
-    idx = _column_index(n, d, order)
-    out = [0] * dim_component(n, d)
-    for key, val in vector.items():
-        out[idx[exponent_tuple(key, n, d)]] = val
-    return out
-
-
 def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
-    out = [_coefficient(x) for x in _place(vector, n, d, order)]
+    """The one intake of a coefficient vector from outside: a new list over
+    the degree-d columns under order.  n and d are checked first; a
+    monomial dict is placed by its checked keys, any other iterable is
+    read in column order, every coefficient goes through `_coefficient`
+    unless all are ints, and the length must be the column count."""
     q = dim_component(n, d)
+    if isinstance(vector, dict):
+        idx = _column_index(n, d, order)
+        out = [0] * q
+        for key, val in vector.items():
+            out[idx[exponent_tuple(key, n, d)]] = val
+    else:
+        out = list(vector)
+    if not _all_int(out):
+        out = [_coefficient(x) for x in out]
     if len(out) != q:
         raise InvalidInputError(f"coefficient vector has length {len(out)}, expected {q}")
     return out
@@ -491,9 +481,11 @@ def square_rational(U: RationalSubspace) -> RationalSubspace:
 
 
 def initial_subspace(U: RationalSubspace) -> MonomialSubspace:
-    """Monomial space spanned by the initial monomials of the rows."""
-    cols = U.columns
-    return MonomialSubspace.from_members(U.n, U.d, [cols[p] for p in U.pivots])
+    """Monomial space spanned by the initial monomials of the rows; its
+    complement is the columns off the pivots."""
+    pivots = set(U._reduced()[1])
+    comp = [M for c, M in enumerate(U.columns) if c not in pivots]
+    return MonomialSubspace._built(U.n, U.d, comp)
 
 
 def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
@@ -564,20 +556,6 @@ def _catalecticant(vec: list, n: int, d: int, order: MonomialOrder) -> list[list
             for i, c, e in terms:
                 rows[i][c] = x * e
     return rows
-
-
-def catalecticant_rows(vector, n: int, d: int, order: MonomialOrder = LEX):
-    """First catalecticant of a form: one row per partial derivative.
-
-    Row i holds the coefficients of the i-th partial over the degree d-1
-    monomial basis.  The matrix has rank 1 exactly when the form is a
-    nonzero multiple of the d-th power of a linear form (Euler's relation
-    recovers the form from a one-dimensional span of partials).  Integer
-    coefficients give integer entries.
-    """
-    if d < 1:
-        raise InvalidInputError("catalecticant needs degree at least 1")
-    return _catalecticant(_as_vector(vector, n, d, order), n, d, order)
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -689,9 +667,10 @@ def has_base_point(U: RationalSubspace) -> bool:
 
     A point is a base point of U exactly when the d-th power of its
     linear form is apolar to U, so the test reduces to power detection
-    inside the annihilator.
+    inside the annihilator.  `apolar_dual` already returns the primitive
+    reduced rows that `_reduced_power` takes, so they are not reduced again.
     """
-    return power_in_span(apolar_dual(U), U.n, U.d, U.order)
+    return _reduced_power(apolar_dual(U), U.n, U.d, U.order)
 
 
 def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):

@@ -227,7 +227,7 @@ def compute_m0_monomial(
             c += 1
 
     descend(0, k, 0)
-    witnesses = tuple(MonomialSubspace(n, d, [candidates[i] for i in w]) for w in wits)
+    witnesses = tuple(MonomialSubspace._built(n, d, [candidates[i] for i in w]) for w in wits)
     return SearchResult(n, d, k, best, count, witnesses, "bpf-monomial", total)
 
 

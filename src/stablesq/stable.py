@@ -154,7 +154,7 @@ def extremal_subspace(n: int, d: int, k: int) -> MonomialSubspace:
         raise InvalidInputError(
             f"extremal shape is only maximizing for n, d >= k; got n={n}, d={d}, k={k}"
         )
-    return MonomialSubspace(n, d, extremal_complement(n, d, k))
+    return MonomialSubspace._built(n, d, extremal_complement(n, d, k))
 
 
 def extend_stable(U: MonomialSubspace) -> MonomialSubspace:
@@ -175,5 +175,5 @@ def extend_stable(U: MonomialSubspace) -> MonomialSubspace:
     while True:
         step = next((up for up in _adjacent_up_moves(cur) if up in comp), None)
         if step is None:
-            return MonomialSubspace(U.n, U.d, comp - {cur})
+            return MonomialSubspace._built(U.n, U.d, comp - {cur})
         cur = step

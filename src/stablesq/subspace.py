@@ -65,7 +65,7 @@ class MonomialSubspace:
     @classmethod
     def from_members(cls, n: int, d: int, members: Iterable) -> "MonomialSubspace":
         mem = frozenset(exponent_tuple(M, n, d) for M in members)
-        return cls(n, d, [t for t in _basis_tuples(n, d) if t not in mem])
+        return cls._built(n, d, [t for t in _basis_tuples(n, d) if t not in mem])
 
     @classmethod
     def full(cls, n: int, d: int) -> "MonomialSubspace":
@@ -73,7 +73,7 @@ class MonomialSubspace:
 
     @classmethod
     def zero(cls, n: int, d: int) -> "MonomialSubspace":
-        return cls(n, d, _basis_tuples(n, d))
+        return cls._built(n, d, _basis_tuples(n, d))
 
     @property
     def codim(self) -> int:
@@ -266,7 +266,7 @@ def variable_quotient(U: MonomialSubspace, i: int) -> MonomialSubspace:
     for M in U.complement:
         if M[i - 1] > 0:
             comp.append(M[: i - 1] + (M[i - 1] - 1,) + M[i:])
-    return MonomialSubspace(U.n, U.d - 1, comp)
+    return MonomialSubspace._built(U.n, U.d - 1, comp)
 
 
 def lift(U: MonomialSubspace, extra: int) -> MonomialSubspace:
@@ -278,7 +278,7 @@ def lift(U: MonomialSubspace, extra: int) -> MonomialSubspace:
     if extra < 0:
         raise InvalidInputError(f"need extra >= 0, got {extra}")
     pad = (0,) * extra
-    return MonomialSubspace(U.n + extra, U.d, [M + pad for M in U.complement])
+    return MonomialSubspace._built(U.n + extra, U.d, [M + pad for M in U.complement])
 
 
 def restrict_vars(U: MonomialSubspace, m: int) -> MonomialSubspace:
@@ -286,7 +286,7 @@ def restrict_vars(U: MonomialSubspace, m: int) -> MonomialSubspace:
     if not (2 <= m <= U.n):
         raise InvalidInputError(f"need 2 <= m <= n={U.n}, got {m}")
     comp = [M[:m] for M in U.complement if sum(M[m:]) == 0]
-    return MonomialSubspace(m, U.d, comp)
+    return MonomialSubspace._built(m, U.d, comp)
 
 
 class SquareIndex:

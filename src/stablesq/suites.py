@@ -200,7 +200,7 @@ def _subsets(n: int, d: int, pool, sizes) -> Iterator[MonomialSubspace]:
     `sizes`, size by size, each size in `combinations` order."""
     for k in sizes:
         for comp in combinations(pool, k):
-            yield MonomialSubspace(n, d, comp)
+            yield MonomialSubspace._built(n, d, comp)
 
 
 def _where(U: MonomialSubspace) -> str:
@@ -459,7 +459,7 @@ def check_top_degree_bound(t: _Tally) -> None:
         free = _power_free(n, d)
         for k in range(1, d + 1):
             for _ in range(60):
-                run(MonomialSubspace(n, d, rng.sample(free, k)))
+                run(MonomialSubspace._built(n, d, rng.sample(free, k)))
 
 
 @_check("hilbert", "full-degree-2d")
@@ -481,12 +481,12 @@ def check_full_degree_2d(t: _Tally) -> None:
                     run(U)
             else:
                 for _ in range(200):
-                    run(MonomialSubspace(n, d, rng.sample(free, k)))
+                    run(MonomialSubspace._built(n, d, rng.sample(free, k)))
     for n, d in ((4, 4), (3, 5)):
         free = _power_free(n, d)
         for k in range(1, 3 * d - 2):
             for _ in range(100):
-                run(MonomialSubspace(n, d, rng.sample(free, k)))
+                run(MonomialSubspace._built(n, d, rng.sample(free, k)))
     for n in range(4, 7):
         for U in _subsets(n, 2, _power_free(n, 2), range(1, 5)):
             run(U)
@@ -680,7 +680,7 @@ def check_generic_restriction(t: _Tally) -> None:
         t.case()
         t.redraw(
             lambda: random_linear_form(n, rng, bound=9),
-            lambda l: span([*U.rows, *linear_multiples(l, n, d)], n, d).codim <= bound,
+            lambda l: span([*U._reduced()[0], *linear_multiples(l, n, d)], n, d).codim <= bound,
             f"n={n} d={d} k={k}: restriction value at most {bound}",
             tries=6,
         )
@@ -700,7 +700,7 @@ def check_generic_colon(t: _Tally) -> None:
         t.case()
         t.redraw(
             lambda: random_linear_form(n, rng, bound=9),
-            lambda l: span([*U.rows, *linear_multiples(l, n, d)], n, d).codim == 0
+            lambda l: span([*U._reduced()[0], *linear_multiples(l, n, d)], n, d).codim == 0
             and quotient_by_linear_form(U, l).codim == k,
             f"n={n} d={d} k={k}: generic form",
             tries=6,
@@ -726,7 +726,7 @@ def check_generic_image_dim(t: _Tally) -> None:
 
         def keeps_dim(l) -> bool:
             l_rows = linear_multiples(l, n, d)
-            return span([*W.rows, *l_rows], n, d).dim - span(l_rows, n, d).dim == k
+            return span([*W._reduced()[0], *l_rows], n, d).dim - span(l_rows, n, d).dim == k
 
         t.case()
         t.redraw(

@@ -307,6 +307,9 @@ def _exit_code(argv):
         ("u.json", {"n": 3, "d": 2, "rows": [["1", "0", "0", "0", "0", "1"]]},
          ("--order", "block:5")),
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--order", "lex")),
+        ("u.json", {"n": 2, "d": 1, "rows": [[1, 0, 0], [True, 1]]}, ()),
+        ("u.json", {"n": 2, "d": 1, "rows": [[1, 1], [1.5, 0]]}, ()),
+        ("u.json", {"n": 0, "d": 1, "rows": [[0.5]]}, ()),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

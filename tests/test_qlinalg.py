@@ -22,6 +22,7 @@ from stablesq.qlinalg import (
     _PRIME,
     RationalSubspace,
     _as_vector,
+    _catalecticant,
     _coefficient,
     _column_index,
     _columns,
@@ -30,14 +31,12 @@ from stablesq.qlinalg import (
     _integer_row,
     _integer_rref,
     _kernel,
-    _place,
     _primitive_gcd,
     _product_columns,
     _rank_mod_p,
     _restriction,
     apolar_dual,
     apolar_perp,
-    catalecticant_rows,
     eliminate_variable,
     has_base_point,
     hilbert_function_rational,
@@ -168,10 +167,10 @@ def test_hilbert_function_rational_matches_monomial():
 def test_catalecticant_rank_detects_powers():
     # (x + y)^3 has rank 1
     binomial_cube = {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
-    rows = catalecticant_rows(binomial_cube, 2, 3)
+    rows = _catalecticant(_as_vector(binomial_cube, 2, 3, LEX), 2, 3, LEX)
     assert span(rows, 2, 2).dim == 1
     # x^3 + y^3 has rank 2
-    rows = catalecticant_rows({(3, 0): 1, (0, 3): 1}, 2, 3)
+    rows = _catalecticant(_as_vector({(3, 0): 1, (0, 3): 1}, 2, 3, LEX), 2, 3, LEX)
     assert span(rows, 2, 2).dim == 2
 
 
@@ -236,6 +235,43 @@ def test_has_base_point_matches_monomial_criterion():
                 ), comp
 
 
+@st.composite
+def base_point_cases(draw):
+    """U of codimension 0..3 in n = 1..4 variables, degree 1..3, under lex,
+    grlex or block:1: dense rows, a monomial span, or the perp of powers of
+    linear forms, which has a base point at each of them."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    order = draw(st.sampled_from(PRODUCT_ORDERS if n > 1 else PRODUCT_ORDERS[:2]))
+    q = dim_component(n, d)
+    kind = draw(st.sampled_from(("dense", "monomial", "powers")))
+    if kind == "dense":
+        codim, seed = draw(st.integers(0, min(3, q))), draw(st.integers(0, 10**6))
+        return random_subspace(n, d, codim, random.Random(seed), bound=2, order=order)
+    if kind == "monomial":
+        comp = draw(st.lists(st.sampled_from(_basis_tuples(n, d)), max_size=3, unique=True))
+        return monomial_span(MonomialSubspace(n, d, comp), order)
+    linear = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    Ls = draw(st.lists(linear, min_size=1, max_size=3))
+    return apolar_perp([power_of(L, d) for L in Ls], n, d, order)
+
+
+@given(base_point_cases())
+def test_has_base_point_matches_power_detection_on_the_dual(U):
+    dual = apolar_dual(U)
+    # the dual is already reduced: the rows `_reduced_power` takes
+    pivots = [next(c for c, x in enumerate(r) if x) for r in dual]
+    assert _integer_rref([list(r) for r in dual]) == (dual, pivots)
+
+    def outcome(test, *args):
+        """The answer, or the refusal of a dual of dimension 3 in degree >= 2."""
+        try:
+            return test(*args)
+        except InvalidInputError as exc:
+            return str(exc)
+
+    assert outcome(has_base_point, U) == outcome(power_in_span, dual, U.n, U.d, U.order)
+
+
 def test_eliminate_variable():
     # x1^2 * x3 with x3 = -(x1 + x2) gives -x1^3 - x1^2 x2
     out = eliminate_variable({(2, 0, 1): 1}, 3, 3, [1, 1, 1])
@@ -286,6 +322,61 @@ def test_float_and_bool_coefficients_are_refused():
             _coefficient(bad)
     assert RationalSubspace(2, 1, [["0.1", 1]]) == RationalSubspace(2, 1, [[1, 10]])
     assert _coefficient(Fraction(1, 10)) == _coefficient("0.1") == Fraction(1, 10)
+
+
+def row_kinds(row: list[Fraction], cols) -> dict:
+    """One coefficient vector as every kind of row the intake reads."""
+    scale = lcm(*(x.denominator for x in row))
+    return {
+        "list of Fractions": list(row),
+        "tuple of p/q strings": tuple(str(x) for x in row),
+        "generator of Fractions": (x for x in row),
+        "list of ints": [int(x * scale) for x in row],
+        "monomial dict": {M: x for M, x in zip(cols, row) if x},
+        "monomial dict of strings": {M: str(x) for M, x in zip(cols, row) if x},
+    }
+
+
+@given(st.data())
+def test_every_row_kind_spans_the_same_subspace(data):
+    n, d = data.draw(st.sampled_from(((1, 2), (2, 1), (2, 2), (3, 2), (2, 3))))
+    order = data.draw(st.sampled_from(PRODUCT_ORDERS if n > 1 else PRODUCT_ORDERS[:2]))
+    cols = _columns(n, d, order)
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    rows = data.draw(st.lists(st.lists(entry, min_size=len(cols), max_size=len(cols)), max_size=3))
+    want = RationalSubspace(n, d, rows, order)
+    kinds = [row_kinds(r, cols) for r in rows]
+    for kind in row_kinds([Fraction(0)] * len(cols), cols):
+        got = RationalSubspace(n, d, [k[kind] for k in kinds], order)
+        assert got == want and got.dim == want.dim, kind
+    # each row of its own kind, in one call
+    mixed = [list(k.values())[i % len(k)] for i, k in enumerate(row_kinds(r, cols) for r in rows)]
+    assert span(mixed, n, d, order) == want
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, 0, 0]], "length 3, expected 2"),
+        ([(x for x in (1, 0, 0))], "length 3, expected 2"),
+        ([("1/2",)], "length 1, expected 2"),
+        # the first bad row reports its own error
+        ([[1, 0, 0], [True, 1]], "length 3, expected 2"),
+        ([[True, 1], [1, 0, 0]], "is a bool"),
+        ([[1, 1], [0.5, 1], [1, 0, 0]], "is a float"),
+        ([{(1, 0): 1}, {(1, 1): 1}], "does not have degree 1"),
+    ],
+)
+def test_a_bad_row_is_refused_with_its_own_error(rows, message):
+    with pytest.raises(InvalidInputError, match=message):
+        RationalSubspace(2, 1, rows)
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (-1, 2), (2, -1)])
+@pytest.mark.parametrize("rows", [[], [[True, 0.5]], [{(1, 0): 1}], [[1, 0, 0, 0]]])
+def test_a_bad_shape_is_refused_before_any_row_is_read(n, d, rows):
+    with pytest.raises(InvalidInputError, match=f"got n={n}, d={d}"):
+        RationalSubspace(n, d, rows)
 
 
 def test_rational_serialization_round_trip():
@@ -487,7 +578,7 @@ def test_eliminate_variable_matches_fraction_substitution(case):
     assert got == want
     assert all(type(x) is Fraction for x in got)
     # the kernel's row is the restriction times den * l_n^top, l primitive
-    vec = [Fraction(_coefficient(x)) for x in _place(f, n, d, order)]
+    vec = [Fraction(x) for x in _as_vector(f, n, d, order)]
     terms = [(M, x) for M, x in zip(_columns(n, d, order), vec) if x]
     den = lcm(*(x.denominator for _, x in terms))
     top = max((M[-1] for M, _ in terms), default=0)
@@ -597,7 +688,7 @@ def test_linear_multiples_is_multiplication_by_l():
 def test_linear_multiples_match_the_dict_oracle(case):
     (n, d), l, order = case
     want = oracle_multiples([_coefficient(x) for x in l], n, d, order)
-    assert linear_multiples(l, n, d, order) == [_place(f, n, d, order) for f in want]
+    assert linear_multiples(l, n, d, order) == [_as_vector(f, n, d, order) for f in want]
 
 
 # ---------------------------------------------------------------------------
@@ -1111,7 +1202,7 @@ def test_catalecticant_rows_match_the_entrywise_builder(order):
             fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in basis]
             sparse = {M: rng.randint(-9, 9) for M in rng.sample(basis, min(3, len(basis)))}
             for vector in (ints, fractions, sparse):
-                got = catalecticant_rows(vector, n, d, order)
+                got = _catalecticant(_as_vector(vector, n, d, order), n, d, order)
                 want = catalecticant_naive(vector, n, d, order)
                 assert got == want, (n, d, vector)
                 # int inputs keep int entries

@@ -20,8 +20,9 @@ from stablesq.monomial import (
     multiply,
     reduce,
 )
-from stablesq.qlinalg import initial_subspace, span
-from stablesq.search import closed_form_m
+from stablesq.monomial import GRLEX, LEX, MonomialOrder
+from stablesq.qlinalg import initial_subspace, monomial_span, random_subspace, span
+from stablesq.search import closed_form_m, compute_m0_monomial
 from stablesq.stable import (
     enumerate_strongly_stable,
     extend_stable,
@@ -29,6 +30,7 @@ from stablesq.stable import (
     extremal_subspace,
     is_strongly_stable,
 )
+from stablesq.suites import _stable_family, _subsets
 from stablesq.subspace import (
     MonomialSubspace,
     SquareIndex,
@@ -195,6 +197,62 @@ def test_square_equals_its_validated_rebuild(U):
     assert (S.n, S.d) == (U.n, 2 * U.d)
     assert S == rebuilt and hash(S) == hash(rebuilt)
     assert S.members == rebuilt.members
+
+
+def assert_equals_checked_construction(V):
+    """V, built without checking its tuples, equals the checked
+    construction on its complement, whose elements are plain int tuples
+    of length n and degree d."""
+    rebuilt = MonomialSubspace(V.n, V.d, V.complement)
+    assert V == rebuilt and hash(V) == hash(rebuilt)
+    assert V.members == rebuilt.members
+    for M in V.complement:
+        assert type(M) is tuple and len(M) == V.n and sum(M) == V.d
+        assert all(type(e) is int and e >= 0 for e in M)
+
+
+def built_from(U):
+    """Every subspace a private-builder producer makes from U."""
+    n, d = U.n, U.d
+    out = [
+        lift(U, 1),
+        lift(U, 3),
+        MonomialSubspace.from_members(n, d, U.members),
+        MonomialSubspace.zero(n, d),
+    ]
+    out += [variable_quotient(U, i) for i in range(1, n + 1) if d]
+    out += [restrict_vars(U, m) for m in range(2, n + 1)]
+    orders = (LEX, GRLEX, MonomialOrder.block(1)) if n > 1 else (LEX, GRLEX)
+    out += [initial_subspace(monomial_span(U, order)) for order in orders]
+    if U.complement and is_strongly_stable(U):
+        out.append(extend_stable(U))
+    return out
+
+
+def test_producers_on_strongly_stable_families_equal_the_checked_construction():
+    family = _stable_family(range(2, 5), range(2, 5), 6)
+    assert len(family) == 81
+    for U in family:
+        for V in built_from(U):
+            assert_equals_checked_construction(V)
+    for n, d in ((2, 4), (3, 2), (3, 3), (4, 2)):
+        for k in range(1, min(n, d) + 1):
+            assert_equals_checked_construction(extremal_subspace(n, d, k))
+        for k in (1, 2):
+            for V in compute_m0_monomial(n, d, k).witnesses:
+                assert_equals_checked_construction(V)
+        for V in _subsets(n, d, _power_free(n, d), (1, 2)):
+            assert_equals_checked_construction(V)
+
+
+@given(any_subspace(), st.integers(0, 2), st.integers(0, 10**6))
+def test_producers_on_any_complement_equal_the_checked_construction(U, codim, seed):
+    for V in built_from(U):
+        assert_equals_checked_construction(V)
+    if U.n > 1 and codim < dim_component(U.n, U.d):
+        for order in (LEX, GRLEX, MonomialOrder.block(1)):
+            R = random_subspace(U.n, U.d, codim, random.Random(seed), bound=3, order=order)
+            assert_equals_checked_construction(initial_subspace(R))
 
 
 @given(complements(3, 2, 6))

@@ -513,7 +513,8 @@ def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFu
     n, d, order = U.n, U.d, U.order
     values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
     if max_degree >= d:
-        linear = monomial_span(MonomialSubspace.full(n, 1), order)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        linear = RationalSubspace._built(n, 1, identity, order)
         current = U
         values.append(current.codim)
         # A_1 * A_i = A_(i+1): once a degree is filled, so is every later one

@@ -11,6 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
 from heapq import merge
+from itertools import chain, combinations
 from math import factorial, inf, prod
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -22,6 +23,7 @@ from .monomial import (
     MonomialOrder,
     _basis_tuples,
     arrangements,
+    count_divisors,
     dim_component,
     divisors_of_degree,
     exponent_tuple,
@@ -295,29 +297,51 @@ class SquareIndex:
     For T of degree 2d the degree-d divisors split into pairs {M, T/M}
     (a pair may be a single self-paired monomial).  T lies outside U^2
     exactly when every pair meets the complement C of U, so T can only be
-    missing when its divisor count is at most twice the codimension.
+    missing when its divisor count is at most twice the codimension.  Any
+    one pair of a missing T meets C, so a query lists as candidates the T
+    with a chosen pair meeting C and at most 2|C| divisors, and checks
+    their other pairs.  The two queries choose the pair differently.
 
-    The divisor count of T depends only on its sorted exponents, so the
-    index ranks the exponent classes of degree 2d (the partitions of 2d
-    into at most n parts), not the monomials, and ranks a class only when
-    a query asks for its count (`ranked_classes`).  `entries` holds
-    (T, pairs) sorted by divisor count, then by T in ascending lex order,
-    and grows a whole count at a time whenever a query needs a larger
-    count, so an answer never depends on the queries asked before it.  A
-    class is grown by splitting the divisors of its sorted representative
-    into pairs once and permuting those pairs onto each arrangement T; the
-    pairs point at one shared tuple per divisor, which keeps the index
-    small.
+    `missing` walks the exponent classes.  The divisor count of T depends
+    only on its sorted exponents, so the index ranks the exponent classes
+    of degree 2d (the partitions of 2d into at most n parts), not the
+    monomials, and ranks a class only when a query asks for its count
+    (`ranked_classes`).  `entries` holds (T, pairs) sorted by divisor
+    count, then by T in ascending lex order, and grows a whole count at a
+    time whenever a query needs a larger count, so an answer never depends
+    on the queries asked before it.  A class is grown by splitting the
+    divisors of its sorted representative into pairs once and permuting
+    those pairs onto each arrangement T; the pairs point at one shared
+    tuple per divisor, which keeps the index small.  The first pair of an
+    entry is the class's pair of its lex-first and lex-last divisor,
+    carried to T by the arrangement (not, in general, the lex-extreme
+    divisors of T itself), and `_owners` lists, for each degree-d monomial
+    M, the positions of the entries whose first pair holds M.
 
-    The first pair of an entry holds the lex-first and lex-last divisor of
-    its T, and `_owners` lists, for each degree-d monomial M, the positions
-    of the entries whose first pair holds M.  A missing T has its first
-    pair meet C, so a query visits only the entries listed under the
-    members of C, up to the end of the block with at most 2|C| divisors,
-    and checks their other pairs.
+    `codim_square` grows no entries.  It lists T under its balanced pair
+    {M, T/M}, with |M_i - (T/M)_i| <= 1 for every i: at the odd exponents
+    of T the extra unit goes to M at the first half of them, in index
+    order, and to T/M at the rest.  The T listed under a monomial are
+    found on its first query (`_balanced_owners`), and the pairs of a T
+    are built on its first check, from the divisors of its class.
+
+    The selection is by operation.  `codim_square` serves `compute_m`,
+    whose complements are strongly stable: they sit at the top of the
+    Borel order and rarely meet a balanced pair.  Over the reference table
+    its 1,511 queries list 85,790 candidates and pair 3,605 T, where the
+    class walk lists 225,104 and pairs 19,335, and the `table` benchmark's
+    wall_s falls from 0.61 to 0.32 s (BENCH_balanced-owners.json).
+    `missing` serves `square`, on arbitrary complements, which touch
+    almost every T: there the lazy build lands on many operations instead
+    of a few, and sending `square` through the balanced listing moved the
+    `mono-squares` benchmark's op_p50_ms from 0.03 to 0.10-0.11 ms and its
+    wall_s from 0.120 to 0.146-0.161 s.
     """
 
-    __slots__ = ("n", "d", "entries", "_walk", "_next", "_ranked", "_ends", "_canon", "_owners")
+    __slots__ = (
+        "n", "d", "entries", "_walk", "_next", "_ranked", "_ends", "_canon", "_owners",
+        "_balanced", "_pairs", "_columns",
+    )
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 0:
@@ -336,6 +360,11 @@ class SquareIndex:
         self._ends: list[int] = []
         self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._owners: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
+        # the lazy side of codim_square: per monomial its balanced owners,
+        # per T its pairs, per exponent class the columns of its divisors
+        self._balanced: dict[tuple[int, ...], tuple[list[int], list]] = {}
+        self._pairs: dict[tuple[int, ...], tuple] = {}
+        self._columns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def _rank(self, count: int) -> list:
         """The ranked groups, after ranking every class with at most `count`
@@ -350,19 +379,22 @@ class SquareIndex:
             self._next = next(self._walk, (inf, None))
         return ranked
 
+    def _paired(self, columns: list, s) -> tuple:
+        """The pairs of the arrangement T[i] = lam[s[i]] of a class lam whose
+        degree-d divisors, in ascending lex order, have these columns."""
+        intern = self._canon.setdefault
+        moved = [intern(M, M) for M in zip(*map(columns.__getitem__, s))]
+        # M -> lam/M reverses the lex order of the divisors, so the i-th
+        # divisor pairs with the i-th from the end
+        last = len(moved) - 1
+        return tuple((moved[i], moved[last - i]) for i in range(last // 2 + 1))
+
     def _arranged(self, lam: tuple[int, ...]):
         """The entries (T, pairs) of every rearrangement T of the class lam,
         in ascending lex order of T."""
-        divisors = list(divisors_of_degree(lam, self.d))
-        # M -> lam/M reverses the lex order of the divisors, so the i-th
-        # divisor pairs with the i-th from the end
-        last = len(divisors) - 1
-        columns = list(zip(*divisors))
-        intern = self._canon.setdefault
+        columns = list(zip(*divisors_of_degree(lam, self.d)))
         for s in arrangements(lam):
-            moved = [intern(M, M) for M in zip(*map(columns.__getitem__, s))]
-            T = tuple(map(lam.__getitem__, s))
-            yield T, tuple((moved[i], moved[last - i]) for i in range(last // 2 + 1))
+            yield tuple(map(lam.__getitem__, s)), self._paired(columns, s)
 
     def _grow(self, count: int) -> int:
         """Grow the index to hold every T with at most `count` degree-d
@@ -420,9 +452,64 @@ class SquareIndex:
         entries = self.entries
         return [entries[p][0] for p in sorted(self._hits(complement))]
 
+    def _balanced_owners(self, c: tuple[int, ...]) -> tuple[list[int], list]:
+        """(counts, owners): the T whose balanced pair holds c, in ascending
+        divisor count, and their counts.
+
+        Such a T is 2c - 1 on a set `down` inside the support of c, 2c + 1
+        on a set `up` of the same size disjoint from it, and 2c elsewhere;
+        c is the first member of the pair when `down` precedes `up` in
+        index order, and the second when it follows it."""
+        cached = self._balanced.get(c)
+        if cached is None:
+            n = self.n
+            double = [2 * e for e in c]
+            owners = [tuple(double)]
+            support = [i for i in range(n) if c[i]]
+            for j in range(1, len(support) + 1):
+                for down in combinations(support, j):
+                    after, before = range(down[-1] + 1, n), range(down[0])
+                    for up in chain(combinations(after, j), combinations(before, j)):
+                        T = double[:]
+                        for i in down:
+                            T[i] -= 1
+                        for i in up:
+                            T[i] += 1
+                        owners.append(tuple(T))
+            ranked = sorted((count_divisors(T, self.d), T) for T in owners)
+            cached = self._balanced[c] = ([k for k, _ in ranked], [T for _, T in ranked])
+        return cached
+
+    def _pairs_of(self, T: tuple[int, ...]) -> tuple:
+        """The pairs of T, built from the divisors of its exponent class."""
+        pairs = self._pairs.get(T)
+        if pairs is None:
+            lam = tuple(sorted(T))
+            columns = self._columns.get(lam)
+            if columns is None:
+                columns = self._columns[lam] = list(zip(*divisors_of_degree(lam, self.d)))
+            # s[i] is the place of T[i] among the sorted exponents
+            order = sorted(range(self.n), key=T.__getitem__)
+            s = sorted(range(self.n), key=order.__getitem__)
+            pairs = self._pairs[T] = self._paired(columns, s)
+        return pairs
+
     def codim_square(self, complement) -> int:
         """Number of degree-2d monomials outside U^2, for U with this complement."""
-        return sum(1 for _ in self._hits(complement))
+        top = 2 * len(complement)
+        listed = set()
+        for c in complement:
+            counts, owners = self._balanced_owners(c)
+            listed.update(owners[: bisect_right(counts, top)])
+        # the pair check of _hits, on pairs built as T is first checked
+        missing = 0
+        for T in listed:
+            for M, N in self._pairs_of(T):
+                if M not in complement and N not in complement:
+                    break
+            else:
+                missing += 1
+        return missing
 
 
 @lru_cache(maxsize=4)

@@ -22,7 +22,7 @@ from stablesq.monomial import (
 )
 from stablesq.monomial import GRLEX, LEX, MonomialOrder
 from stablesq.qlinalg import initial_subspace, monomial_span, random_subspace, span
-from stablesq.search import closed_form_m, compute_m0_monomial
+from stablesq.search import closed_form_m, compute_m, compute_m0_monomial
 from stablesq.stable import (
     enumerate_strongly_stable,
     extend_stable,
@@ -345,11 +345,13 @@ def assert_missing_matches_scan(idx, complement):
     assert idx.codim_square(complement) == len(want)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_missing_matches_scan_on_strongly_stable(n):
-    for d in range(2, 6):
+    # codim_square lists under balanced pairs and missing under the class
+    # walk's first pairs, so the scan is an oracle for both
+    for d in range(10):
         idx = SquareIndex(n, d)
-        for k in range(1, min(6, dim_component(n, d)) + 1):
+        for k in range(min(9, dim_component(n, d)) + 1):
             for U in enumerate_strongly_stable(n, d, k):
                 assert_missing_matches_scan(idx, U.complement)
 
@@ -357,7 +359,7 @@ def test_missing_matches_scan_on_strongly_stable(n):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_missing_matches_scan_on_random_complements(data):
-    n = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
     d = data.draw(st.integers(0, 4))
     basis = _basis_tuples(n, d)
     chosen = data.draw(st.lists(st.sampled_from(basis), unique=True, max_size=8))
@@ -405,6 +407,15 @@ def test_budgeted_square_ranks_only_the_classes_it_counts():
     top = (0,) * 19 + (40,)
     assert idx._ranked == [(1, [top]), (2, [top[:18] + (1, 39)])]
     assert idx.entries == []
+
+
+def test_codim_square_lists_balanced_owners_without_growing_the_index():
+    # 35,251 exponent classes of degree 40 in 20 variables: the strongly
+    # stable search lists only the owners of its complements' monomials,
+    # found inside their supports, and grows no entry
+    square_index.cache_clear()
+    assert compute_m(20, 20, 3).value == closed_form_m(20, 20, 3) == 61
+    assert square_index(20, 20).entries == []
 
 
 @pytest.mark.parametrize("n, d, k, want", [(7, 12, 3, 22), (8, 15, 4, 36)])

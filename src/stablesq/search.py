@@ -16,9 +16,9 @@ from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import _power_free, dim_component
-from .stable import default_budget, enumerate_strongly_stable, extremal_complement
+from . import stable, tables
+from .stable import enumerate_strongly_stable, extremal_complement
 from .subspace import MonomialSubspace, square_index
-from . import tables
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -114,6 +114,7 @@ def compute_m0_monomial(
     c would complete, and the last level reads its choices off it.  A
     subtree is cut when, even if each monomial still to choose completed
     as many T as any candidate left touches, it stays below the best.
+    The budget (stable.DEFAULT_BUDGET when None) bounds C(N, k).
     """
     if d < 1:
         raise InvalidInputError(f"need d >= 1, got d={d}")
@@ -121,7 +122,7 @@ def compute_m0_monomial(
     if not (1 <= k <= dim):
         raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
     if budget is None:
-        budget = default_budget()
+        budget = stable.DEFAULT_BUDGET
     candidates = _power_free(n, d)
     N = len(candidates)
     if k > N:

@@ -9,28 +9,14 @@ Every nonempty complement of this kind contains x_1^d.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import dim_component
 from .subspace import MonomialSubspace
 
+# the budget of a search given none; read at call time
 DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "STABLESQ_BUDGET"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidInputError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 def _adjacent_down_moves(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -72,14 +58,14 @@ def enumerate_strongly_stable(
     larger complement is reachable by one adjacent up move from the
     prefix, so the search tree hits each complement exactly once.
 
-    Out-of-range k yields an empty list.  The budget (default_budget()
+    Out-of-range k yields an empty list.  The budget (DEFAULT_BUDGET
     when None) bounds the number of search nodes; exceeding it raises
     BudgetExceededError.
     """
     if n < 1 or d < 0:
         raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if budget is None:
-        budget = default_budget()
+        budget = DEFAULT_BUDGET
     if k < 0 or k > dim_component(n, d):
         return []
     if k == 0:
@@ -123,10 +109,6 @@ def enumerate_strongly_stable(
 
     grow([root], {root})
     return results
-
-
-def count_strongly_stable(n: int, d: int, k: int, budget: int | None = None) -> int:
-    return len(enumerate_strongly_stable(n, d, k, budget=budget))
 
 
 def extremal_complement(n: int, d: int, k: int) -> list[tuple[int, ...]]:

@@ -27,7 +27,6 @@ from .monomial import (
     dim_component,
     divisors_of_degree,
     exponent_tuple,
-    exponents,
     monomial_to_text,
     ranked_classes,
 )
@@ -95,11 +94,6 @@ class MonomialSubspace:
             object.__setattr__(self, "_members", cached)
         return cached
 
-    def is_member(self, M) -> bool:
-        """False for a monomial of another length or degree."""
-        t = exponents(M)
-        return len(t) == self.n and sum(t) == self.d and t not in self.complement
-
     def sorted_complement(self, order: MonomialOrder = LEX) -> list[tuple[int, ...]]:
         return sorted(self.complement, key=order.key, reverse=True)
 
@@ -124,12 +118,6 @@ class MonomialSubspace:
             "d": self.d,
             "complement": [list(M) for M in self.sorted_complement()],
         }
-
-    def to_text(self) -> str:
-        lines = [f"{self.n} {self.d} {self.codim}"]
-        for M in self.sorted_complement():
-            lines.append(" ".join(str(e) for e in M))
-        return "\n".join(lines) + "\n"
 
 
 def _distinct(complement: list) -> list:
@@ -495,10 +483,19 @@ class SquareIndex:
         return pairs
 
     def codim_square(self, complement) -> int:
-        """Number of degree-2d monomials outside U^2, for U with this complement."""
+        """Number of degree-2d monomials outside U^2, for U with this complement.
+
+        An owner T of c is at least 1 on the support of c, so its divisor
+        count, the middle and largest of the 2d + 1 coefficients of a
+        palindromic unimodal product summing to at least 2^|supp c|, is
+        over 2|C| when 2^|supp c| > (2d + 1) 2|C|.  Such a c lists no T,
+        and its owners are not built to find that out."""
         top = 2 * len(complement)
+        wide = (2 * self.d + 1) * top
         listed = set()
         for c in complement:
+            if c not in self._balanced and 1 << (self.n - c.count(0)) > wide:
+                continue
             counts, owners = self._balanced_owners(c)
             listed.update(owners[: bisect_right(counts, top)])
         # the pair check of _hits, on pairs built as T is first checked

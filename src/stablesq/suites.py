@@ -1063,13 +1063,16 @@ SUITES["conjecture"] = _conjecture_suite
 # ---------------------------------------------------------------------------
 
 
-def run_suites(names, opts: SuiteOptions | None = None) -> list[CheckResult]:
+def run_suites(names: list[str], opts: SuiteOptions | None = None) -> list[CheckResult]:
+    """The results of the named suites, in order; naming none is refused,
+    since a run of no check passes nothing."""
     opts = opts or SuiteOptions()
+    known = ", ".join(sorted(SUITES))
+    if not names:
+        raise InvalidInputError(f"no suite named; known: {known}")
     results = []
     for name in names:
         if name not in SUITES:
-            raise InvalidInputError(
-                f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
-            )
+            raise InvalidInputError(f"unknown suite {name!r}; known: {known}")
         results.extend(SUITES[name](opts))
     return results

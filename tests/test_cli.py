@@ -213,9 +213,29 @@ def test_budget_exit_1(capsys):
 
 
 def test_enumerate_default_budget_exit_1(monkeypatch, capsys):
-    monkeypatch.setenv("STABLESQ_BUDGET", "5")
+    monkeypatch.setattr("stablesq.stable.DEFAULT_BUDGET", 5)
     assert main(["enumerate", "--n", "4", "--d", "4", "--k", "6"]) == 1
     assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_m0_default_budget_exit_1(monkeypatch, capsys):
+    # C(16, 3) = 560 subsets of the non-powers, over a default budget of 10
+    monkeypatch.setattr("stablesq.stable.DEFAULT_BUDGET", 10)
+    assert main(["m0", "--n", "4", "--d", "3", "--k", "3"]) == 1
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_table_diff_with_no_reference_cell_exits_1(capsys):
+    code, out, err = run(capsys, "table", "--n", "7", "--d", "2", "--k", "1", "--diff-paper")
+    assert code == 1
+    assert out.endswith("no cell of the grid is in the reference table\n")
+    assert "Traceback" not in err
+    code, out, _ = run(
+        capsys, "table", "--n", "7", "--d", "2", "--k", "1", "--diff-paper", "--format", "json"
+    )
+    assert code == 1 and json.loads(out)["compared"] == 0
+    # without --diff-paper nothing is compared, and nothing is claimed
+    assert run(capsys, "table", "--n", "7", "--d", "2", "--k", "1")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -310,6 +330,9 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 0, 0], [True, 1]]}, ()),
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 1], [1.5, 0]]}, ()),
         ("u.json", {"n": 0, "d": 1, "rows": [[0.5]]}, ()),
+        # --suite values that name no suite would run no check
+        (None, None, ("check", "--suite", ",")),
+        (None, None, ("check", "--suite", " ")),
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, name, content, args):

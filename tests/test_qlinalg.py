@@ -102,7 +102,7 @@ def test_monomial_span_and_initial_round_trip():
 def test_initial_monomial_uses_ascending_convention():
     # x2^2 beats x1^2, so it is the pivot of x1^2 - x2^2
     U = span([{(2, 0): 1, (0, 2): -1}], 2, 2)
-    assert initial_subspace(U).is_member((0, 2))
+    assert initial_subspace(U).members == ((0, 2),)
 
 
 def test_apolar_perp_and_dual_are_inverse():

@@ -9,7 +9,6 @@ from stablesq.search import (
     closed_form_m,
     compute_m,
     compute_m0_monomial,
-    default_budget,
     main_bound,
     small_subspace_bound,
     table_cell,
@@ -161,19 +160,6 @@ def test_budget_paths():
         compute_m(3, 3, 3, budget=1)
     with pytest.raises(BudgetExceededError):
         compute_m0_monomial(4, 3, 3, budget=10)
-
-
-def test_budget_env(monkeypatch):
-    monkeypatch.setenv("STABLESQ_BUDGET", "123")
-    assert default_budget() == 123
-    monkeypatch.setenv("STABLESQ_BUDGET", "abc")
-    with pytest.raises(InvalidInputError):
-        default_budget()
-    monkeypatch.setenv("STABLESQ_BUDGET", "0")
-    with pytest.raises(InvalidInputError):
-        default_budget()
-    monkeypatch.delenv("STABLESQ_BUDGET")
-    assert default_budget() == 10_000_000
 
 
 def test_bound_helpers():

@@ -364,14 +364,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    results = conjecture_scan(
-        args.n, args.d, args.k, trials=args.trials, seed=args.seed
+    return _print_results(
+        conjecture_scan(args.n, args.d, args.k, trials=args.trials, seed=args.seed)
     )
-    if not results:
-        raise InvalidInputError(
-            "no cells to scan: need 1 <= k <= min(d-1, n-1, 2) and n >= 3"
-        )
-    return _print_results(results)
 
 
 # ---------------------------------------------------------------------------

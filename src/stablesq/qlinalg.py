@@ -22,7 +22,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
 from operator import add, mul
 
@@ -103,6 +103,8 @@ def _integer_rref(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     pivots: list[int] = []
     cursor = 0
     for col in range(q):
+        if cursor == len(mat):  # every row holds a pivot
+            break
         sel = next((i for i in range(cursor, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
@@ -350,7 +352,8 @@ def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
     the degree-d columns under order.  n and d are checked first; a
     monomial dict is placed by its checked keys, any other iterable is
     read in column order, every coefficient goes through `_coefficient`
-    unless all are ints, and the length must be the column count."""
+    unless all are already ints or Fractions, and the length must be the
+    column count."""
     q = dim_component(n, d)
     if isinstance(vector, dict):
         idx = _column_index(n, d, order)
@@ -359,7 +362,7 @@ def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
             out[idx[exponent_tuple(key, n, d)]] = val
     else:
         out = list(vector)
-    if not _all_int(out):
+    if not _EXACT.issuperset(map(type, out)):
         out = [_coefficient(x) for x in out]
     if len(out) != q:
         raise InvalidInputError(f"coefficient vector has length {len(out)}, expected {q}")
@@ -598,41 +601,51 @@ def _divides(g: list[int], c) -> bool:
     return c0 * g1 == c1 * g0 and c0 * g2 == c2 * g0 and c1 * g2 == c2 * g1
 
 
-def _pencil_minors(A: list[list[int]], B: list[list[int]]):
-    """The nonzero 2x2 minors of s*A + t*B, generated one at a time.
+def _rank_one(A: list[list[int]], i: int, k: int) -> bool:
+    """Whether A, with A[i][k] != 0, has rank 1: whether every row j is
+    A[j][k] / A[i][k] times row i, that is a*A[j][l] = A[j][k]*A[i][l]."""
+    a, Ai = A[i][k], A[i]
+    for Aj in A:
+        f = Aj[k]
+        if any(a * x != f * y for x, y in zip(Aj, Ai)):
+            return False
+    return True
 
-    Each is the triple (c0, c1, c2) of its coefficients of s^2, s*t, t^2.
-    """
-    q = len(A[0])
-    for i, j in combinations(range(len(A)), 2):
-        Ai, Aj, Bi, Bj = A[i], A[j], B[i], B[j]
-        for k, l in combinations(range(q), 2):
-            c0 = Ai[k] * Aj[l] - Ai[l] * Aj[k]
-            c1 = Ai[k] * Bj[l] + Bi[k] * Aj[l] - Ai[l] * Bj[k] - Bi[l] * Aj[k]
-            c2 = Bi[k] * Bj[l] - Bi[l] * Bj[k]
-            if c0 or c1 or c2:
-                yield c0, c1, c2
+
+def _pivot(row: list[int], n: int, d: int, order: MonomialOrder) -> tuple[int, int]:
+    """(i, k) with the leading monomial M of row equal to x_i times column k
+    of degree d - 1, for the first variable x_i of M; the catalecticant of
+    the row is nonzero at [i][k]."""
+    c = next(c for c, x in enumerate(row) if x)
+    i, k, _ = _catalecticant_plan(n, d, order)[c][0]
+    return i, k
 
 
 def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     """Whether a span of dimension at most 2 contains a d-th power.
 
     A nonzero form is a power of a linear form exactly when its first
-    catalecticant has rank at most 1.  For a pencil s*f + t*g the 2x2
-    minors are binary quadratics in (s, t); some member has rank at most
-    1 exactly when the minors share a projective root, which is decided
+    catalecticant has rank at most 1, which is tested along one nonzero
+    pivot entry: every other row must be proportional to the pivot's row.
+    The span is reduced to primitive integer rows r0, r1, and the pivot
+    (i, k) is taken at the leading monomial of r0, where the catalecticant
+    A of r0 is nonzero and the catalecticant B of r1 is zero.  So A + u*B
+    has the pivot entry A[i][k] for every u, and it has rank at most 1
+    exactly when its pivot minors, one quadratic in Z[u] per other row and
+    column, vanish at u.  The pencil holds a power exactly when B has rank at most 1 (the
+    member at u = infinity) or those minors share a root, which is decided
     exactly over the integers by a gcd computation.  The minors are formed
-    one at a time and the scan stops as soon as the answer is known.  A
-    minor that the current gcd already divides is not folded: the gcd
-    cannot change.  The catalecticants of the primitive integer reduced
-    rows are built from the cached per-(n, d) plan of partial derivatives.
+    one at a time and the scan returns False once the gcd is a nonzero
+    constant; a minor that the current gcd already divides is not folded.
     """
     rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
     return _reduced_power(rows, n, d, order)
 
 
 def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder = LEX) -> bool:
-    """`power_in_span` on the primitive integer rows of `_integer_rref`."""
+    """`power_in_span` on at most two reduced integer rows: each row's
+    leading column is zero in the other row, as `_integer_rref` and
+    `_kernel` return them."""
     if not rows:
         return False
     if d == 1:
@@ -643,23 +656,29 @@ def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder =
         )
     # scaling a generator does not change which members are powers
     A, *rest = (_catalecticant(r, n, d, order) for r in rows)
+    i, k = _pivot(rows[0], n, d, order)
     if not rest:
-        # rank at most 1 exactly when every 2x2 minor vanishes
-        zero = [[0] * len(A[0])] * n
-        return next(_pencil_minors(A, zero), None) is None
+        return _rank_one(A, i, k)
+    B = rest[0]
+    if _rank_one(B, *_pivot(rows[1], n, d, order)):
+        return True
+    # B[i][k] == 0, so (A + u*B)[i][k] = a for every u; the pivot minors of
+    # row j are a*(A + u*B)[j][l] - (A + u*B)[i][l] * (A + u*B)[j][k]
+    a, Ai, Bi = A[i][k], A[i], B[i]
     g: list[int] = []
-    top = False
-    for c in _pencil_minors(A, rest[0]):
-        # a multiple of g leaves the gcd, and so its degree, unchanged
-        if not g or (len(g) > 1 and not _divides(g, c)):
-            g = _primitive_gcd(g, c)
-        # a minor with c2 != 0 rules out the common root (s, t) = (0, 1), so
-        # a constant gcd leaves no common root at all
-        top = top or c[2] != 0
-        if top and len(g) == 1:
-            return False
-    # no nonzero minor (every member is a power), a common root at (0, 1),
-    # or a gcd of positive degree
+    for j in range(n):
+        if j == i:
+            continue
+        Aj, Bj = A[j], B[j]
+        f, h = Aj[k], Bj[k]
+        for x, y, p, r in zip(Aj, Bj, Ai, Bi):
+            c = (a * x - p * f, a * y - p * h - r * f, -r * h)
+            # a multiple of g leaves the gcd, and so its degree, unchanged
+            if any(c) and (not g or (len(g) > 1 and not _divides(g, c))):
+                g = _primitive_gcd(g, c)
+                if len(g) == 1:  # no u makes every pivot minor vanish
+                    return False
+    # every pivot minor vanishes identically, or they share a root
     return True
 
 

@@ -22,9 +22,10 @@ from .errors import InvalidInputError
 from .gram import face_gap, face_profile, nonsingular_face_bound, singular_face_dim
 from .macaulay import gotzmann_persists, green_restriction_bound, macaulay_growth_bound
 from .monomial import (
-    _basis_tuples, _power_free, dim_component, expand, monomial_to_text, multiply, pivot
+    LEX, _basis_tuples, _power_free, dim_component, expand, monomial_to_text, multiply, pivot
 )
 from .qlinalg import (
+    _column_index,
     _integer_rref,
     _reduced_power,
     _restriction,
@@ -1016,8 +1017,10 @@ def conjecture_scan(
     monomial span power-free, except for the known exceptional shape
     x_a^(d-1) * (variables) at n = k + 1.
 
-    Exact for k <= 2 via catalecticant minors; a cell where some span
-    violates this reports a failing CheckResult.
+    Exact for k <= 2 via the rank-one test of each restricted member's
+    catalecticant along one pivot entry; a cell where some span violates
+    this reports a failing CheckResult.  A grid with no cell to scan is
+    refused, since a scan of no cell passes nothing.
     """
     out = []
     for n in n_values:
@@ -1027,13 +1030,17 @@ def conjecture_scan(
                     continue
                 t = _Tally(SuiteOptions(seed=seed))
                 rng = t.rng(f"conjecture:{n}:{d}:{k}")
+                # each monomial as the int unit vector of its column, which
+                # the restriction takes without re-checking the monomial
+                q, index = dim_component(n, d), _column_index(n, d, LEX)
+                unit = {M: [int(c == index[M]) for c in range(q)] for M in _power_free(n, d)}
                 for W in combinations(_power_free(n, d), k):
 
                     def restrict() -> list:
                         l = [rng.randint(-9, 9) for _ in range(n - 1)]
                         l.append(rng.choice((1, -1)) * rng.randint(1, 9))
                         # the reduced rows of the restricted span, built once
-                        return _integer_rref([_restriction({M: 1}, n, d, l)[0] for M in W])[0]
+                        return _integer_rref([_restriction(unit[M], n, d, l)[0] for M in W])[0]
 
                     t.case()
                     restricted = t.redraw(
@@ -1048,6 +1055,10 @@ def conjecture_scan(
                         names = ",".join(map(monomial_to_text, W))
                         t.fail(f"span({names}) restricted to a power every time")
                 out.append(t.result(f"restriction-power-free-n{n}-d{d}-k{k}"))
+    if not out:
+        raise InvalidInputError(
+            "no cells to scan: need 1 <= k <= min(d-1, n-1, 2) and n >= 3"
+        )
     return out
 
 

@@ -34,6 +34,7 @@ from stablesq.qlinalg import (
     _primitive_gcd,
     _product_columns,
     _rank_mod_p,
+    _reduced_power,
     _restriction,
     apolar_dual,
     apolar_perp,
@@ -1358,6 +1359,98 @@ def test_power_in_span_matches_fraction_detection(kind, data):
     assert got == fraction_power_in_span(vectors, n, d)
     if planted:
         assert got is True
+
+
+def pencil_minors(A: list[list[int]], B: list[list[int]]):
+    """The nonzero 2x2 minors of s*A + t*B, generated one at a time.
+
+    Each is the triple (c0, c1, c2) of its coefficients of s^2, s*t, t^2.
+    """
+    q = len(A[0])
+    for i, j in combinations(range(len(A)), 2):
+        Ai, Aj, Bi, Bj = A[i], A[j], B[i], B[j]
+        for k, l in combinations(range(q), 2):
+            c0 = Ai[k] * Aj[l] - Ai[l] * Aj[k]
+            c1 = Ai[k] * Bj[l] + Bi[k] * Aj[l] - Ai[l] * Bj[k] - Bi[l] * Aj[k]
+            c2 = Bi[k] * Bj[l] - Bi[l] * Bj[k]
+            if c0 or c1 or c2:
+                yield c0, c1, c2
+
+
+def all_minors_power(rows: list[list[int]], n: int, d: int, order=LEX) -> bool:
+    """Power detection over every 2x2 minor of the catalecticant, which
+    needs no pivot and so no reduced rows.
+
+    For a pencil s*A + t*B the minors are binary quadratics in (s, t),
+    folded into one gcd in Z[u]; a minor with a nonzero t^2 coefficient
+    rules out the common root (0, 1), so a constant gcd then leaves no
+    common root at all.
+    """
+    if not rows:
+        return False
+    if d == 1:
+        return True
+    A, *rest = (_catalecticant(r, n, d, order) for r in rows)
+    if not rest:
+        zero = [[0] * len(A[0])] * n
+        return next(pencil_minors(A, zero), None) is None
+    g: list[int] = []
+    top = False
+    for c in pencil_minors(A, rest[0]):
+        if not g or (len(g) > 1 and not _divides(g, c)):
+            g = _primitive_gcd(g, c)
+        top = top or c[2] != 0
+        if top and len(g) == 1:
+            return False
+    return True
+
+
+@st.composite
+def reduced_power_cases(draw):
+    """(rows, n, d, order): the reduced integer rows of a span of every
+    POWER_CASES kind, or the apolar dual of a `base_point_cases` subspace
+    of codimension at most 2 or of a dense one of codimension 2 (a pencil
+    that mostly holds no power), under lex, grlex or block:1.  The pivot
+    of the rank-one test depends on the column order."""
+    source = draw(st.sampled_from(("powers", "dual", "dense dual")))
+    if source == "dual":
+        U = draw(base_point_cases().filter(lambda U: U.codim <= 2))
+        return apolar_dual(U), U.n, U.d, U.order
+    if source == "dense dual":
+        n, d, seed = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(0, 10**6))
+        order = draw(st.sampled_from(PRODUCT_ORDERS))
+        return apolar_dual(random_subspace(n, d, 2, random.Random(seed), 3, order)), n, d, order
+    vectors, n, d, _ = draw(power_cases(draw(st.sampled_from(POWER_CASES))))
+    order = draw(st.sampled_from(PRODUCT_ORDERS if n > 1 else PRODUCT_ORDERS[:2]))
+    rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
+    return rows, n, d, order
+
+
+@given(reduced_power_cases())
+# x^3 + x*y^2 + u*y^3 is a cube only at u = infinity: the second reduced row
+@example(([[1, 0, 1, 0], [0, 0, 0, 1]], 2, 3, LEX))
+# the reduced rows of (x + y)^3 and (x - y)^3: two powers, a gcd of degree 2
+@example(([[1, 0, 3, 0], [0, 3, 0, 1]], 2, 3, LEX))
+# (y + z)^4 and (y - z)^4 under block:1: the pivot sits at y^4, off the first variable
+@example((
+    _integer_rref(
+        [_as_vector(power_of(L, 4), 3, 4, MonomialOrder.block(1)) for L in ((0, 1, 1), (0, 1, -1))]
+    )[0],
+    3,
+    4,
+    MonomialOrder.block(1),
+))
+# x^2*y and x*y^2 span no cube
+@example(([[0, 1, 0, 0], [0, 0, 1, 0]], 2, 3, LEX))
+# single forms: every linear form is a power; (x + 2y)^2 and (x + y + z)^2
+# are powers, x*y is not
+@example(([[1, 2]], 2, 1, LEX))
+@example(([[1, 4, 4]], 2, 2, LEX))
+@example(([[0, 1, 0]], 2, 2, LEX))
+@example(([[1, 2, 2, 1, 2, 1]], 3, 2, GRLEX))
+def test_pivot_power_test_matches_every_minor(case):
+    rows, n, d, order = case
+    assert _reduced_power(rows, n, d, order) == all_minors_power(rows, n, d, order)
 
 
 def test_coefficient_passes_exact_numbers_through():

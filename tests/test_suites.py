@@ -96,11 +96,13 @@ def test_exhausted_resampling_fails(monkeypatch):
 
 
 def test_conjecture_scan_cell_filter():
-    # k outside 1..min(d-1, n-1, 2) yields no cells
-    assert conjecture_scan([3], [3], [3]) == []
-    assert conjecture_scan([2], [3], [1]) == []
-    results = conjecture_scan([3], [3], [1], trials=2, seed=1)
-    assert len(results) == 1
+    # k outside 1..min(d-1, n-1, 2) yields no cell, and a grid of no cell
+    # is refused by the library, not read as a pass
+    for grid in (([3], [3], [3]), ([2], [3], [1]), ([], [3], [1])):
+        with pytest.raises(InvalidInputError, match="no cells to scan"):
+            conjecture_scan(*grid)
+    results = conjecture_scan([3], [3], [1, 3], trials=2, seed=1)
+    assert [r.name for r in results] == ["restriction-power-free-n3-d3-k1"]
     assert results[0].passed
 
 

@@ -8,9 +8,10 @@ exception, see `MonomialOrder.block`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import accumulate
 from math import comb
 from typing import Iterator
 
@@ -83,10 +84,24 @@ class MonomialOrder:
     splits the variables into x_1..x_m and the rest and applies grlex to
     each block under the opposite convention x_1 > x_2 > ... > x_n, so a
     monomial heavy in early variables sorts high.
+
+    Orders key the library's lru caches, so the hash is computed once.  A
+    string hashes differently in another process, so unpickling computes
+    it again.
     """
 
     kind: str
     split: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.split)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return MonomialOrder, (self.kind, self.split)
 
     @staticmethod
     def lex() -> "MonomialOrder":
@@ -188,25 +203,18 @@ def multiply(M, T) -> tuple[int, ...]:
     return tuple(a + b for a, b in zip(M, T))
 
 
-def divisors_of_degree(T, d: int) -> Iterator[tuple[int, ...]]:
-    """Yield the degree-d monomials dividing T, as raw exponent tuples."""
-    n = len(T)
-
-    def rec(pos: int, remaining: int, acc: list[int]):
-        if pos == n:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        tail_cap = sum(T[pos:])
-        if remaining > tail_cap:
-            return
-        for e in range(min(T[pos], remaining) + 1):
-            acc.append(e)
-            yield from rec(pos + 1, remaining - e, acc)
-            acc.pop()
-
-    if 0 <= d <= sum(T):
-        yield from rec(0, d, [])
+def divisors_of_degree(T, d: int) -> list[tuple[int, ...]]:
+    """The degree-d monomials dividing T, as raw exponent tuples, in
+    ascending tuple order (by the exponent of x_1 first)."""
+    if not 0 <= d <= sum(T):
+        return []
+    # after[i]: the degree left in T past position i, which bounds from
+    # below what position i must take
+    after = list(accumulate(reversed(T)))[-2::-1] + [0]
+    level = [((), d)]
+    for t, a in zip(T, after):
+        level = [(p + (e,), r - e) for p, r in level for e in range(max(0, r - a), min(t, r) + 1)]
+    return [p for p, _ in level]
 
 
 def ranked_classes(n: int, total: int, d: int) -> Iterator[tuple[int, tuple[int, ...]]]:

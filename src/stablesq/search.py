@@ -17,7 +17,7 @@ from math import comb
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import _power_free, dim_component
 from . import stable, tables
-from .stable import enumerate_strongly_stable, extremal_complement
+from .stable import _stable_complements, extremal_complement
 from .subspace import MonomialSubspace, square_index
 
 @dataclass(frozen=True)
@@ -44,7 +44,12 @@ class SearchResult:
 def compute_m(
     n: int, d: int, k: int, budget: int | None = None, witness_cap: int = 64
 ) -> SearchResult:
-    """Exact m(n, d, k) by exhausting strongly stable subspaces."""
+    """Exact m(n, d, k) by exhausting strongly stable subspaces.
+
+    The complements come from the enumeration's generator, in its order,
+    and are scored by `SquareIndex.codim_square`; a MonomialSubspace is
+    built only for a complement kept as a witness.
+    """
     if d < 1:
         raise InvalidInputError(f"need d >= 1, got d={d}")
     dim = dim_component(n, d)
@@ -55,15 +60,15 @@ def compute_m(
     count = 0
     witnesses: list[MonomialSubspace] = []
     searched = 0
-    for U in enumerate_strongly_stable(n, d, k, budget=budget):
+    for C in _stable_complements(n, d, k, budget):
         searched += 1
-        c = idx.codim_square(U.complement)
+        c = idx.codim_square(C)
         if c > best:
             best, count, witnesses = c, 0, []
         if c == best:
             count += 1
             if len(witnesses) < witness_cap:
-                witnesses.append(U)
+                witnesses.append(MonomialSubspace._built(n, d, C))
     return SearchResult(
         n, d, k, best, count, tuple(witnesses), "strongly-stable", searched
     )

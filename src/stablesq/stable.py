@@ -47,10 +47,11 @@ def is_strongly_stable(U: MonomialSubspace) -> bool:
     return True
 
 
-def enumerate_strongly_stable(
+def _stable_complements(
     n: int, d: int, k: int, budget: int | None = None
-) -> list[MonomialSubspace]:
-    """All strongly stable subspaces of codimension k in degree d.
+) -> Iterator[list[tuple[int, ...]]]:
+    """The complements of the strongly stable subspaces of codimension k in
+    degree d, each a new list in ascending lex order.
 
     Complements are grown one monomial at a time in ascending lex order.
     Every prefix of a complement listed this way is itself closed under
@@ -58,8 +59,16 @@ def enumerate_strongly_stable(
     larger complement is reachable by one adjacent up move from the
     prefix, so the search tree hits each complement exactly once.
 
-    Out-of-range k yields an empty list.  The budget (DEFAULT_BUDGET
-    when None) bounds the number of search nodes; exceeding it raises
+    The candidates of a node are the down-closed adjacent up moves of its
+    members that come after its last member.  A child's are its parent's
+    that come after the new member c, plus the down-closed up moves of c:
+    an up move of another member that only c closes has c as a down move,
+    so it is an up move of c.  The search runs on reversed exponent tuples,
+    whose tuple order is the lex order; an up move of t is a down move of
+    its reversal, and the other way round.
+
+    Out-of-range k yields nothing.  The budget (DEFAULT_BUDGET when None)
+    bounds the number of search nodes; exceeding it raises
     BudgetExceededError.
     """
     if n < 1 or d < 0:
@@ -67,48 +76,53 @@ def enumerate_strongly_stable(
     if budget is None:
         budget = DEFAULT_BUDGET
     if k < 0 or k > dim_component(n, d):
-        return []
+        return
     if k == 0:
-        return [MonomialSubspace.full(n, d)]
-    if d == 0:
-        return [MonomialSubspace.zero(n, d)] if k == 1 else []
+        yield []
+        return
+    if d == 0:  # so k == 1: the zero space, found without a search
+        yield [(0,) * n]
+        return
 
-    results: list[MonomialSubspace] = []
-    root = (d,) + (0,) * (n - 1)
-    nodes = 0
+    chosen, members = [], set()
+    nodes = found = 0
 
-    def lexkey(t: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(reversed(t))
-
-    def grow(chosen: list[tuple[int, ...]], members: set[tuple[int, ...]]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"enumeration for n={n}, d={d}, k={k} exceeded budget {budget} "
-                f"(at least {len(results)} subspaces found in {nodes} nodes)",
-                seen=nodes,
-            )
-        if len(chosen) == k:
-            results.append(MonomialSubspace._built(n, d, chosen))
-            return
-        last = lexkey(chosen[-1])
-        candidates = set()
-        for t in chosen:
-            for up in _adjacent_up_moves(t):
-                if up in members or lexkey(up) <= last:
-                    continue
-                if all(down in members for down in _adjacent_down_moves(up)):
-                    candidates.add(up)
-        for cand in sorted(candidates, key=lexkey):
-            members.add(cand)
-            chosen.append(cand)
-            grow(chosen, members)
+    def grow(candidates: list[tuple[int, ...]]):
+        nonlocal nodes, found
+        for i, c in enumerate(candidates):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"enumeration for n={n}, d={d}, k={k} exceeded budget {budget} "
+                    f"(at least {found} subspaces found in {nodes} nodes)",
+                    seen=nodes,
+                )
+            chosen.append(c)
+            if len(chosen) == k:
+                found += 1
+                yield [r[::-1] for r in chosen]
+            else:
+                members.add(c)
+                ups = [
+                    u
+                    for u in _adjacent_down_moves(c)
+                    if all(v in members for v in _adjacent_up_moves(u))
+                ]
+                yield from grow(sorted(candidates[i + 1 :] + ups))
+                members.discard(c)
             chosen.pop()
-            members.discard(cand)
 
-    grow([root], {root})
-    return results
+    root = (0,) * (n - 1) + (d,)
+    yield from grow([root])
+
+
+def enumerate_strongly_stable(
+    n: int, d: int, k: int, budget: int | None = None
+) -> list[MonomialSubspace]:
+    """All strongly stable subspaces of codimension k in degree d, in the
+    order of `_stable_complements`, which also bounds the search by the
+    budget."""
+    return [MonomialSubspace._built(n, d, C) for C in _stable_complements(n, d, k, budget)]
 
 
 def extremal_complement(n: int, d: int, k: int) -> list[tuple[int, ...]]:

@@ -286,9 +286,9 @@ class SquareIndex:
     (a pair may be a single self-paired monomial).  T lies outside U^2
     exactly when every pair meets the complement C of U, so T can only be
     missing when its divisor count is at most twice the codimension.  Any
-    one pair of a missing T meets C, so a query lists as candidates the T
-    with a chosen pair meeting C and at most 2|C| divisors, and checks
-    their other pairs.  The two queries choose the pair differently.
+    one pair of a missing T meets C, so a query needs only the T with a
+    chosen pair meeting C and at most 2|C| divisors.  The two queries
+    choose that pair differently.
 
     `missing` walks the exponent classes.  The divisor count of T depends
     only on its sorted exponents, so the index ranks the exponent classes
@@ -310,15 +310,31 @@ class SquareIndex:
     {M, T/M}, with |M_i - (T/M)_i| <= 1 for every i: at the odd exponents
     of T the extra unit goes to M at the first half of them, in index
     order, and to T/M at the rest.  The T listed under a monomial are
-    found on its first query (`_balanced_owners`), and the pairs of a T
-    are built on its first check, from the divisors of its class.
+    found on its first query (`_balanced_owners`).  A T listed for the
+    first time gets the next bit of the index (`_enter`).  For each
+    degree-d divisor M of T the bit goes into slot j of M, where j numbers
+    the pair {M, T/M}: the divisors of T's class, in ascending order, pair
+    the i-th with the i-th from the end, in slot min(i, last - i).  It
+    also goes into `_bypairs[p]`, p the number of pairs of T.  A query
+    for C, with k = |C|, then reads
+        hit_j = OR of slot j over c in C, for j < k,
+        S_j = OR of `_bypairs[p]` over p <= j, the T with no slot j,
+        codim U^2 = number of bits of (AND over j < k of (hit_j | S_j)) & S_k.
+    This is exact whatever earlier queries listed.  A T outside U^2 has its
+    balanced pair hit, so it is listed and has a bit, and it needs every
+    pair hit; a T with more than 2k divisors has more than k pairs and
+    drops out through S_k.  The divisors of T are not kept once its bits
+    are set.
 
     The selection is by operation.  `codim_square` serves `compute_m`,
     whose complements are strongly stable: they sit at the top of the
     Borel order and rarely meet a balanced pair.  Over the reference table
-    its 1,511 queries list 85,790 candidates and pair 3,605 T, where the
-    class walk lists 225,104 and pairs 19,335, and the `table` benchmark's
-    wall_s falls from 0.61 to 0.32 s (BENCH_balanced-owners.json).
+    its 1,511 queries give bits to 3,605 T, where the class walk lists
+    225,104 and pairs 19,335.  Listing them under balanced pairs took the
+    `table` benchmark's wall_s from 0.61 to 0.32 s
+    (BENCH_balanced-owners.json).  Reading each answer off the bits instead
+    of checking the pairs of every listed T, 85,790 listings of which 70%
+    are outside U^2, took it on to 0.182 s (BENCH_square-bits.json).
     `missing` serves `square`, on arbitrary complements, which touch
     almost every T: there the lazy build lands on many operations instead
     of a few, and sending `square` through the balanced listing moved the
@@ -328,7 +344,7 @@ class SquareIndex:
 
     __slots__ = (
         "n", "d", "entries", "_walk", "_next", "_ranked", "_ends", "_canon", "_owners",
-        "_balanced", "_pairs", "_columns",
+        "_balanced", "_columns", "_bits", "_slots", "_bypairs",
     )
 
     def __init__(self, n: int, d: int):
@@ -348,11 +364,16 @@ class SquareIndex:
         self._ends: list[int] = []
         self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._owners: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
-        # the lazy side of codim_square: per monomial its balanced owners,
-        # per T its pairs, per exponent class the columns of its divisors
-        self._balanced: dict[tuple[int, ...], tuple[list[int], list]] = {}
-        self._pairs: dict[tuple[int, ...], tuple] = {}
-        self._columns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # the lazy side of codim_square: per monomial its balanced owners;
+        # per exponent class the columns of its divisors and their slots;
+        # the T with a bit, the i-th entered having bit 1 << i; per monomial
+        # M, by slot j, the bits of the T with M in slot j; and per pair
+        # count, the bits of the T with that many pairs
+        self._balanced: dict[tuple[int, ...], list] = {}
+        self._columns: dict[tuple[int, ...], tuple[list, list[int]]] = {}
+        self._bits: set[tuple[int, ...]] = set()
+        self._slots: dict[tuple[int, ...], list[int]] = {}
+        self._bypairs: list[int] = []
 
     def _rank(self, count: int) -> list:
         """The ranked groups, after ranking every class with at most `count`
@@ -440,47 +461,63 @@ class SquareIndex:
         entries = self.entries
         return [entries[p][0] for p in sorted(self._hits(complement))]
 
-    def _balanced_owners(self, c: tuple[int, ...]) -> tuple[list[int], list]:
-        """(counts, owners): the T whose balanced pair holds c, in ascending
-        divisor count, and their counts.
+    def _balanced_owners(self, c: tuple[int, ...]) -> list:
+        """[counts, owners, 0]: the T whose balanced pair holds c, in
+        ascending divisor count, and their counts; the last place is for
+        the number of owners that have a bit.
 
         Such a T is 2c - 1 on a set `down` inside the support of c, 2c + 1
         on a set `up` of the same size disjoint from it, and 2c elsewhere;
         c is the first member of the pair when `down` precedes `up` in
         index order, and the second when it follows it."""
-        cached = self._balanced.get(c)
-        if cached is None:
-            n = self.n
-            double = [2 * e for e in c]
-            owners = [tuple(double)]
-            support = [i for i in range(n) if c[i]]
-            for j in range(1, len(support) + 1):
-                for down in combinations(support, j):
-                    after, before = range(down[-1] + 1, n), range(down[0])
-                    for up in chain(combinations(after, j), combinations(before, j)):
-                        T = double[:]
-                        for i in down:
-                            T[i] -= 1
-                        for i in up:
-                            T[i] += 1
-                        owners.append(tuple(T))
-            ranked = sorted((count_divisors(T, self.d), T) for T in owners)
-            cached = self._balanced[c] = ([k for k, _ in ranked], [T for _, T in ranked])
-        return cached
+        n = self.n
+        double = [2 * e for e in c]
+        owners = [tuple(double)]
+        support = [i for i in range(n) if c[i]]
+        for j in range(1, len(support) + 1):
+            for down in combinations(support, j):
+                after, before = range(down[-1] + 1, n), range(down[0])
+                for up in chain(combinations(after, j), combinations(before, j)):
+                    T = double[:]
+                    for i in down:
+                        T[i] -= 1
+                    for i in up:
+                        T[i] += 1
+                    owners.append(tuple(T))
+        ranked = sorted((count_divisors(T, self.d), T) for T in owners)
+        return [[k for k, _ in ranked], [T for _, T in ranked], 0]
 
-    def _pairs_of(self, T: tuple[int, ...]) -> tuple:
-        """The pairs of T, built from the divisors of its exponent class."""
-        pairs = self._pairs.get(T)
-        if pairs is None:
-            lam = tuple(sorted(T))
-            columns = self._columns.get(lam)
-            if columns is None:
-                columns = self._columns[lam] = list(zip(*divisors_of_degree(lam, self.d)))
-            # s[i] is the place of T[i] among the sorted exponents
-            order = sorted(range(self.n), key=T.__getitem__)
-            s = sorted(range(self.n), key=order.__getitem__)
-            pairs = self._pairs[T] = self._paired(columns, s)
-        return pairs
+    def _enter(self, T: tuple[int, ...]) -> None:
+        """Give T the next bit, and set it in the slot of each divisor M for
+        the pair {M, T/M} and in the mask of T's pair count."""
+        bit = 1 << len(self._bits)
+        self._bits.add(T)
+        lam = tuple(sorted(T))
+        cached = self._columns.get(lam)
+        if cached is None:
+            divisors = divisors_of_degree(lam, self.d)
+            # M -> lam/M reverses the order of the divisors, so the i-th
+            # pairs with the i-th from the end, in slot min(i, last - i)
+            last = len(divisors) - 1
+            slot_of = [min(i, last - i) for i in range(last + 1)]
+            cached = self._columns[lam] = (list(zip(*divisors)), slot_of)
+        columns, slot_of = cached
+        # s[i] is the place of T[i] among the sorted exponents, so the
+        # divisors of T are those of lam, permuted by s
+        order = sorted(range(self.n), key=T.__getitem__)
+        s = sorted(range(self.n), key=order.__getitem__)
+        rows = self._slots
+        for M, j in zip(zip(*map(columns.__getitem__, s)), slot_of):
+            row = rows.get(M)
+            if row is None:
+                row = rows[M] = []
+            if len(row) <= j:
+                row += [0] * (j + 1 - len(row))
+            row[j] |= bit
+        bypairs, pairs = self._bypairs, (len(slot_of) + 1) // 2
+        if len(bypairs) <= pairs:
+            bypairs += [0] * (pairs + 1 - len(bypairs))
+        bypairs[pairs] |= bit
 
     def codim_square(self, complement) -> int:
         """Number of degree-2d monomials outside U^2, for U with this complement.
@@ -490,23 +527,41 @@ class SquareIndex:
         palindromic unimodal product summing to at least 2^|supp c|, is
         over 2|C| when 2^|supp c| > (2d + 1) 2|C|.  Such a c lists no T,
         and its owners are not built to find that out."""
-        top = 2 * len(complement)
+        k = len(complement)
+        top = 2 * k
         wide = (2 * self.d + 1) * top
-        listed = set()
+        balanced, bits = self._balanced, self._bits
         for c in complement:
-            if c not in self._balanced and 1 << (self.n - c.count(0)) > wide:
-                continue
-            counts, owners = self._balanced_owners(c)
-            listed.update(owners[: bisect_right(counts, top)])
-        # the pair check of _hits, on pairs built as T is first checked
-        missing = 0
-        for T in listed:
-            for M, N in self._pairs_of(T):
-                if M not in complement and N not in complement:
-                    break
-            else:
-                missing += 1
-        return missing
+            owned = balanced.get(c)
+            if owned is None:
+                if 1 << (self.n - c.count(0)) > wide:
+                    continue
+                owned = balanced[c] = self._balanced_owners(c)
+            counts, owners, entered = owned
+            end = bisect_right(counts, top)
+            if end > entered:
+                for T in owners[entered:end]:
+                    if T not in bits:
+                        self._enter(T)
+                owned[2] = end
+        # hit[j]: the T whose pair in slot j meets C
+        hit = [0] * k
+        slots = self._slots
+        for c in complement:
+            row = slots.get(c)
+            if row:
+                for j, mask in enumerate(row[:k]):
+                    hit[j] |= mask
+        # fewer: the T with at most j pairs, which have no pair in slot j;
+        # with bypairs[k] it holds the T with at most 2|C| divisors
+        bypairs = self._bypairs
+        if len(bypairs) <= k:
+            bypairs += [0] * (k + 1 - len(bypairs))
+        out, fewer = -1, 0
+        for j in range(k):
+            fewer |= bypairs[j]
+            out &= hit[j] | fewer
+        return (out & (fewer | bypairs[k])).bit_count()
 
 
 @lru_cache(maxsize=4)

@@ -1,10 +1,16 @@
+import os
+import pickle
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import stablesq
 from stablesq.errors import InvalidInputError
 from stablesq.monomial import (
     GRLEX,
@@ -86,6 +92,29 @@ def test_order_parse_round_trip():
         MonomialOrder.parse("block:zero")
 
 
+def test_order_equality_and_hash():
+    # orders key lru caches: equal orders must hash alike, also after a
+    # pickle round trip and when pickled in a process with another hash seed
+    orders = (LEX, GRLEX, MonomialOrder.block(1), MonomialOrder.block(2))
+    for order in orders:
+        again = MonomialOrder.parse(order.name)
+        assert again == order and hash(again) == hash(order)
+        back = pickle.loads(pickle.dumps(order))
+        assert back == order and hash(back) == hash(order)
+    assert hash(MonomialOrder("lex")) == hash(LEX)
+    assert len(set(orders)) == len(orders)
+    assert LEX != ("lex", 0) and LEX != GRLEX
+    assert repr(MonomialOrder.block(2)) == "MonomialOrder(kind='block', split=2)"
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(Path(stablesq.__file__).parents[1]))
+    code = (
+        "import pickle, sys; from stablesq.monomial import MonomialOrder as O; "
+        "sys.stdout.buffer.write(pickle.dumps([O('lex'), O('grlex'), O('block', 2)]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    loaded, local = pickle.loads(out.stdout), [LEX, GRLEX, MonomialOrder.block(2)]
+    assert loaded == local and list(map(hash, loaded)) == list(map(hash, local))
+
+
 @given(monomials(), st.data())
 def test_multiply_quotient_inverse(M, data):
     N = data.draw(st.sampled_from(_basis_tuples(len(M), 2)))
@@ -98,12 +127,13 @@ def test_multiply_quotient_inverse(M, data):
 def test_divisors_of_degree_against_brute_force():
     for T in _basis_tuples(3, 4):
         for d in (0, 1, 2, 3, 4):
-            got = sorted(divisors_of_degree(T, d))
+            got = divisors_of_degree(T, d)
             brute = sorted(
                 m for m in _basis_tuples(3, d) if all(a <= b for a, b in zip(m, T))
             )
-            assert got == brute
+            assert got == brute  # in ascending tuple order
             assert count_divisors(T, d) == len(brute)
+        assert divisors_of_degree(T, -1) == divisors_of_degree(T, 5) == []
 
 
 def test_ranked_classes_and_arrangements_cover_the_basis():

@@ -5,6 +5,9 @@ import pytest
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import _basis_tuples, dim_component
 from stablesq.stable import (
+    _adjacent_down_moves,
+    _adjacent_up_moves,
+    _stable_complements,
     enumerate_strongly_stable,
     extend_stable,
     extremal_complement,
@@ -35,6 +38,78 @@ def test_enumeration_matches_brute_force():
         got = {U.complement for U in found}
         assert got == _brute_force(n, d, k), (n, d, k)
         assert len(found) == len(got)
+
+
+def grow_complements(n, d, k, budget=10_000_000):
+    """The former enumeration, kept as an oracle: each node rebuilds its
+    candidates from every member's up moves.  Returns the complements as
+    lists in the order found and the number of the node that found each,
+    or raises BudgetExceededError."""
+    if k < 0 or k > dim_component(n, d):
+        return [], []
+    if k == 0:
+        return [[]], []
+    if d == 0:
+        return ([[(0,) * n]], []) if k == 1 else ([], [])
+    results, leaves = [], []
+    nodes = 0
+
+    def lexkey(t):
+        return tuple(reversed(t))
+
+    def grow(chosen, members):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"enumeration for n={n}, d={d}, k={k} exceeded budget {budget} "
+                f"(at least {len(results)} subspaces found in {nodes} nodes)",
+                seen=nodes,
+            )
+        if len(chosen) == k:
+            results.append(list(chosen))
+            leaves.append(nodes)
+            return
+        last = lexkey(chosen[-1])
+        candidates = set()
+        for t in chosen:
+            for up in _adjacent_up_moves(t):
+                if up in members or lexkey(up) <= last:
+                    continue
+                if all(down in members for down in _adjacent_down_moves(up)):
+                    candidates.add(up)
+        for cand in sorted(candidates, key=lexkey):
+            members.add(cand)
+            chosen.append(cand)
+            grow(chosen, members)
+            chosen.pop()
+            members.discard(cand)
+
+    root = (d,) + (0,) * (n - 1)
+    grow([root], {root})
+    return results, leaves
+
+
+def _refusal(search, *args):
+    with pytest.raises(BudgetExceededError) as err:
+        search(*args)
+    return err.value.seen, str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumeration_matches_the_rebuilding_oracle(n):
+    # same complements in the same order, and the same refusal for a budget
+    # that trips at the root, in the middle of the search and at a leaf
+    for d in range(7):
+        for k in range(10):
+            want, leaves = grow_complements(n, d, k)
+            assert list(_stable_complements(n, d, k)) == want, (n, d, k)
+            if not leaves:
+                continue
+            # a budget one short of a leaf's node number trips at that leaf
+            for budget in (0, leaves[-1] // 2, leaves[len(leaves) // 2] - 1):
+                got = _refusal(lambda *a: list(_stable_complements(*a)), n, d, k, budget)
+                assert got == _refusal(grow_complements, n, d, k, budget), (n, d, k, budget)
 
 
 def test_enumerated_subspaces_equal_their_validated_rebuilds():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -46,6 +46,8 @@ from stablesq.subspace import (
     subspace_from_text,
     variable_quotient,
 )
+
+from test_stable import grow_complements
 
 
 def complements(n, d, max_size):
@@ -440,6 +442,40 @@ def test_codim_square_matches_scan_with_a_squarefree_member(n):
             c = tuple(int(i in support) for i in range(n))
             C = frozenset([c, *rng.sample(basis, rng.randrange(8))])
             assert idx.codim_square(C) == len(scan_missing(idx, C))
+
+
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 3), (4, 3), (5, 2)])
+def test_codim_square_answers_do_not_depend_on_earlier_queries(n, d):
+    # codim_square gives T its bit when a query first lists it; one index
+    # queried large complements first and another small ones first must
+    # each answer as a fresh index and the scan do
+    rng = random.Random(10 * n + d)
+    basis = _basis_tuples(n, d)
+    queries = [
+        frozenset(rng.sample(basis, min(size, len(basis))))
+        for size in (12, 9, 6, 4, 3, 2, 1)
+        for _ in range(2)
+    ]
+    queries += [U.complement for k in (7, 5, 3, 1) for U in enumerate_strongly_stable(n, d, k)]
+    queries.sort(key=len, reverse=True)
+    for order in (queries, queries[::-1]):
+        idx = SquareIndex(n, d)
+        for C in order:
+            want = len(scan_missing(SquareIndex(n, d), C))
+            assert idx.codim_square(C) == SquareIndex(n, d).codim_square(C) == want, C
+
+
+def test_compute_m_matches_a_scan_over_the_oracle_enumeration():
+    for n, d, k in product(range(2, 5), range(2, 5), range(1, 7)):
+        if k > dim_component(n, d):
+            continue
+        idx = SquareIndex(n, d)
+        scored = [(len(scan_missing(idx, frozenset(C))), C) for C in grow_complements(n, d, k)[0]]
+        best = max(c for c, _ in scored)
+        tops = [frozenset(C) for c, C in scored if c == best]
+        result = compute_m(n, d, k, witness_cap=3)
+        assert (result.value, result.witness_count, result.searched) == (best, len(tops), len(scored))
+        assert [U.complement for U in result.witnesses] == tops[:3]
 
 
 @pytest.mark.parametrize("n, d, k, want", [(7, 12, 3, 22), (8, 15, 4, 36)])

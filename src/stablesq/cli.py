@@ -159,8 +159,12 @@ def _emit(fmt: str, payload, header, rows, text) -> None:
 
 def _cmd_table(args) -> int:
     run = partial(verify_table, args.n, args.d, args.k, args.budget, args.diff_paper)
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # a fork-based pool starts all its workers at the first map, so it
+    # gets no more of them than there are cells or cores
+    cells = len(args.n) * len(args.d) * len(args.k)
+    workers = min(args.threads, cells, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             report = run(map=partial(pool.map, chunksize=4))
     else:
         report = run()

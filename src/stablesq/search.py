@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, product
+from itertools import product
 from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError
@@ -116,9 +116,7 @@ def compute_m0_monomial(
     `combinations` order, which is the order of the witnesses.  Each T of
     the SquareIndex counts its divisor pairs hit by the chosen monomials;
     T is outside U^2 once all are hit.  gain[c] counts the T that adding
-    c would complete, and the last level reads its choices off it.  A
-    subtree is cut when, even if each monomial still to choose completed
-    as many T as any candidate left touches, it stays below the best.
+    c would complete, and the last level reads its choices off it.
     The budget (stable.DEFAULT_BUDGET when None) bounds C(N, k).
     """
     if d < 1:
@@ -161,8 +159,6 @@ def compute_m0_monomial(
             for c, o in ((a, b), (b, a)):
                 if c < N:
                     touches[c].append((t, o))
-    # reach[i]: the most T that one candidate c >= i touches
-    reach = list(accumulate(map(len, reversed(touches)), max))[::-1]
     hit = [0] * len(need)
     chosen = [False] * (N + 1)
     gain = [0] * (N + 1)
@@ -211,8 +207,6 @@ def compute_m0_monomial(
         nonlocal best, count, wits
         if left > 1:
             for c in range(start, N - left + 1):
-                if value + left * reach[c] < best:
-                    return
                 prefix.append(c)
                 descend(c + 1, left - 1, value + add(c))
                 remove(c)

@@ -10,10 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
-from heapq import merge
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 from math import factorial, inf, prod
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
@@ -279,6 +277,16 @@ def restrict_vars(U: MonomialSubspace, m: int) -> MonomialSubspace:
     return MonomialSubspace._built(m, U.d, comp)
 
 
+def _divisor_plan(lam: tuple[int, ...], d: int) -> tuple[list, list[int]]:
+    """The columns of the degree-d divisors of the exponent class lam, in
+    ascending tuple order, and the slot of each divisor's pair."""
+    divisors = divisors_of_degree(lam, d)
+    # M -> lam/M reverses the order of the divisors, so the i-th pairs
+    # with the i-th from the end, in slot min(i, last - i)
+    last = len(divisors) - 1
+    return list(zip(*divisors)), [min(i, last - i) for i in range(last + 1)]
+
+
 class SquareIndex:
     """Cover structure that reads off U^2 for every U of degree d in n variables.
 
@@ -290,19 +298,27 @@ class SquareIndex:
     chosen pair meeting C and at most 2|C| divisors.  The two queries
     choose that pair differently.
 
-    `missing` walks the exponent classes.  The divisor count of T depends
-    only on its sorted exponents, so the index ranks the exponent classes
-    of degree 2d (the partitions of 2d into at most n parts), not the
-    monomials, and ranks a class only when a query asks for its count
-    (`ranked_classes`).  `entries` holds (T, pairs) sorted by divisor
-    count, then by T in ascending lex order, and grows a whole count at a
-    time whenever a query needs a larger count, so an answer never depends
-    on the queries asked before it.  A class is grown by splitting the
-    divisors of its sorted representative into pairs once and permuting
-    those pairs onto each arrangement T; the pairs point at one shared
-    tuple per divisor, which keeps the index small.  The first pair of an
-    entry is the class's pair of its lex-first and lex-last divisor,
-    carried to T by the arrangement (not, in general, the lex-extreme
+    Both listings pair divisors by one plan per exponent class
+    (`_divisor_plan`).  The divisor count of T depends only on its sorted
+    exponents, its class (a partition of 2d into at most n parts).  The
+    plan holds the columns of the class's degree-d divisors in ascending
+    order and the slot min(i, last - i) of the i-th: M -> lam/M reverses
+    that order, so the i-th divisor pairs with the i-th from the end.  An
+    arrangement T of the class carries the plan to T by permuting the
+    columns.  `_enter` keeps the plans it reads, since it meets a class
+    once per T; the class walk meets each class once and keeps none
+    (keeping them added 0.7 MB to the traced peak of
+    `square(MonomialSubspace.zero(6, 8))`).
+
+    `missing` serves from `entries`, grown by the class walk: it reads
+    `ranked_classes` one class at a time, in ascending divisor count, and
+    appends the entries (T, pairs) of that class's arrangements in
+    `arrangements` order, stopping before the first class with more
+    divisors than a query needs.  So `entries` is always a prefix of one
+    fixed sequence, and an answer never depends on the queries asked
+    before it.  The pairs point at one shared tuple per divisor, which
+    keeps the index small.  The first pair of an entry is its divisors in
+    the class's first and last place (not, in general, the lex-extreme
     divisors of T itself), and `_owners` lists, for each degree-d monomial
     M, the positions of the entries whose first pair holds M.
 
@@ -312,11 +328,9 @@ class SquareIndex:
     order, and to T/M at the rest.  The T listed under a monomial are
     found on its first query (`_balanced_owners`).  A T listed for the
     first time gets the next bit of the index (`_enter`).  For each
-    degree-d divisor M of T the bit goes into slot j of M, where j numbers
-    the pair {M, T/M}: the divisors of T's class, in ascending order, pair
-    the i-th with the i-th from the end, in slot min(i, last - i).  It
-    also goes into `_bypairs[p]`, p the number of pairs of T.  A query
-    for C, with k = |C|, then reads
+    degree-d divisor M of T the bit goes into the plan's slot j of M, the
+    number of the pair {M, T/M}, and into `_bypairs[p]`, p the number of
+    pairs of T.  A query for C, with k = |C|, then reads
         hit_j = OR of slot j over c in C, for j < k,
         S_j = OR of `_bypairs[p]` over p <= j, the T with no slot j,
         codim U^2 = number of bits of (AND over j < k of (hit_j | S_j)) & S_k.
@@ -339,12 +353,17 @@ class SquareIndex:
     almost every T: there the lazy build lands on many operations instead
     of a few, and sending `square` through the balanced listing moved the
     `mono-squares` benchmark's op_p50_ms from 0.03 to 0.10-0.11 ms and its
-    wall_s from 0.120 to 0.146-0.161 s.
+    wall_s from 0.120 to 0.146-0.161 s.  One listing for both lost the
+    other way round too: bits entered by the class walk for `square` took
+    `square(MonomialSubspace.zero(6, 8))` from 0.84 s and 83 MB to 3.1 s
+    and 439 MB, and the class walk feeding `codim_square` took `table`
+    from 0.18 to 0.38 s.  Entries holding divisor lists in place of pair
+    tuples raised `mono-squares` op_p50_ms by 23-33%.
     """
 
     __slots__ = (
-        "n", "d", "entries", "_walk", "_next", "_ranked", "_ends", "_canon", "_owners",
-        "_balanced", "_columns", "_bits", "_slots", "_bypairs",
+        "n", "d", "entries", "_walk", "_next", "_ends", "_canon", "_owners",
+        "_balanced", "_plans", "_bits", "_slots", "_bypairs",
     )
 
     def __init__(self, n: int, d: int):
@@ -353,73 +372,52 @@ class SquareIndex:
         self.n = n
         self.d = d
         self.entries: list[tuple[tuple[int, ...], tuple]] = []
-        # the classes in ascending divisor count; _next is the first one not
-        # yet ranked, and _ranked holds (count, classes of that count) for
-        # the counts ranked so far, ascending
+        # the class walk: _next is the (count, class) to enter next, and
+        # _ends holds (count, end in `entries`) after each class entered
         self._walk = ranked_classes(n, 2 * d, d)
         self._next = next(self._walk)
-        self._ranked: list[tuple[int, list[tuple[int, ...]]]] = []
-        # _ends[i] is the end in `entries` of the i-th ranked count, for the
-        # counts grown so far
-        self._ends: list[int] = []
+        self._ends: list[tuple[int, int]] = []
         self._canon: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._owners: defaultdict[tuple[int, ...], list[int]] = defaultdict(list)
         # the lazy side of codim_square: per monomial its balanced owners;
-        # per exponent class the columns of its divisors and their slots;
-        # the T with a bit, the i-th entered having bit 1 << i; per monomial
-        # M, by slot j, the bits of the T with M in slot j; and per pair
-        # count, the bits of the T with that many pairs
+        # per exponent class its plan; the T with a bit, the i-th entered
+        # having bit 1 << i; per monomial M, by slot j, the bits of the T
+        # with M in slot j; and per pair count, the bits of the T with that
+        # many pairs
         self._balanced: dict[tuple[int, ...], list] = {}
-        self._columns: dict[tuple[int, ...], tuple[list, list[int]]] = {}
+        self._plans: dict[tuple[int, ...], tuple[list, list[int]]] = {}
         self._bits: set[tuple[int, ...]] = set()
         self._slots: dict[tuple[int, ...], list[int]] = {}
         self._bypairs: list[int] = []
 
-    def _rank(self, count: int) -> list:
-        """The ranked groups, after ranking every class with at most `count`
-        divisors."""
-        ranked = self._ranked
-        while self._next[0] <= count:
-            c, lam = self._next
-            if ranked and ranked[-1][0] == c:
-                ranked[-1][1].append(lam)
-            else:
-                ranked.append((c, [lam]))
-            self._next = next(self._walk, (inf, None))
-        return ranked
-
-    def _paired(self, columns: list, s) -> tuple:
-        """The pairs of the arrangement T[i] = lam[s[i]] of a class lam whose
-        degree-d divisors, in ascending lex order, have these columns."""
-        intern = self._canon.setdefault
-        moved = [intern(M, M) for M in zip(*map(columns.__getitem__, s))]
-        # M -> lam/M reverses the lex order of the divisors, so the i-th
-        # divisor pairs with the i-th from the end
-        last = len(moved) - 1
-        return tuple((moved[i], moved[last - i]) for i in range(last // 2 + 1))
-
-    def _arranged(self, lam: tuple[int, ...]):
-        """The entries (T, pairs) of every rearrangement T of the class lam,
-        in ascending lex order of T."""
-        columns = list(zip(*divisors_of_degree(lam, self.d)))
-        for s in arrangements(lam):
-            yield tuple(map(lam.__getitem__, s)), self._paired(columns, s)
-
     def _grow(self, count: int) -> int:
         """Grow the index to hold every T with at most `count` degree-d
         divisors; the end of their block in `entries`."""
-        ranked, ends, entries, owners = self._rank(count), self._ends, self.entries, self._owners
-        while len(ends) < len(ranked) and ranked[len(ends)][0] <= count:
-            grown = map(self._arranged, ranked[len(ends)][1])
-            for entry in merge(*grown, key=lambda e: e[0][::-1]):
-                M, N = entry[1][0]
+        entries, owners, ends = self.entries, self._owners, self._ends
+        intern = self._canon.setdefault
+        while self._next[0] <= count:
+            c, lam = self._next
+            columns, slot_of = _divisor_plan(lam, self.d)
+            last = len(slot_of) - 1
+            half = range(last // 2 + 1)
+            # s[i] is the place of T[i] in lam, so the divisors of T are
+            # those of lam, permuted by s; they point at one shared tuple
+            # per divisor
+            for s in arrangements(lam):
+                moved = [intern(M, M) for M in zip(*map(columns.__getitem__, s))]
+                pairs = tuple((moved[i], moved[last - i]) for i in half)
+                # two of these alive at once leave holes among the pair
+                # tuples: +0.6 MB peak RSS on square(zero(6, 8))
+                del moved
+                M, N = pairs[0]
                 owners[M].append(len(entries))
                 if N is not M:
                     owners[N].append(len(entries))
-                entries.append(entry)
-            ends.append(len(entries))
-        counts = bisect_right(ranked, count, hi=len(ends), key=itemgetter(0))
-        return ends[counts - 1] if counts else 0
+                entries.append((tuple(map(lam.__getitem__, s)), pairs))
+            ends.append((c, len(entries)))
+            self._next = next(self._walk, (inf, None))
+        i = bisect_right(ends, (count, inf))
+        return ends[i - 1][1] if i else 0
 
     def entries_upto(self, count: int) -> list:
         """The entries (T, pairs) of every T with at most `count` degree-d
@@ -427,13 +425,13 @@ class SquareIndex:
         return self.entries[: self._grow(count)]
 
     def size_upto(self, count: int) -> int:
-        """Number of entries with at most `count` divisors, counted from the
-        ranked classes without growing the index."""
+        """Number of T with at most `count` divisors, counted from a fresh
+        walk of the classes, which ranks only the classes it counts and
+        their neighbours; the index does not grow."""
+        classes = ranked_classes(self.n, 2 * self.d, self.d)
         return sum(
             factorial(self.n) // prod(map(factorial, Counter(lam).values()))
-            for c, group in self._rank(count)
-            if c <= count
-            for lam in group
+            for _, lam in takewhile(lambda ranked: ranked[0] <= count, classes)
         )
 
     def _hits(self, complement) -> Iterator[int]:
@@ -493,17 +491,10 @@ class SquareIndex:
         bit = 1 << len(self._bits)
         self._bits.add(T)
         lam = tuple(sorted(T))
-        cached = self._columns.get(lam)
-        if cached is None:
-            divisors = divisors_of_degree(lam, self.d)
-            # M -> lam/M reverses the order of the divisors, so the i-th
-            # pairs with the i-th from the end, in slot min(i, last - i)
-            last = len(divisors) - 1
-            slot_of = [min(i, last - i) for i in range(last + 1)]
-            cached = self._columns[lam] = (list(zip(*divisors)), slot_of)
-        columns, slot_of = cached
+        plans = self._plans
+        columns, slot_of = plans.get(lam) or plans.setdefault(lam, _divisor_plan(lam, self.d))
         # s[i] is the place of T[i] among the sorted exponents, so the
-        # divisors of T are those of lam, permuted by s
+        # divisors of T are those of its class, permuted by s
         order = sorted(range(self.n), key=T.__getitem__)
         s = sorted(range(self.n), key=order.__getitem__)
         rows = self._slots

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stablesq
+from stablesq import cli
 from stablesq.cli import main
 from stablesq.gram import singular_face_dim
 from stablesq.monomial import monomial_to_text
@@ -55,6 +56,43 @@ def test_table_csv_and_threads(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,d,k,value,published,match"
     assert "3,2,1,3,3,True" in lines
+
+
+@pytest.mark.parametrize(
+    "threads, k, cores, workers",
+    [
+        ("100000", "1", 8, None),  # one cell: no pool
+        ("100000", "1..3", 8, 3),
+        ("100000", "1..9", 8, 8),
+        ("4", "1..9", 8, 4),
+        ("100000", "1..9", None, None),  # unknown core count: one
+    ],
+)
+def test_table_threads_cap_the_pool(capsys, monkeypatch, threads, k, cores, workers):
+    # a fake pool records its size and maps in process, so no worker
+    # process starts whatever --threads asks for
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    argv = ("table", "--n", "3", "--d", "3", "--k", k, "--diff-paper")
+    serial = run(capsys, *argv)
+    assert run(capsys, *argv, "--threads", threads) == serial
+    assert serial[0] == 0
+    assert sizes == ([] if workers is None else [workers])
 
 
 def test_m_command(capsys):

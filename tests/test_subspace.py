@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablesq import monomial
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.macaulay import HilbertFunction
 from stablesq.monomial import (
@@ -318,15 +319,42 @@ def test_square_index_matches_ranked_construction(n, d):
         count_divisors(T, d) for T in _basis_tuples(n, 2 * d)
     )
     oracle = list(ranked_square_entries(n, d, top))
+    count_of = {T: c for c, T, _ in oracle}
     idx = SquareIndex(n, d)
     for count in (1, 4, 6, 12, 18, top):
         if count > top:
             continue
-        want = [(T, pairs) for c, T, pairs in oracle if c <= count]
+        want = [(c, T, pairs) for c, T, pairs in oracle if c <= count]
+        counts = [c for c, _, _ in want]
+        listed = {(T, frozenset(pairs)) for _, T, pairs in want}
         grown = len(idx.entries)
         assert idx.size_upto(count) == len(want) and len(idx.entries) == grown
-        assert unordered(idx.entries_upto(count)) == want
-        assert unordered(SquareIndex(n, d).entries_upto(count)) == want
+        for got in (idx.entries_upto(count), SquareIndex(n, d).entries_upto(count)):
+            got = unordered(got)
+            # ascending in divisor count, and each count's entries the
+            # oracle's, in any order
+            assert [count_of[T] for T, _ in got] == counts
+            assert {(T, frozenset(pairs)) for T, pairs in got} == listed
+
+
+def test_size_upto_matches_the_listing_after_mixed_queries():
+    # square grows the class walk and codim_square the bit index, in
+    # either order on one shared index; the count stays the listing's
+    n, d = 4, 3
+    basis = _basis_tuples(n, d)
+    rng = random.Random(4)
+    square_index.cache_clear()
+    idx = square_index(n, d)
+    for i, k in enumerate((2, 5, 1, 8, 3, 13)):
+        U = MonomialSubspace(n, d, rng.sample(basis, k))
+        want = product_naive(U, U).codim
+        if i % 2:
+            assert idx.codim_square(U.complement) == want == square(U).codim
+        else:
+            assert square(U).codim == want == idx.codim_square(U.complement)
+    top = max(count_divisors(T, d) for T in _basis_tuples(n, 2 * d))
+    for count in range(top + 1):
+        assert idx.size_upto(count) == len(idx.entries_upto(count))
 
 
 def scan_missing(idx, complement):
@@ -396,20 +424,26 @@ def test_missing_after_a_larger_query_grew_the_index():
     assert len(idx.entries) == grown
 
 
-def test_budgeted_square_ranks_only_the_classes_it_counts():
+def test_budgeted_square_ranks_only_the_classes_it_counts(monkeypatch):
     # 35,251 exponent classes of degree 40 in 20 variables: a query ranks
     # only those with at most 2 codim U divisors of degree 20
     square_index.cache_clear()
     assert square(MonomialSubspace.full(20, 20), budget=10).codim == 0
     idx = square_index(20, 20)
-    assert idx._ranked == [] and idx.entries == []
+    top = (0,) * 19 + (40,)
+    assert idx._next == (1, top) and idx.entries == []
+    ranked = []
+    counted = monomial.count_divisors
+    monkeypatch.setattr(monomial, "count_divisors", lambda T, d: ranked.append(T) or counted(T, d))
     U = MonomialSubspace(20, 20, [(20,) + (0,) * 19])
     with pytest.raises(BudgetExceededError) as err:
         square(U, budget=10)
     assert err.value.seen == 400
-    top = (0,) * 19 + (40,)
-    assert idx._ranked == [(1, [top]), (2, [top[:18] + (1, 39)])]
-    assert idx.entries == []
+    # the two classes counted, x20^40 and x19 x20^39, and the neighbours
+    # of the second one move on
+    assert ranked == [top, top[:18] + (1, 39), top[:17] + (1, 1, 38), top[:18] + (2, 38)]
+    # the refusal entered nothing and left the walk where it was
+    assert idx._next == (1, top) and idx.entries == []
 
 
 def test_codim_square_lists_balanced_owners_without_growing_the_index():

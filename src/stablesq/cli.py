@@ -76,8 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, ranges=("n", "d", "k"), budget=True, fmt=True):
-        for name in ranges:
+    def add_common(p, *, budget=True, fmt=True):
+        for name in ("n", "d", "k"):
             p.add_argument(f"--{name}", type=_parse_range, required=True)
         if budget:
             p.add_argument("--budget", type=_positive_int, default=None, help=(

@@ -13,7 +13,7 @@ from math import comb
 
 from .errors import InvalidInputError
 from .monomial import dim_component
-from .search import closed_form_m, compute_m
+from .search import closed_form_m, compute_m, main_bound
 from .subspace import MonomialSubspace, square
 
 
@@ -39,28 +39,22 @@ def nonsingular_face_bound(n: int, d: int, k: int) -> int:
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
     r = dim_component(n, d) - k
-    return comb(r + 1, 2) - dim_component(n, 2 * d) + k * k + comb(k + 2, 3)
+    return comb(r + 1, 2) - dim_component(n, 2 * d) + main_bound(k)
 
 
 def singular_face_dim(n: int, d: int, k: int, budget: int | None = None) -> int:
-    """Face dimension of the extremal corank-k witness with base points."""
-    if not (1 <= k <= d - 1):
-        raise InvalidInputError(f"need 1 <= k <= d-1 = {d - 1}, got k={k}")
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got {n}")
-    r = dim_component(n, d) - k
-    if n >= k:
-        m = closed_form_m(n, d, k)
-    else:
-        m = compute_m(n, d, k, budget=budget).value
-    return comb(r + 1, 2) - dim_component(n, 2 * d) + m
+    """Face dimension of the extremal corank-k witness with base points:
+    the base point free bound with m(n, d, k) in place of main_bound(k)."""
+    bound = nonsingular_face_bound(n, d, k)
+    m = closed_form_m(n, d, k) if n >= k else compute_m(n, d, k, budget=budget).value
+    return bound - main_bound(k) + m
 
 
-def face_gap(n: int, d: int, k: int, budget: int | None = None) -> int:
+def face_gap(n: int, d: int, k: int) -> int:
     """singular_face_dim minus nonsingular_face_bound; positive gaps mean
     the largest faces of that corank only carry certificates with base
     points."""
-    return singular_face_dim(n, d, k, budget=budget) - nonsingular_face_bound(n, d, k)
+    return singular_face_dim(n, d, k) - nonsingular_face_bound(n, d, k)
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,9 @@ class FaceProfile:
     face_dim: int
 
 
-def face_profile(U: MonomialSubspace, budget: int | None = None) -> FaceProfile:
+def face_profile(U: MonomialSubspace) -> FaceProfile:
     """Face data for the face containing Gram points with row space U."""
-    sq = square(U, budget=budget)
+    sq = square(U)
     return FaceProfile(
         n=U.n,
         d=U.d,

@@ -90,11 +90,12 @@ def green_restriction_bound(h: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertFunction:
-    """Values h_0, h_1, ... of a graded quotient, starting at degree 0."""
+    """Values h_0, h_1, ... of the quotient by an ideal generated in one
+    degree, starting at degree 0; both subspace kinds build it through the
+    one degree loop `subspace._hilbert_function`."""
 
     values: tuple[int, ...]
     generated_in_degree: int
-    n: int | None = None
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]

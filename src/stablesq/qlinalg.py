@@ -25,13 +25,14 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
 from operator import add, mul
+from typing import Iterator
 
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
     LEX, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
 )
-from .subspace import MonomialSubspace, json_int
+from .subspace import MonomialSubspace, _hilbert_function, json_int
 
 PRODUCT_DIM_GUARD = 20000
 MAX_TRIES = 100  # draws before a random sampler gives up on degenerate samples
@@ -509,23 +510,21 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     return RationalSubspace._built(n, d - 1, _kernel(list(zip(*forms)), len(forms)), order)
 
 
+def _ideal_codims(U: RationalSubspace) -> Iterator[int]:
+    """The codimension of the ideal generated by U from degree d on, up to
+    the first 0; each degree is the last one times the linear forms."""
+    identity = [[int(i == j) for j in range(U.n)] for i in range(U.n)]
+    linear = RationalSubspace._built(U.n, 1, identity, U.order)
+    current = U
+    yield current.codim
+    while current.codim:
+        current = product_rational(current, linear)
+        yield current.codim
+
+
 def hilbert_function_rational(U: RationalSubspace, max_degree: int) -> HilbertFunction:
     """Hilbert function of the quotient by the ideal generated by U."""
-    if max_degree < 0:
-        raise InvalidInputError(f"need max_degree >= 0, got {max_degree}")
-    n, d, order = U.n, U.d, U.order
-    values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
-    if max_degree >= d:
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        linear = RationalSubspace._built(n, 1, identity, order)
-        current = U
-        values.append(current.codim)
-        # A_1 * A_i = A_(i+1): once a degree is filled, so is every later one
-        while len(values) <= max_degree and values[-1]:
-            current = product_rational(current, linear)
-            values.append(current.codim)
-        values += [0] * (max_degree + 1 - len(values))
-    return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
+    return _hilbert_function(U.n, U.d, max_degree, _ideal_codims(U))
 
 
 def apolar_dual(U: RationalSubspace) -> list[list[int]]:

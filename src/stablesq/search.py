@@ -242,9 +242,7 @@ class StabilityReport:
     stable: bool
 
 
-def verify_degree_stability(
-    n: int, k: int, d_values, budget: int | None = None
-) -> StabilityReport:
+def verify_degree_stability(n: int, k: int, d_values) -> StabilityReport:
     """Check that m(n, d, k) does not depend on d once d >= k."""
     ds = sorted(set(d_values))
     if not ds:
@@ -254,8 +252,8 @@ def verify_degree_stability(
             raise InvalidInputError(
                 f"degree stability concerns d >= k; got d={d} < k={k}"
             )
-    reference = compute_m(n, k, k, budget=budget).value
-    values = {d: compute_m(n, d, k, budget=budget).value for d in ds}
+    reference = compute_m(n, k, k).value
+    values = {d: compute_m(n, d, k).value for d in ds}
     stable = all(v == reference for v in values.values())
     return StabilityReport(n, k, values, reference, stable)
 
@@ -309,9 +307,9 @@ def verify_table(
     return TableReport(cells, published)
 
 
-def extremal_matches_search(n: int, d: int, k: int, budget: int | None = None) -> bool:
+def extremal_matches_search(n: int, d: int, k: int) -> bool:
     """True when the canonical extremal subspace is the unique maximizer."""
-    result = compute_m(n, d, k, budget=budget)
+    result = compute_m(n, d, k)
     target = MonomialSubspace(n, d, extremal_complement(n, d, k))
     return (
         result.witness_count == 1

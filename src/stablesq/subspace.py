@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import chain, combinations, takewhile
+from itertools import chain, combinations, islice, takewhile
 from math import factorial, inf, prod
 from typing import Iterable, Iterator
 
@@ -206,42 +206,38 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     return MonomialSubspace._built(U.n, 2 * U.d, index.missing(U.complement))
 
 
-def _last_variable(t: tuple[int, ...]) -> int:
-    """Index of the largest variable dividing t, and 0 for t = 1."""
-    j = len(t) - 1
-    while j and not t[j]:
-        j -= 1
-    return j
+def _hilbert_function(n: int, d: int, max_degree: int, codims: Iterator[int]) -> HilbertFunction:
+    """The Hilbert function up to max_degree of the quotient by an ideal
+    generated in degree d, from its codimensions in degree d, d + 1, ...,
+    which `codims` yields up to the first 0: A_1 * A_i = A_(i+1), so once a
+    degree is filled, so is every later one.  Below d the ideal is zero.
+    No degree past max_degree is computed."""
+    if max_degree < 0:
+        raise InvalidInputError(f"need max_degree >= 0, got {max_degree}")
+    values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
+    values += islice(codims, max_degree + 1 - len(values))
+    values += [0] * (max_degree + 1 - len(values))
+    return HilbertFunction(tuple(values), generated_in_degree=d)
+
+
+def _complement_sizes(U: MonomialSubspace) -> Iterator[int]:
+    """The number of monomials outside the ideal of U in degree d, d + 1,
+    ..., up to the first 0.  A monomial c of the next degree is outside
+    exactly when every c / x_j is: when c arises as t * x_j from as many
+    outside monomials t as c has variables."""
+    n, comp = U.n, U.complement
+    yield len(comp)
+    while comp:
+        made = Counter([t[:j] + (t[j] + 1,) + t[j + 1 :] for t in comp for j in range(n)])
+        comp = [c for c, k in made.items() if k == n - c.count(0)]
+        yield len(comp)
 
 
 def ideal_hilbert_function(U: MonomialSubspace, max_degree: int) -> HilbertFunction:
     """Hilbert function of the quotient by the ideal generated by U.
 
-    Entry i counts the degree-i monomials outside A_{i-d} * U.  Below the
-    generating degree the ideal is zero, so h_i = dim A_i there.
-    """
-    if max_degree < 0:
-        raise InvalidInputError(f"need max_degree >= 0, got {max_degree}")
-    n, d = U.n, U.d
-    values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
-    if max_degree >= d:
-        comp = U.complement
-        values.append(len(comp))
-        # A_1 * A_i = A_(i+1): once a degree is filled, so is every later one
-        while len(values) <= max_degree and comp:
-            # a monomial c of the next degree is outside the ideal exactly
-            # when every c / x_l is; c is made once, from c / x_j for its
-            # largest variable x_j
-            comp = {
-                c
-                for t in comp
-                for j in range(_last_variable(t), n)
-                for c in (t[:j] + (t[j] + 1,) + t[j + 1 :],)
-                if all(c[:l] + (c[l] - 1,) + c[l + 1 :] in comp for l in range(n) if c[l])
-            }
-            values.append(len(comp))
-        values += [0] * (max_degree + 1 - len(values))
-    return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
+    Entry i counts the degree-i monomials outside A_{i-d} * U."""
+    return _hilbert_function(U.n, U.d, max_degree, _complement_sizes(U))
 
 
 def variable_quotient(U: MonomialSubspace, i: int) -> MonomialSubspace:
@@ -425,9 +421,12 @@ class SquareIndex:
         return self.entries[: self._grow(count)]
 
     def size_upto(self, count: int) -> int:
-        """Number of T with at most `count` divisors, counted from a fresh
-        walk of the classes, which ranks only the classes it counts and
-        their neighbours; the index does not grow."""
+        """Number of T with at most `count` divisors; the index does not
+        grow.  Once its walk has passed `count` it holds the answer, and
+        before that a fresh walk of the classes counts it, ranking only the
+        classes it counts and their neighbours."""
+        if self._next[0] > count:
+            return self._grow(count)
         classes = ranked_classes(self.n, 2 * self.d, self.d)
         return sum(
             factorial(self.n) // prod(map(factorial, Counter(lam).values()))

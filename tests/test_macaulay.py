@@ -84,7 +84,7 @@ def test_shift_guards():
 
 
 def test_hilbert_function_container():
-    hf = HilbertFunction((1, 3, 2, 0), generated_in_degree=2, n=3)
+    hf = HilbertFunction((1, 3, 2, 0), generated_in_degree=2)
     assert hf[0] == 1 and hf[3] == 0
     assert len(hf) == 4
     assert tuple(hf.values) == (1, 3, 2, 0)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, gcd, isqrt, lcm, prod
+from math import factorial, gcd, inf, isqrt, lcm, prod
 from operator import add
 
 import pytest
@@ -411,6 +411,30 @@ def test_hilbert_function_rational_stops_once_a_degree_is_filled(monkeypatch):
     V = monomial_span(MonomialSubspace.from_members(3, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 1)]))
     with pytest.raises(BudgetExceededError):
         hilbert_function_rational(V, 9)
+
+
+@pytest.mark.parametrize(
+    "case, max_degree",
+    [("filled", 1), ("filled", 2), ("filled", 9), ("base point", 5)],
+)
+def test_hilbert_function_rational_makes_one_product_per_degree_it_reports(
+    monkeypatch, case, max_degree
+):
+    import stablesq.qlinalg as q
+
+    # a generic codim-1 quadric space fills degree 3; a span with the base
+    # point (1:0:0) fills no degree
+    if case == "filled":
+        U = random_subspace(3, 2, 1, random.Random(5))
+    else:
+        U = monomial_span(MonomialSubspace.from_members(3, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 1)]))
+    products = []
+    product = q.product_rational
+    monkeypatch.setattr(q, "product_rational", lambda A, B: products.append(A.d) or product(A, B))
+    values = hilbert_function_rational(U, max_degree).values
+    assert values == oracle_hilbert_values(U, max_degree)
+    filled = values.index(0) if 0 in values else inf
+    assert len(products) == max(0, min(max_degree, filled) - U.d)
 
 
 def test_square_rational_guard():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesq import monomial
+from stablesq import monomial, subspace
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.macaulay import HilbertFunction
 from stablesq.monomial import (
@@ -357,6 +357,24 @@ def test_size_upto_matches_the_listing_after_mixed_queries():
         assert idx.size_upto(count) == len(idx.entries_upto(count))
 
 
+def test_size_upto_reads_the_walk_once_it_has_passed_the_count(monkeypatch):
+    # a square of codim 30 walks the classes of (6, 6) past 60 divisors;
+    # every count short of where the walk stands is read off the index,
+    # and only a count past it walks the classes afresh
+    square_index.cache_clear()
+    square(MonomialSubspace(6, 6, _basis_tuples(6, 6)[:30]))
+    idx = square_index(6, 6)
+    walks = []
+    ranked = subspace.ranked_classes
+    monkeypatch.setattr(subspace, "ranked_classes", lambda *a: walks.append(a) or ranked(*a))
+    top = idx._next[0]
+    assert top > 60
+    for count in range(top):
+        assert idx.size_upto(count) == len(idx.entries_upto(count))
+    assert walks == []
+    assert idx.size_upto(top) > len(idx.entries_upto(top - 1)) and len(walks) == 1
+
+
 def scan_missing(idx, complement):
     """The former SquareIndex.missing, kept as an oracle: scan every entry
     with at most 2|C| divisors and keep the T whose pairs all meet C."""
@@ -594,7 +612,7 @@ def propagated_hilbert_function(U, max_degree):
                         nxt.add(cand)
             comp = nxt
             values.append(len(comp))
-    return HilbertFunction(tuple(values), generated_in_degree=d, n=n)
+    return HilbertFunction(tuple(values), generated_in_degree=d)
 
 
 def test_hilbert_function_matches_propagation_oracle():

@@ -5,168 +5,10 @@ codimension of U * U in the full space of degree-2d forms, maximizes it
 over families of subspaces, verifies the Hilbert function and lifting
 theorems behind those maxima at desk scale, and evaluates the resulting
 dimension bounds for faces of Gram spectrahedra.
+
+Every name is imported from the module that defines it, for example
+`from stablesq.search import compute_m`; importing the package itself
+loads none of them.
 """
 
-from .errors import BudgetExceededError, InvalidInputError
-from .macaulay import (
-    HilbertFunction,
-    MacaulayRep,
-    PersistenceVerdict,
-    gotzmann_persists,
-    green_restriction_bound,
-    macaulay_growth_bound,
-    macaulay_rep,
-    macaulay_value,
-)
-from .monomial import (
-    GRLEX,
-    LEX,
-    MonomialOrder,
-    dim_component,
-    enumerate_monomials,
-    expand,
-    monomial_from_text,
-    monomial_to_text,
-    pivot,
-    reduce,
-)
-from .subspace import (
-    MonomialSubspace,
-    SquareIndex,
-    ideal_hilbert_function,
-    is_base_point_free,
-    lift,
-    restrict_vars,
-    square,
-    square_index,
-    subspace_from_json,
-    subspace_from_text,
-    variable_quotient,
-)
-from .stable import (
-    enumerate_strongly_stable,
-    extend_stable,
-    extremal_complement,
-    extremal_subspace,
-    is_strongly_stable,
-)
-from .search import (
-    SearchResult,
-    StabilityReport,
-    TableReport,
-    closed_form_m,
-    compute_m,
-    compute_m0_monomial,
-    main_bound,
-    small_subspace_bound,
-    table_cell,
-    verify_degree_stability,
-    verify_table,
-)
-from .qlinalg import (
-    RationalSubspace,
-    apolar_dual,
-    apolar_perp,
-    eliminate_variable,
-    has_base_point,
-    hilbert_function_rational,
-    initial_subspace,
-    monomial_span,
-    power_in_span,
-    product_rational,
-    quotient_by_linear_form,
-    random_linear_form,
-    random_subspace,
-    rational_subspace_from_json,
-    span,
-    square_rational,
-)
-from .gram import (
-    FaceProfile,
-    face_dim,
-    face_gap,
-    face_profile,
-    nonsingular_face_bound,
-    singular_face_dim,
-)
-from .suites import CheckResult, SuiteOptions, conjecture_scan, run_suites
-from .tables import published_value
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExceededError",
-    "CheckResult",
-    "FaceProfile",
-    "GRLEX",
-    "HilbertFunction",
-    "InvalidInputError",
-    "LEX",
-    "MacaulayRep",
-    "MonomialOrder",
-    "MonomialSubspace",
-    "PersistenceVerdict",
-    "RationalSubspace",
-    "SearchResult",
-    "SquareIndex",
-    "StabilityReport",
-    "SuiteOptions",
-    "TableReport",
-    "apolar_dual",
-    "apolar_perp",
-    "closed_form_m",
-    "compute_m",
-    "compute_m0_monomial",
-    "conjecture_scan",
-    "dim_component",
-    "eliminate_variable",
-    "enumerate_monomials",
-    "enumerate_strongly_stable",
-    "expand",
-    "extend_stable",
-    "extremal_complement",
-    "extremal_subspace",
-    "face_dim",
-    "face_gap",
-    "face_profile",
-    "gotzmann_persists",
-    "green_restriction_bound",
-    "has_base_point",
-    "hilbert_function_rational",
-    "ideal_hilbert_function",
-    "initial_subspace",
-    "is_base_point_free",
-    "is_strongly_stable",
-    "lift",
-    "macaulay_growth_bound",
-    "macaulay_rep",
-    "macaulay_value",
-    "main_bound",
-    "monomial_from_text",
-    "monomial_span",
-    "monomial_to_text",
-    "nonsingular_face_bound",
-    "pivot",
-    "power_in_span",
-    "product_rational",
-    "published_value",
-    "quotient_by_linear_form",
-    "random_linear_form",
-    "random_subspace",
-    "rational_subspace_from_json",
-    "reduce",
-    "restrict_vars",
-    "run_suites",
-    "singular_face_dim",
-    "small_subspace_bound",
-    "span",
-    "square",
-    "square_index",
-    "square_rational",
-    "subspace_from_json",
-    "subspace_from_text",
-    "table_cell",
-    "variable_quotient",
-    "verify_degree_stability",
-    "verify_table",
-]

@@ -1,6 +1,8 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
-from types import ModuleType
 
 import pytest
 
@@ -9,14 +11,17 @@ import stablesq
 MODULES = sorted(p for p in Path(stablesq.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
-def test_all_lists_exactly_the_public_names():
-    # a name retired from one of the two lists must leave the other too
-    bound = {
-        name
-        for name, value in vars(stablesq).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert set(stablesq.__all__) == bound
+def test_layers_load_without_suites_gram_or_cli():
+    # the package root imports nothing, so a layer loads only what it uses
+    env = dict(os.environ, PYTHONPATH=str(Path(stablesq.__file__).parents[1]))
+    code = (
+        "import sys, stablesq.qlinalg, stablesq.search, stablesq.subspace, stablesq.tables; "
+        "print(*sorted(m for m in sys.modules if m.startswith('stablesq')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    loaded = set(out.stdout.decode().split())
+    assert "stablesq.qlinalg" in loaded
+    assert loaded.isdisjoint({"stablesq.suites", "stablesq.gram", "stablesq.cli"})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

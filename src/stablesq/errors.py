@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# the budget of a search given none, and the largest size a computation
+# takes on without one; modules read it at call time
+DEFAULT_BUDGET = 10_000_000
+
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""

@@ -351,16 +351,17 @@ def rational_subspace_from_json(data: dict) -> RationalSubspace:
 def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
     """The one intake of a coefficient vector from outside: a new list over
     the degree-d columns under order.  n and d are checked first; a
-    monomial dict is placed by its checked keys, any other iterable is
-    read in column order, every coefficient goes through `_coefficient`
-    unless all are already ints or Fractions, and the length must be the
-    column count."""
+    monomial dict has every key checked before the column index is built
+    and is then placed by its keys; any other iterable is read in column
+    order.  Every coefficient goes through `_coefficient` unless all are
+    already ints or Fractions, and the length must be the column count."""
     q = dim_component(n, d)
     if isinstance(vector, dict):
+        keys = [exponent_tuple(key, n, d) for key in vector]
         idx = _column_index(n, d, order)
         out = [0] * q
-        for key, val in vector.items():
-            out[idx[exponent_tuple(key, n, d)]] = val
+        for key, val in zip(keys, vector.values()):
+            out[idx[key]] = val
     else:
         out = list(vector)
     if not _EXACT.issuperset(map(type, out)):
@@ -561,43 +562,11 @@ def _catalecticant(vec: list, n: int, d: int, order: MonomialOrder) -> list[list
     return rows
 
 
-def _primitive(p: list[int]) -> list[int]:
-    """A polynomial in Z[u] without trailing zeros, divided by its content."""
-    while p and p[-1] == 0:
-        p = p[:-1]
-    g = gcd(*p)
-    return [x // g for x in p] if g > 1 else p
-
-
-def _primitive_gcd(a: list[int], b) -> list[int]:
-    """Primitive gcd in Z[u]; coefficient lists are low degree first.
-
-    Euclid's algorithm on pseudo-remainders, each divided by its content,
-    so the coefficients stay integers of bounded size.
-    """
-    a, b = _primitive(a), _primitive(list(b))
-    while b:
-        r = a
-        while len(r) >= len(b):
-            f = r[-1]
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b, len(r) - len(b)):
-                r[i] -= f * y
-            r = _primitive(r)
-        a, b = b, r
-    return a
-
-
-def _divides(g: list[int], c) -> bool:
-    """Whether a primitive g of degree 1 or 2 in Z[u] divides c0 + c1*u + c2*u^2."""
-    c0, c1, c2 = c
-    if len(g) == 2:
-        # g1^2 * c(-g0/g1): c vanishes at the root of g
-        g0, g1 = g
-        return c0 * g1 * g1 - c1 * g0 * g1 + c2 * g0 * g0 == 0
-    # deg c <= deg g, so g divides c exactly when c is a multiple of g
-    g0, g1, g2 = g
-    return c0 * g1 == c1 * g0 and c0 * g2 == c2 * g0 and c1 * g2 == c2 * g1
+def _at_root(g: tuple, c: tuple) -> int:
+    """g1^2 * c(-g0/g1) for a linear g0 + g1*u and a c0 + c1*u + c2*u^2 in
+    Z[u]: zero exactly when c vanishes at the root of g."""
+    g0, g1 = g[0], g[1]
+    return c[0] * g1 * g1 - c[1] * g0 * g1 + c[2] * g0 * g0
 
 
 def _rank_one(A: list[list[int]], i: int, k: int) -> bool:
@@ -631,11 +600,13 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     A of r0 is nonzero and the catalecticant B of r1 is zero.  So A + u*B
     has the pivot entry A[i][k] for every u, and it has rank at most 1
     exactly when its pivot minors, one quadratic in Z[u] per other row and
-    column, vanish at u.  The pencil holds a power exactly when B has rank at most 1 (the
-    member at u = infinity) or those minors share a root, which is decided
-    exactly over the integers by a gcd computation.  The minors are formed
-    one at a time and the scan returns False once the gcd is a nonzero
-    constant; a minor that the current gcd already divides is not folded.
+    column, vanish at u.  The pencil holds a power exactly when B has rank
+    at most 1 (the member at u = infinity) or those minors share a root.
+    The minors are formed one at a time and the first nonzero one, g, is
+    kept.  While g is quadratic, a later minor that is not a multiple of g
+    can share only one root with it, the root of one linear elimination
+    step in exact ints; from then on every minor must vanish there.  The
+    scan returns False once no root is left.
     """
     rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
     return _reduced_power(rows, n, d, order)
@@ -664,7 +635,7 @@ def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder =
     # B[i][k] == 0, so (A + u*B)[i][k] = a for every u; the pivot minors of
     # row j are a*(A + u*B)[j][l] - (A + u*B)[i][l] * (A + u*B)[j][k]
     a, Ai, Bi = A[i][k], A[i], B[i]
-    g: list[int] = []
+    g = None  # the first nonzero minor, then the linear factor of the one shared root
     for j in range(n):
         if j == i:
             continue
@@ -672,11 +643,24 @@ def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder =
         f, h = Aj[k], Bj[k]
         for x, y, p, r in zip(Aj, Bj, Ai, Bi):
             c = (a * x - p * f, a * y - p * h - r * f, -r * h)
-            # a multiple of g leaves the gcd, and so its degree, unchanged
-            if any(c) and (not g or (len(g) > 1 and not _divides(g, c))):
-                g = _primitive_gcd(g, c)
-                if len(g) == 1:  # no u makes every pivot minor vanish
+            if not any(c):
+                continue
+            if g is None:
+                g = c
+                if not (c[1] or c[2]):  # a nonzero constant has no root
                     return False
+            elif g[2]:
+                # c*g2 - g*c2 has degree at most 1 and the same common
+                # roots with g as c; it is zero when c is a multiple of g
+                e = (c[0] * g[2] - g[0] * c[2], c[1] * g[2] - g[1] * c[2], 0)
+                if e[1]:
+                    if _at_root(e, g):
+                        return False
+                    g = e
+                elif e[0]:
+                    return False
+            elif _at_root(g, c):
+                return False
     # every pivot minor vanishes identically, or they share a root
     return True
 

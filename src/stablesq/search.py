@@ -14,9 +14,9 @@ from functools import partial
 from itertools import product
 from math import comb
 
+from . import errors, tables
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import _power_free, dim_component
-from . import stable, tables
 from .stable import _stable_complements, extremal_complement
 from .subspace import MonomialSubspace, square_index
 
@@ -117,7 +117,8 @@ def compute_m0_monomial(
     the SquareIndex counts its divisor pairs hit by the chosen monomials;
     T is outside U^2 once all are hit.  gain[c] counts the T that adding
     c would complete, and the last level reads its choices off it.
-    The budget (stable.DEFAULT_BUDGET when None) bounds C(N, k).
+    The budget (errors.DEFAULT_BUDGET when None) bounds C(N, k), which is
+    compared with it before any monomial is listed.
     """
     if d < 1:
         raise InvalidInputError(f"need d >= 1, got d={d}")
@@ -125,21 +126,25 @@ def compute_m0_monomial(
     if not (1 <= k <= dim):
         raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
     if budget is None:
-        budget = stable.DEFAULT_BUDGET
-    candidates = _power_free(n, d)
-    N = len(candidates)
+        budget = errors.DEFAULT_BUDGET
+    N = dim - n  # every monomial but the n powers x_i^d
     if k > N:
         raise InvalidInputError(
             f"no base point free monomial subspace of codimension {k} in "
             f"A({n})_{d}: only {N} non-power monomials"
         )
-    total = comb(N, k)
-    if total > budget:
-        raise BudgetExceededError(
-            f"base point free search for n={n}, d={d}, k={k} needs {total} "
-            f"subsets, over the budget {budget}",
-            seen=0,
-        )
+    # C(N, j) grows with j up to N / 2, so the count stops once it is over
+    # the budget, before it grows too long to print
+    total = 1
+    for j in range(min(k, N - k)):
+        total = total * (N - j) // (j + 1)
+        if total > budget:
+            raise BudgetExceededError(
+                f"base point free search for n={n}, d={d}, k={k} needs at least "
+                f"{total} subsets, over the budget {budget}",
+                seen=0,
+            )
+    candidates = _power_free(n, d)
 
     # Positions in `candidates`; N stands for a pure power, which is never
     # chosen, and for the partner of a self-paired monomial.  touches[c]

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from . import errors
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import dim_component
 from .subspace import MonomialSubspace
-
-# the budget of a search given none; read at call time
-DEFAULT_BUDGET = 10_000_000
 
 
 def _adjacent_down_moves(t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -67,14 +65,14 @@ def _stable_complements(
     whose tuple order is the lex order; an up move of t is a down move of
     its reversal, and the other way round.
 
-    Out-of-range k yields nothing.  The budget (DEFAULT_BUDGET when None)
+    Out-of-range k yields nothing.  The budget (errors.DEFAULT_BUDGET when None)
     bounds the number of search nodes; exceeding it raises
     BudgetExceededError.
     """
     if n < 1 or d < 0:
         raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
     if budget is None:
-        budget = DEFAULT_BUDGET
+        budget = errors.DEFAULT_BUDGET
     if k < 0 or k > dim_component(n, d):
         return
     if k == 0:

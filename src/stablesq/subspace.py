@@ -14,6 +14,7 @@ from itertools import chain, combinations, islice, takewhile
 from math import factorial, inf, prod
 from typing import Iterable, Iterator
 
+from . import errors
 from .errors import BudgetExceededError, InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
@@ -211,9 +212,14 @@ def _hilbert_function(n: int, d: int, max_degree: int, codims: Iterator[int]) ->
     generated in degree d, from its codimensions in degree d, d + 1, ...,
     which `codims` yields up to the first 0: A_1 * A_i = A_(i+1), so once a
     degree is filled, so is every later one.  Below d the ideal is zero.
-    No degree past max_degree is computed."""
+    No degree past max_degree is computed, and a max_degree over the
+    default budget is refused before any is."""
     if max_degree < 0:
         raise InvalidInputError(f"need max_degree >= 0, got {max_degree}")
+    if max_degree > errors.DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"max_degree {max_degree} is over the budget {errors.DEFAULT_BUDGET}"
+        )
     values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
     values += islice(codims, max_degree + 1 - len(values))
     values += [0] * (max_degree + 1 - len(values))
@@ -365,6 +371,11 @@ class SquareIndex:
     def __init__(self, n: int, d: int):
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+        # ranking the first class counts divisors over a list of d + 1 entries
+        if 2 * d > errors.DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"squares in degree {2 * d} are over the budget {errors.DEFAULT_BUDGET}"
+            )
         self.n = n
         self.d = d
         self.entries: list[tuple[tuple[int, ...], tuple]] = []

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,14 +252,14 @@ def test_budget_exit_1(capsys):
 
 
 def test_enumerate_default_budget_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr("stablesq.stable.DEFAULT_BUDGET", 5)
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 5)
     assert main(["enumerate", "--n", "4", "--d", "4", "--k", "6"]) == 1
     assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_m0_default_budget_exit_1(monkeypatch, capsys):
     # C(16, 3) = 560 subsets of the non-powers, over a default budget of 10
-    monkeypatch.setattr("stablesq.stable.DEFAULT_BUDGET", 10)
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 10)
     assert main(["m0", "--n", "4", "--d", "3", "--k", "3"]) == 1
     assert "budget exceeded" in capsys.readouterr().err
 
@@ -305,6 +306,49 @@ def test_closed_pipe_exits_1_without_traceback(argv, lines_read):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+HUGE_INPUTS = {
+    "u.txt": "3 2 1\n1 1 0\n",
+    "huge.json": json.dumps({"n": 2, "d": 200000000, "complement": [[200000000, 0]]}),
+    # JSON keys are strings, so no object row is ever a valid record
+    "rows.json": json.dumps({"n": 11, "d": 11, "rows": [{"x": 1}]}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "u.txt", "--max-degree", "100000000"],
+        ["m", "--n", "2", "--d", "200000000", "--k", "1"],
+        ["m0", "--n", "2", "--d", "200000000", "--k", "1"],
+        # C(19999, 10000) has over 6,000 digits, too many to print
+        ["m0", "--n", "2", "--d", "20000", "--k", "10000"],
+        ["square", "huge.json"],
+        ["square", "huge.json", "--budget", "10"],
+        ["square", "rows.json"],
+    ],
+)
+def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):
+    # each command runs in a child that caps its own address space at 1 GiB,
+    # so a list sized by the input fails there and not on the host
+    for name, text in HUGE_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from stablesq.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stablesq.__file__).resolve().parents[1]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exits_2(capsys):

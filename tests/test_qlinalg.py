@@ -26,12 +26,10 @@ from stablesq.qlinalg import (
     _coefficient,
     _column_index,
     _columns,
-    _divides,
     _fraction_row,
     _integer_row,
     _integer_rref,
     _kernel,
-    _primitive_gcd,
     _product_columns,
     _rank_mod_p,
     _reduced_power,
@@ -283,6 +281,19 @@ def test_eliminate_variable():
     assert span([out], 2, 3) == span([{(2, 1): 1}], 2, 3)
     with pytest.raises(InvalidInputError):
         eliminate_variable({(2, 0, 1): 1}, 3, 3, [1, 1, 0])
+
+
+def test_object_rows_are_refused_before_the_column_index(monkeypatch):
+    # JSON keys are strings, never exponent tuples, so such a row is refused
+    # without listing the C(21, 11) = 352,716 columns
+    def index(n, d, order):
+        raise AssertionError("the column index was built")
+
+    monkeypatch.setattr("stablesq.qlinalg._column_index", index)
+    with pytest.raises(InvalidInputError):
+        rational_subspace_from_json({"n": 11, "d": 11, "rows": [{"x": 1}]})
+    with pytest.raises(InvalidInputError):
+        span([{(1, 0): 1, (1, 1): 1}], 2, 2)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1e3000000", 0.5, True])
@@ -1234,18 +1245,6 @@ def test_catalecticant_rows_match_the_entrywise_builder(order):
                 assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
 
 
-def test_divides_agrees_with_the_gcd_fold():
-    # g divides c exactly when folding c into g leaves the degree of g unchanged
-    small = range(-2, 3)
-    gs = [g for g in map(list, product(small, repeat=2)) if g[1]]
-    gs += [g for g in map(list, product(small, repeat=3)) if g[2]]
-    gs = [g for g in gs if gcd(*g) == 1]
-    triples = [c for c in product(small, repeat=3) if any(c)]
-    for g in gs:
-        for c in triples:
-            assert _divides(g, c) == (len(_primitive_gcd(g, c)) == len(g)), (g, c)
-
-
 def fraction_power_in_span(vectors, n: int, d: int) -> bool:
     """Power detection with every minor formed eagerly in Fractions."""
     mat = [[Fraction(x) for x in _as_vector(v, n, d, LEX)] for v in vectors]
@@ -1406,9 +1405,9 @@ def all_minors_power(rows: list[list[int]], n: int, d: int, order=LEX) -> bool:
     needs no pivot and so no reduced rows.
 
     For a pencil s*A + t*B the minors are binary quadratics in (s, t),
-    folded into one gcd in Z[u]; a minor with a nonzero t^2 coefficient
-    rules out the common root (0, 1), so a constant gcd then leaves no
-    common root at all.
+    folded into one gcd in Q[u] by `fraction_poly_gcd`; a minor with a
+    nonzero t^2 coefficient rules out the common root (0, 1), so a
+    constant gcd then leaves no common root at all.
     """
     if not rows:
         return False
@@ -1418,11 +1417,10 @@ def all_minors_power(rows: list[list[int]], n: int, d: int, order=LEX) -> bool:
     if not rest:
         zero = [[0] * len(A[0])] * n
         return next(pencil_minors(A, zero), None) is None
-    g: list[int] = []
+    g: list[Fraction] = []
     top = False
     for c in pencil_minors(A, rest[0]):
-        if not g or (len(g) > 1 and not _divides(g, c)):
-            g = _primitive_gcd(g, c)
+        g = fraction_poly_gcd(g, [Fraction(x) for x in c])
         top = top or c[2] != 0
         if top and len(g) == 1:
             return False
@@ -1472,6 +1470,21 @@ def reduced_power_cases(draw):
 @example(([[1, 4, 4]], 2, 2, LEX))
 @example(([[0, 1, 0]], 2, 2, LEX))
 @example(([[1, 2, 2, 1, 2, 1]], 3, 2, GRLEX))
+# x^4 - y^4 and x^2*y^2 + x*y^3: the first minor 8u is linear, 12u vanishes
+# at its root 0 and -16 does not
+@example(([[1, 0, 0, 0, -1], [0, 0, 1, 1, 0]], 2, 4, LEX))
+# x^3 - y^3 and x^2*y - x*y^2: the minors -2u(u + 3) and (u - 3)(u + 3) share
+# only the root -3, where the pencil holds (x - y)^3
+@example(([[1, 0, 0, -1], [0, 1, -1, 0]], 2, 3, LEX))
+# minors with no common root: (4 - 3u)(4 + u) and 2u(u - 2) leave a linear
+# step whose root is off the first; -2(u^2 + 3u + 9) and u(u + 3) leave a constant
+@example(([[1, 0, 2, 0, 0], [0, 1, -1, 0, 0]], 2, 4, LEX))
+@example(([[1, 0, -3, 0], [0, 1, -1, 0]], 2, 3, LEX))
+# x^3 + 6x*y^2 and 3x^2*y + 2y^3 hold (x +- sqrt(2)*y)^3 and no rational cube:
+# its one minor is 18(2 - u^2); the quartic span of (x +- sqrt(2)*y)^4 has two
+# minors, each a multiple of 32 - u^2
+@example(([[1, 0, 6, 0], [0, 3, 0, 2]], 2, 3, LEX))
+@example(([[1, 0, 12, 0, 4], [0, 1, 0, 2, 0]], 2, 4, LEX))
 def test_pivot_power_test_matches_every_minor(case):
     rows, n, d, order = case
     assert _reduced_power(rows, n, d, order) == all_minors_power(rows, n, d, order)

@@ -162,6 +162,21 @@ def test_budget_paths():
         compute_m0_monomial(4, 3, 3, budget=10)
 
 
+def test_m0_counts_subsets_before_listing_monomials(monkeypatch):
+    def listing(n, d):
+        raise AssertionError("the non-powers were listed")
+
+    monkeypatch.setattr("stablesq.search._power_free", listing)
+    # C(200, 1) = 200 subsets; C(19999, 10000), with over 6,000 digits, is
+    # refused before it is counted to the end
+    for n, d, k in ((2, 201, 1), (2, 20000, 10000)):
+        with pytest.raises(BudgetExceededError) as err:
+            compute_m0_monomial(n, d, k, budget=100)
+        assert len(str(err.value)) < 200
+    with pytest.raises(InvalidInputError):
+        compute_m0_monomial(3, 1, 1)  # at d = 1 every monomial is a power
+
+
 def test_bound_helpers():
     assert main_bound(2) == 4 + 4
     assert small_subspace_bound(3, 3) == 6

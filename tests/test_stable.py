@@ -208,6 +208,6 @@ def test_enumeration_budget(monkeypatch):
         list(enumerate_strongly_stable(3, 3, 4, budget=2))
     # with no budget given, the default budget, read at call time, bounds
     # the search
-    monkeypatch.setattr("stablesq.stable.DEFAULT_BUDGET", 5)
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 5)
     with pytest.raises(BudgetExceededError):
         enumerate_strongly_stable(4, 4, 6)

@@ -567,6 +567,21 @@ def test_square_budget():
     assert square(U, budget=10**7) == square(U)
 
 
+def test_huge_degrees_are_refused_before_any_list(monkeypatch):
+    # the default budget bounds the degree of a square and the length of a
+    # Hilbert function, so no list sized by them is built
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 100)
+    U = MonomialSubspace(3, 2, [(1, 1, 0)])
+    assert len(ideal_hilbert_function(U, 100).values) == 101
+    with pytest.raises(BudgetExceededError):
+        ideal_hilbert_function(U, 101)
+    assert SquareIndex(2, 50).d == 50
+    with pytest.raises(BudgetExceededError):
+        SquareIndex(2, 51)
+    with pytest.raises(BudgetExceededError):
+        square(MonomialSubspace(2, 51, [(51, 0)]), budget=10**6)
+
+
 def _ideal_complement_oracle(U, t):
     if t < U.d:
         return list(_basis_tuples(U.n, t))

@@ -22,6 +22,7 @@ from stablesq.qlinalg import (
     _PRIME,
     RationalSubspace,
     _as_vector,
+    _at_root,
     _catalecticant,
     _coefficient,
     _column_index,
@@ -1243,6 +1244,30 @@ def test_catalecticant_rows_match_the_entrywise_builder(order):
                 assert got == want, (n, d, vector)
                 # int inputs keep int entries
                 assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+
+
+def test_divides_agrees_with_the_gcd_fold():
+    # the decisions of the elimination step in `_reduced_power` against the
+    # degree of gcd(g, c) in Q[u]: a linear g divides c exactly when c
+    # vanishes at its root; a quadratic g divides c exactly when
+    # e = c*g2 - g*c2 is zero, and otherwise shares a root with c exactly
+    # when e is linear and its root is a root of g
+    small = range(-2, 3)
+    gs = [g for g in map(list, product(small, repeat=2)) if g[1]]
+    gs += [g for g in map(list, product(small, repeat=3)) if g[2]]
+    gs = [g for g in gs if gcd(*g) == 1]
+    triples = [c for c in product(small, repeat=3) if any(c)]
+    for g in gs:
+        for c in triples:
+            common = len(fraction_poly_gcd(list(map(Fraction, g)), list(map(Fraction, c)))) - 1
+            if len(g) == 2:
+                assert (_at_root(g, c) == 0) == (common == 1), (g, c)
+                continue
+            e = (c[0] * g[2] - g[0] * c[2], c[1] * g[2] - g[1] * c[2], 0)
+            assert (not any(e)) == (common == 2), (g, c)
+            if any(e):
+                shared = bool(e[1]) and _at_root(e, tuple(g)) == 0
+                assert shared == (common == 1), (g, c)
 
 
 def fraction_power_in_span(vectors, n: int, d: int) -> bool:

@@ -5,10 +5,14 @@ degree-d monomials sorted descending under a chosen order.  Its dimension
 is certified when it is built: the rank modulo the prime 32749 is a
 lower bound on the rank over Q, so it is exact when it equals the number
 of rows or of columns, and exact elimination decides every other case.
-The prime is the largest below 2^15, so the modular elimination runs on
-one-digit CPython ints.  The certification does not depend on the prime: a
-smaller one changes only how often the exact elimination is reached, never
-an answer.
+The modular rank is lazy and sparse.  A row whose leading column is new
+and whose leading entry is a unit modulo the prime is a pivot as it is,
+with no reduction; its tail is reduced modulo the prime only when a later
+row meets it.  Every other row waits and is eliminated as a sparse map of
+its nonzero residues.  The prime is the largest below 2^15, so the
+modular elimination runs on one-digit CPython ints.  The certification
+does not depend on the prime: a smaller one changes only how often the
+exact elimination is reached, never an answer.
 The reduced row echelon form, whose pivot columns are the initial
 monomials of the space, is built on first use.  Two subspaces are equal
 exactly when these forms coincide.  Elimination is fraction-free over the
@@ -22,7 +26,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, compress, product
 from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterator
@@ -150,46 +154,57 @@ _PRIME = 32749
 def _rank_mod_p(mat: list[list[int]], q: int) -> int:
     """Rank modulo _PRIME of integer rows with q columns; mat is not changed.
 
-    Each row is reduced modulo the prime once, into a new list.  The first
-    row with a given leading column is a pivot with no reduction; the other
-    rows wait until every row has been read, then each is reduced from its
-    own leading column against the pivots it meets.  A pivot row is kept as
-    it is, with the inverse of its leading entry.  The scan stops once the
-    rank reaches min(rows, q).  A minor that vanishes over Q vanishes modulo
+    A first pass finds each row's leading column over Z.  A row is a raw
+    pivot, taken with no reduction, when its leading column has no pivot
+    yet and its leading entry is a unit modulo the prime: such rows are
+    already in echelon form modulo the prime.  The scan stops once the
+    rank reaches min(rows, q).  Every other row waits, then is reduced
+    modulo the prime into a sparse {column: residue} map and eliminated
+    from its leading column up.  It meets a raw pivot's tail only through
+    the first row that needs it: the tail is then reduced once, divided by
+    the leading entry, and kept as a {column: multiplier} map.  A waiting
+    row left with a nonzero residue at a column without a pivot becomes
+    one, kept the same way.  A minor that vanishes over Q vanishes modulo
     the prime, so the result never exceeds the rank over Q, and the caller
     trusts it only when it equals the row count or q.  _PRIME < 2^15 keeps
     every product below 2^30.
     """
     p = _PRIME
     limit = min(len(mat), q)
-    pivots: dict[int, tuple[list[int], int]] = {}  # column c -> (row[c+1:], 1/row[c])
+    # column c -> a raw row of mat, or {j: row[j] / row[c]} for j past c; a
+    # dict, as pair tuples would outlive the call in the tuple free list
+    pivots: dict[int, list[int] | dict[int, int]] = {}
     waiting = []
     for row in mat:
-        r = [a % p for a in row]
-        c = next((c for c, a in enumerate(r) if a), q)
-        if c == q:
+        c = next(compress(range(q), row), q)
+        if c == q or c in pivots or not row[c] % p:
+            waiting.append((c, row))
             continue
-        if c in pivots:
-            waiting.append((c, r))
-            continue
-        pivots[c] = r[c + 1:], pow(r[c], -1, p)
+        pivots[c] = row
         if len(pivots) == limit:
             return limit
-    for start, r in waiting:
+    for start, row in waiting:
+        r = {c: row[c] % p for c in compress(range(q), row)}
         for c in range(start, q):
-            f = r[c]
+            f = r.get(c)
             if not f:
                 continue
-            pivot = pivots.get(c)
-            if pivot is None:
-                pivots[c] = r[c + 1:], pow(f, -1, p)
+            tail = pivots.get(c)
+            if tail is None:
+                inv = pow(f, -1, p)
+                pivots[c] = {j: b * inv % p for j, b in r.items() if j > c and b}
                 if len(pivots) == limit:
                     return limit
                 break
-            tail, inv = pivot
-            f = f * inv % p
-            # r[c] is now 0 and is not read again
-            r[c + 1:] = [(a - f * b) % p for a, b in zip(r[c + 1:], tail)]
+            if type(tail) is list:  # a raw pivot's first use
+                inv = pow(tail[c], -1, p)
+                tail = pivots[c] = {
+                    j: b * inv % p
+                    for j in compress(range(c + 1, q), tail[c + 1:])
+                    if (b := tail[j] % p)
+                }
+            for j, b in tail.items():
+                r[j] = (r.get(j, 0) - f * b) % p
     return len(pivots)
 
 
@@ -341,6 +356,10 @@ class RationalSubspace:
 
 
 def rational_subspace_from_json(data: dict) -> RationalSubspace:
+    if not isinstance(data, dict):
+        raise InvalidInputError(
+            f"bad rational subspace record: expected an object, got {type(data).__name__}"
+        )
     try:
         order = MonomialOrder.parse(data.get("order", "lex"))
         return RationalSubspace(json_int(data, "n"), json_int(data, "d"), data["rows"], order)

@@ -52,11 +52,13 @@ from stablesq.qlinalg import (
     span,
     square_rational,
 )
+from stablesq.search import closed_form_m
 from stablesq.subspace import (
     MonomialSubspace,
     ideal_hilbert_function,
     is_base_point_free,
     square,
+    subspace_from_json,
     variable_quotient,
 )
 
@@ -295,6 +297,13 @@ def test_object_rows_are_refused_before_the_column_index(monkeypatch):
         rational_subspace_from_json({"n": 11, "d": 11, "rows": [{"x": 1}]})
     with pytest.raises(InvalidInputError):
         span([{(1, 0): 1, (1, 1): 1}], 2, 2)
+
+
+@pytest.mark.parametrize("load", [rational_subspace_from_json, subspace_from_json])
+@pytest.mark.parametrize("record", [[1, 2], "x", None])
+def test_json_loaders_refuse_a_record_that_is_not_an_object(load, record):
+    with pytest.raises(InvalidInputError):
+        load(record)
 
 
 @pytest.mark.parametrize("bad", ["abc", "1e3000000", 0.5, True])
@@ -824,7 +833,82 @@ def row_at_a_time_rank_mod_p(mat: list[list[int]], q: int) -> int:
     return len(echelon)
 
 
-@given(matrices())
+def dense_rank_mod_p(mat: list[list[int]], q: int) -> int:
+    """Rank modulo _PRIME by the dense elimination `_rank_mod_p` replaced.
+
+    Each row is reduced modulo the prime once, into a new list.  The first
+    row with a given leading column is a pivot with no reduction; the other
+    rows wait until every row has been read, then each is reduced from its
+    own leading column against the pivots it meets.  A pivot row is kept as
+    it is, with the inverse of its leading entry.  The scan stops once the
+    rank reaches min(rows, q).
+    """
+    p = _PRIME
+    limit = min(len(mat), q)
+    pivots: dict[int, tuple[list[int], int]] = {}  # column c -> (row[c+1:], 1/row[c])
+    waiting = []
+    for row in mat:
+        r = [a % p for a in row]
+        c = next((c for c, a in enumerate(r) if a), q)
+        if c == q:
+            continue
+        if c in pivots:
+            waiting.append((c, r))
+            continue
+        pivots[c] = r[c + 1:], pow(r[c], -1, p)
+        if len(pivots) == limit:
+            return limit
+    for start, r in waiting:
+        for c in range(start, q):
+            f = r[c]
+            if not f:
+                continue
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = r[c + 1:], pow(f, -1, p)
+                if len(pivots) == limit:
+                    return limit
+                break
+            tail, inv = pivot
+            f = f * inv % p
+            # r[c] is now 0 and is not read again
+            r[c + 1:] = [(a - f * b) % p for a, b in zip(r[c + 1:], tail)]
+    return len(pivots)
+
+
+nonzero_ints = st.one_of(
+    st.integers(1, 9), st.integers(-9, -1), prime_multiples, st.integers(10**9, 10**20)
+)
+
+
+@st.composite
+def tall_sparse_matrices(draw):
+    """Up to 60 integer rows over up to 30 columns, about 20% nonzero, all
+    leading at a few shared columns; leading entries may be multiples of
+    the prime, and a row may be a combination of two earlier rows."""
+    q = draw(st.integers(1, 30))
+    leads = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 60))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            u, v = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([s * x + t * y for x, y in zip(u, v)])
+            continue
+        c = draw(st.sampled_from(leads))
+        row = [0] * q
+        row[c] = draw(nonzero_ints)
+        if c + 1 < q:
+            tail = st.dictionaries(
+                st.integers(c + 1, q - 1), nonzero_ints, max_size=(q - c) * 2 // 5
+            )
+            for j, a in draw(tail).items():
+                row[j] = a
+        rows.append(row)
+    return rows
+
+
+@given(st.one_of(matrices(), tall_sparse_matrices()))
 @example([[_PRIME, 1], [0, _PRIME]])
 # repeated leading columns: three rows lead at column 0, two at column 1
 @example([[1, 2, 3, 4], [2, 5, 7, 1], [0, 3, 1, 4], [3, 1, 4, 1], [0, 6, 2, 9]])
@@ -833,13 +917,23 @@ def row_at_a_time_rank_mod_p(mat: list[list[int]], q: int) -> int:
 @example([[1, 1], [2, 3], [5, 7], [4, 4]])
 # rows that are multiples of the prime, whole or in part
 @example([[_PRIME, 2 * _PRIME, -_PRIME], [1, _PRIME, 3 * _PRIME], [2, 0, _PRIME], [0, 5, 1]])
+# a leading entry that is a multiple of the prime is no raw pivot: the row
+# waits, and the next row that leads at column 0 takes the column
+@example([[_PRIME, 1, 2], [3, 4, 5], [0, 1, 1]])
+# raw pivots alone reach rank q, before the last row is read
+@example([[1, 2, 3], [0, 4, 5], [0, 0, 6], [7, 8, 9]])
+# a repeated row meets its raw pivot, whose tail is divided by the lead
+@example([[2, 1], [2, 1]])
+# the second row becomes a pivot at column 1 after waiting; the third row,
+# twice the second minus the first, meets that pivot and vanishes
+@example([[1, 0, 0], [1, 2, 1], [1, 4, 2]])
 def test_rank_mod_p_never_exceeds_the_rank(rows):
     mat = [r for r in map(_integer_row, rows) if any(r)]
     q = len(rows[0]) if rows else 0
     before = [list(r) for r in mat]
     rank = _rank_mod_p(mat, q)
     assert mat == before
-    assert rank == row_at_a_time_rank_mod_p(mat, q)
+    assert rank == dense_rank_mod_p(mat, q) == row_at_a_time_rank_mod_p(mat, q)
     assert rank <= len(integer_rref(rows)[1])
 
 
@@ -887,6 +981,20 @@ def test_rank_zero_modulo_the_prime_falls_back_to_exact_elimination():
     assert U.rows == ((1,),)
     # rank 1 modulo the prime, 2 over Q
     assert RationalSubspace(2, 1, [[1, 0], [1, _PRIME]]).dim == 2
+
+
+@pytest.mark.parametrize("n, d", [(4, 4), (5, 3)])
+def test_extremal_square_falls_back_to_exact_elimination(n, d):
+    # the apolar perp of L^d and L^(d-1) M in generic coordinates has
+    # codim U^2 = m(n, d, 2), so its product rows are dependent and fewer
+    # than q are independent: the rank modulo the prime certifies neither
+    # count, and the exact elimination decides
+    rng = random.Random(f"{n}:{d}")
+    L, M = ([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)] for _ in "LM")
+    U = apolar_perp([power_of(L, d), multiply_forms(power_of(L, d - 1), linear_form(M))], n, d)
+    S = square_rational(U)
+    assert S._echelon is not None  # built by the fallback, not on first use
+    assert S.codim == closed_form_m(n, d, 2)
 
 
 def test_prime_keeps_the_modular_elimination_in_one_digit_ints():

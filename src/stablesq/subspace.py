@@ -10,8 +10,16 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import chain, combinations, islice, takewhile
+from itertools import (
+    chain,
+    combinations,
+    combinations_with_replacement,
+    islice,
+    starmap,
+    takewhile,
+)
 from math import factorial, inf, prod
+from operator import add, mul
 from typing import Iterable, Iterator
 
 from . import errors
@@ -189,11 +197,18 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     Only a degree-2d monomial with at most 2 codim U divisors of degree d
     can be missing from U^2, so the budget bounds the number of those
     candidates: the square raises BudgetExceededError exactly when it is
-    exceeded, before any of them is built.  Counting them ranks only the
-    exponent classes with at most 2 codim U divisors, and takes the divisor
-    count of the classes one move past them (`ranked_classes`), so a
-    refusal costs no more than counting its candidates, however large n
-    and d are.
+    exceeded, before any of them is built, whichever kernel then runs.
+    Counting them ranks only the exponent classes with at most 2 codim U
+    divisors, and takes the divisor count of the classes one move past
+    them (`ranked_classes`), so a refusal costs no more than counting its
+    candidates, however large n and d are.
+
+    With m = dim U and k = codim U, the sums of member codes
+    (`SquareIndex.sumset_missing`) visit m(m + 1)/2 pairs, and the class
+    walk (`SquareIndex.missing`) checks at most k pairs for each of at most
+    dim A_2d candidates.  The square takes the sumset when the first count
+    is at most the second, and the walk otherwise: a U with few members
+    goes by its members, and a U of small codimension by its complement.
     """
     index = square_index(U.n, U.d)
     if budget is not None:
@@ -204,7 +219,12 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
                 f"over the budget {budget}",
                 seen=candidates,
             )
-    return MonomialSubspace._built(U.n, 2 * U.d, index.missing(U.complement))
+    m, k = U.dim, U.codim
+    if m * (m + 1) // 2 <= k * dim_component(U.n, 2 * U.d):
+        missing = index.sumset_missing(U.complement)
+    else:
+        missing = index.missing(U.complement)
+    return MonomialSubspace._built(U.n, 2 * U.d, missing)
 
 
 def _hilbert_function(n: int, d: int, max_degree: int, codims: Iterator[int]) -> HilbertFunction:
@@ -297,8 +317,9 @@ class SquareIndex:
     exactly when every pair meets the complement C of U, so T can only be
     missing when its divisor count is at most twice the codimension.  Any
     one pair of a missing T meets C, so a query needs only the T with a
-    chosen pair meeting C and at most 2|C| divisors.  The two queries
-    choose that pair differently.
+    chosen pair meeting C and at most 2|C| divisors.  `missing` and
+    `codim_square` choose that pair differently; `sumset_missing` reads
+    the members instead.
 
     Both listings pair divisors by one plan per exponent class
     (`_divisor_plan`).  The divisor count of T depends only on its sorted
@@ -309,8 +330,8 @@ class SquareIndex:
     arrangement T of the class carries the plan to T by permuting the
     columns.  `_enter` keeps the plans it reads, since it meets a class
     once per T; the class walk meets each class once and keeps none
-    (keeping them added 0.7 MB to the traced peak of
-    `square(MonomialSubspace.zero(6, 8))`).
+    (keeping them added 0.4-0.6 MB to the peak RSS of the whole walk of
+    (6, 8)).
 
     `missing` serves from `entries`, grown by the class walk: it reads
     `ranked_classes` one class at a time, in ascending divisor count, and
@@ -342,39 +363,62 @@ class SquareIndex:
     drops out through S_k.  The divisors of T are not kept once its bits
     are set.
 
-    The selection is by operation.  `codim_square` serves `compute_m`,
-    whose complements are strongly stable: they sit at the top of the
-    Borel order and rarely meet a balanced pair.  Over the reference table
-    its 1,511 queries give bits to 3,605 T, where the class walk lists
-    225,104 and pairs 19,335.  Listing them under balanced pairs took the
-    `table` benchmark's wall_s from 0.61 to 0.32 s
-    (BENCH_balanced-owners.json).  Reading each answer off the bits instead
-    of checking the pairs of every listed T, 85,790 listings of which 70%
-    are outside U^2, took it on to 0.182 s (BENCH_square-bits.json).
-    `missing` serves `square`, on arbitrary complements, which touch
-    almost every T: there the lazy build lands on many operations instead
-    of a few, and sending `square` through the balanced listing moved the
-    `mono-squares` benchmark's op_p50_ms from 0.03 to 0.10-0.11 ms and its
-    wall_s from 0.120 to 0.146-0.161 s.  One listing for both lost the
-    other way round too: bits entered by the class walk for `square` took
-    `square(MonomialSubspace.zero(6, 8))` from 0.84 s and 83 MB to 3.1 s
-    and 439 MB, and the class walk feeding `codim_square` took `table`
-    from 0.18 to 0.38 s.  Entries holding divisor lists in place of pair
-    tuples raised `mono-squares` op_p50_ms by 23-33%.
+    `sumset_missing` packs each monomial M of degree d or 2d as one int,
+    code(M) = sum of M_i (2d + 1)^(i - 1): its exponents are the digits in
+    base 2d + 1 (Kronecker substitution).  An exponent of a product of two
+    degree-d monomials is at most 2d, a single digit, so code(MN) =
+    code(M) + code(N) with no carry, and two monomials of degree 2d with
+    one code are equal.  So T lies in U^2 exactly when its code is the sum
+    of the codes of two members, and the T outside U^2 are those whose
+    code is not among the m(m + 1)/2 sums of the m = dim U members, taken
+    with repetition.  The codes of A_d, and the T of A_2d with theirs, are
+    listed on the first such query; no shared cache holds them, so they go
+    when `square_index` drops the index.
+
+    The selection is by operation, and for `square` by size.
+    `codim_square` serves `compute_m`, whose complements are strongly
+    stable: they sit at the top of the Borel order and rarely meet a
+    balanced pair.  Over the reference table its 1,511 queries give bits to
+    3,605 T, where the class walk lists 225,104 and pairs 19,335.  Listing
+    them under balanced pairs took the `table` benchmark's wall_s from 0.61
+    to 0.32 s (BENCH_balanced-owners.json).  Reading each answer off the
+    bits instead of checking the pairs of every listed T, 85,790 listings
+    of which 70% are outside U^2, took it on to 0.182 s
+    (BENCH_square-bits.json); feeding `codim_square` from the class walk
+    instead took it to 0.38 s.  `square` takes arbitrary complements, which
+    touch almost every T: there the lazy build lands on many operations
+    instead of a few, and sending `square` through the balanced listing
+    moved the `mono-squares` benchmark's op_p50_ms from 0.03 to 0.10-0.11
+    ms and its wall_s from 0.120 to 0.146-0.161 s.  Entries holding divisor
+    lists in place of pair tuples raised its op_p50_ms by 23-33%.  Of its
+    two kernels, `square` takes the sumset when its m(m + 1)/2 pair sums
+    are at most k dim A_2d, the bound on the walk's pair checks (k = codim
+    U), and the walk otherwise.  So a square of small codimension stays on
+    the walk, about 0.03 ms at (6, 4), where the sumset would add up to
+    7,875 pairs, and a complement of a third of A_d or more goes by the
+    sumset, which spares the walk's whole listing of (n, d): on
+    `mono-squares` that took wall_s from 0.108 to 0.066 s, and
+    `square(MonomialSubspace.zero(6, 8))` went from 0.74 s and 82 MB of
+    peak RSS to 0.07 s and 24 MB (BENCH_sumset-squares.json).
     """
 
     __slots__ = (
         "n", "d", "entries", "_walk", "_next", "_ends", "_canon", "_owners",
-        "_balanced", "_plans", "_bits", "_slots", "_bypairs",
+        "_balanced", "_plans", "_bits", "_slots", "_bypairs", "_codes", "_targets",
     )
 
     def __init__(self, n: int, d: int):
         if n < 1 or d < 0:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-        # ranking the first class counts divisors over a list of d + 1 entries
+        # ranking the first class counts divisors over a list of d + 1
+        # entries, and builds a tuple of n
         if 2 * d > errors.DEFAULT_BUDGET:
             raise BudgetExceededError(
                 f"squares in degree {2 * d} are over the budget {errors.DEFAULT_BUDGET}"
+            )
+        if n > errors.DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"{n} variables are over the budget {errors.DEFAULT_BUDGET}"
             )
         self.n = n
         self.d = d
@@ -396,6 +440,10 @@ class SquareIndex:
         self._bits: set[tuple[int, ...]] = set()
         self._slots: dict[tuple[int, ...], list[int]] = {}
         self._bypairs: list[int] = []
+        # the sumset side of square, built on its first query: the code of
+        # each degree-d monomial, and each degree-2d T with its code
+        self._codes: list[tuple[tuple[int, ...], int]] | None = None
+        self._targets: list[tuple[tuple[int, ...], int]] = []
 
     def _grow(self, count: int) -> int:
         """Grow the index to hold every T with at most `count` degree-d
@@ -414,7 +462,7 @@ class SquareIndex:
                 moved = [intern(M, M) for M in zip(*map(columns.__getitem__, s))]
                 pairs = tuple((moved[i], moved[last - i]) for i in half)
                 # two of these alive at once leave holes among the pair
-                # tuples: +0.6 MB peak RSS on square(zero(6, 8))
+                # tuples: +0.7 MB peak RSS on the whole walk of (6, 8)
                 del moved
                 M, N = pairs[0]
                 owners[M].append(len(entries))
@@ -468,6 +516,23 @@ class SquareIndex:
         in the order of `entries`."""
         entries = self.entries
         return [entries[p][0] for p in sorted(self._hits(complement))]
+
+    def sumset_missing(self, complement) -> list[tuple[int, ...]]:
+        """The degree-2d monomials outside U^2, for U with this complement,
+        in ascending tuple order: the T whose code is no sum of the codes
+        of two members."""
+        if self._codes is None:
+            n, d = self.n, self.d
+            weights = [(2 * d + 1) ** i for i in range(n)]
+
+            def coded(e):
+                # every monomial of degree e divides (e, ..., e)
+                return [(M, sum(map(mul, M, weights))) for M in divisors_of_degree((e,) * n, e)]
+
+            self._codes, self._targets = coded(d), coded(2 * d)
+        members = [code for M, code in self._codes if M not in complement]
+        sums = set(starmap(add, combinations_with_replacement(members, 2)))
+        return [T for T, code in self._targets if code not in sums]
 
     def _balanced_owners(self, c: tuple[int, ...]) -> list:
         """[counts, owners, 0]: the T whose balanced pair holds c, in

@@ -327,6 +327,10 @@ HUGE_INPUTS = {
         ["square", "huge.json"],
         ["square", "huge.json", "--budget", "10"],
         ["square", "rows.json"],
+        # a huge n is refused before a tuple of n exponents is built
+        ["m", "--n", "99999999999999999999", "--d", "2", "--k", "1"],
+        ["m", "--n", "1000000000", "--d", "2", "--k", "1"],
+        ["table", "--n", "1000000000", "--d", "2", "--k", "1"],
     ],
 )
 def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):

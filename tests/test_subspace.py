@@ -3,7 +3,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablesq import monomial, subspace
@@ -178,9 +178,9 @@ def test_square_matches_naive_oracle_exhaustive():
 
 
 @st.composite
-def any_subspace(draw):
-    n = draw(st.integers(1, 4))
-    d = draw(st.integers(0, 3))
+def any_subspace(draw, max_n=4, max_d=3):
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(0, max_d))
     basis = _basis_tuples(n, d)
     k = draw(st.integers(0, len(basis)))
     return MonomialSubspace(n, d, draw(st.permutations(basis))[:k])
@@ -284,6 +284,52 @@ def test_square_index_grows_on_demand():
         SquareIndex(0, 2)
 
 
+def sumset_selected(U):
+    m, k = U.dim, U.codim
+    return m * (m + 1) // 2 <= k * dim_component(U.n, 2 * U.d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_subspace(max_n=6, max_d=5))
+@example(MonomialSubspace.full(3, 0))  # d = 0
+@example(MonomialSubspace.zero(3, 0))
+@example(MonomialSubspace.full(1, 4))  # n = 1
+@example(MonomialSubspace.zero(1, 4))
+@example(MonomialSubspace.full(5, 3))  # codim 0
+@example(MonomialSubspace.zero(5, 3))  # codim q
+@example(MonomialSubspace(3, 2, [(1, 1, 0)]))  # the tie m(m + 1)/2 = 15 = k dim A_4
+def test_sumset_and_class_walk_agree_with_the_naive_product(U):
+    # square takes one kernel or the other by size; both answer every U
+    want = product_naive(U, U).complement
+    idx = SquareIndex(U.n, U.d)
+    assert idx.sumset_missing(U.complement) == sorted(want)
+    assert sorted(idx.missing(U.complement)) == sorted(want)
+    assert square(U).complement == want
+
+
+def test_square_selects_its_kernel_by_size():
+    basis = _basis_tuples(6, 4)
+    square_index.cache_clear()
+    idx = square_index(6, 4)
+    # codim 42: 84 * 85 / 2 = 3,570 member pairs, under 42 * dim A_8 =
+    # 54,054, so the sumset answers and the walk is not grown
+    U = MonomialSubspace(6, 4, basis[:42])
+    assert sumset_selected(U)
+    assert square(U) == product_naive(U, U)
+    assert idx.entries == [] and idx._codes
+    # codim 4: 122 * 123 / 2 = 7,503 pairs, over 4 * 1,287, so the walk
+    # answers, grown only to 8 divisors
+    U = MonomialSubspace(6, 4, basis[:4])
+    assert not sumset_selected(U)
+    assert square(U) == product_naive(U, U)
+    assert idx._ends[-1][0] == 8 < idx._next[0]
+    # a tie goes to the sumset
+    U = MonomialSubspace(3, 2, [(1, 1, 0)])
+    assert U.dim * (U.dim + 1) // 2 == U.codim * dim_component(3, 4) == 15
+    assert square(U) == product_naive(U, U)
+    assert square_index(3, 2).entries == []
+
+
 def ranked_square_entries(n, d, top):
     """The old SquareIndex construction, kept as an oracle: rank every
     degree-2d monomial by divisor count (a stable sort of the lex-ascending
@@ -358,12 +404,12 @@ def test_size_upto_matches_the_listing_after_mixed_queries():
 
 
 def test_size_upto_reads_the_walk_once_it_has_passed_the_count(monkeypatch):
-    # a square of codim 30 walks the classes of (6, 6) past 60 divisors;
-    # every count short of where the walk stands is read off the index,
-    # and only a count past it walks the classes afresh
+    # the walk of (6, 6) grown past 60 divisors: every count short of where
+    # it stands is read off the index, and only a count past it walks the
+    # classes afresh
     square_index.cache_clear()
-    square(MonomialSubspace(6, 6, _basis_tuples(6, 6)[:30]))
     idx = square_index(6, 6)
+    idx.entries_upto(60)
     walks = []
     ranked = subspace.ranked_classes
     monkeypatch.setattr(subspace, "ranked_classes", lambda *a: walks.append(a) or ranked(*a))
@@ -710,4 +756,5 @@ def test_square_index_cache_consistency():
     assert square_index(3, 2) is a
     assert square_index(3, 3) is not a
     assert square(MonomialSubspace(3, 2, [(2, 0, 0)])).codim == 3
-    assert square_index(3, 2) is a and a.entries
+    # the square read the cached index, by the class walk or the sumset
+    assert square_index(3, 2) is a and (a.entries or a._codes)

@@ -16,7 +16,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import chain, product
+from math import prod
 
+from . import errors
 from .errors import BudgetExceededError, InvalidInputError
 from .monomial import LEX, MonomialOrder, monomial_to_text
 from .qlinalg import (
@@ -37,15 +39,18 @@ from .gram import nonsingular_face_bound, singular_face_dim
 from .suites import SUITES, SuiteOptions, conjecture_scan, run_suites
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
+    """The values of a flag, never listed here: `main` counts the grid
+    they make before any command reads them."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             a, b = int(lo), int(hi)
             if b < a:
                 raise ValueError
-            return list(range(a, b + 1))
-        return [int(text)]
+            return range(a, b + 1)
+        a = int(text)
+        return range(a, a + 1)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or a..b range, got {text!r}"
@@ -82,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=_positive_int, default=None, help=(
                 "bound on the subspaces each search visits; it bounds only the searches "
-                "the command runs (table searches cells with k < dim, gram n < k)"))
+                "the command runs (table searches cells with k < dim, gram n < k), "
+                "and the number of cells"))
         if fmt:
             p.add_argument(
                 "--format", choices=("text", "csv", "json"), default="text"
@@ -389,9 +395,21 @@ _COMMANDS = {
 }
 
 
+def _check_grid(args) -> None:
+    """Refuse a grid of more (n, d, k) cells than the budget before any
+    cell runs: the budget bounds each cell's search, and every cell is
+    at least one unit of work."""
+    cells = prod(r.stop - r.start for r in (args.n, args.d, args.k))
+    budget = getattr(args, "budget", None) or errors.DEFAULT_BUDGET
+    if cells > budget:
+        raise BudgetExceededError(f"{cells} cells are over the budget {budget}", seen=cells)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "k" in args:  # a command over a grid of ranges
+            _check_grid(args)
         code = _COMMANDS[args.command](args)
         # a closed pipe shows up here at the latest, not in the flush at exit
         sys.stdout.flush()

@@ -15,7 +15,8 @@ from itertools import accumulate
 from math import comb
 from typing import Iterator
 
-from .errors import InvalidInputError
+from . import errors
+from .errors import BudgetExceededError, InvalidInputError
 
 
 def exponents(M) -> tuple[int, ...]:
@@ -174,9 +175,14 @@ def dim_component(n: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All degree-d exponent tuples in n variables, ascending lex order."""
-    if n < 1 or d < 0:
-        raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    """All degree-d exponent tuples in n variables, ascending lex order;
+    a basis longer than errors.DEFAULT_BUDGET is refused before it is built."""
+    size = dim_component(n, d)
+    if size > errors.DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"the {size} monomials of degree {d} in {n} variables are over the budget "
+            f"{errors.DEFAULT_BUDGET}"
+        )
     if n == 1:
         return ((d,),)
     out = []

@@ -90,8 +90,9 @@ def _integer_row(r) -> list[int]:
     """A row of ints or Fractions scaled to ints by the lcm of its denominators."""
     if _all_int(r):
         return r
-    scale = lcm(*(x.denominator for x in r))
-    return [x.numerator * (scale // x.denominator) for x in r]
+    ratios = [x.as_integer_ratio() for x in r]
+    scale = lcm(*(b for _, b in ratios))
+    return [a * (scale // b) for a, b in ratios]
 
 
 def _integer_rref(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -608,15 +609,48 @@ def _pivot(row: list[int], n: int, d: int, order: MonomialOrder) -> tuple[int, i
     return i, k
 
 
+def _echelon_pair(mat: list[list[int]]) -> list[list[int]]:
+    """Integer rows in echelon form spanning the rows of mat, at most two
+    unless the span has dimension over 2.
+
+    The rows are folded in one at a time: each is cross-multiplied at the
+    leading column of each kept row, in ascending order of leading column,
+    which clears those columns, and is kept if anything is left.  So the
+    kept rows have distinct leading columns and are sorted by them, and the
+    second is zero at the first's leading column.  The fold stops at a third
+    independent row, which it returns with the two kept ones.  There is no
+    gcd normalization and no back-substitution: a returned row is an input
+    row after at most two cross-multiplications, so its entries cannot grow
+    without bound, and scaling a generator never changes which members of
+    the span are powers.
+    """
+    kept: list[tuple[int, list[int]]] = []  # (leading column, row), ascending
+    for row in mat:
+        for c, r in kept:
+            f = row[c]
+            if f:
+                p = r[c]
+                row = [p * a - f * b for a, b in zip(row, r)]
+        lead = next(compress(range(len(row)), row), None)
+        if lead is None:  # a zero row, or one dependent on the kept rows
+            continue
+        kept.append((lead, row))
+        kept.sort()  # the leads differ, so no two rows are compared
+        if len(kept) == 3:
+            break
+    return [r for _, r in kept]
+
+
 def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     """Whether a span of dimension at most 2 contains a d-th power.
 
     A nonzero form is a power of a linear form exactly when its first
     catalecticant has rank at most 1, which is tested along one nonzero
     pivot entry: every other row must be proportional to the pivot's row.
-    The span is reduced to primitive integer rows r0, r1, and the pivot
-    (i, k) is taken at the leading monomial of r0, where the catalecticant
-    A of r0 is nonzero and the catalecticant B of r1 is zero.  So A + u*B
+    The span is brought to an echelon pair of integer rows r0, r1 by
+    `_echelon_pair`, and the pivot (i, k) is taken at the leading monomial
+    of r0, where the catalecticant A of r0 is nonzero and the catalecticant
+    B of r1 is zero, since r1 is zero at that column.  So A + u*B
     has the pivot entry A[i][k] for every u, and it has rank at most 1
     exactly when its pivot minors, one quadratic in Z[u] per other row and
     column, vanish at u.  The pencil holds a power exactly when B has rank
@@ -627,14 +661,15 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     step in exact ints; from then on every minor must vanish there.  The
     scan returns False once no root is left.
     """
-    rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
-    return _reduced_power(rows, n, d, order)
+    mat = [_integer_row(_as_vector(v, n, d, order)) for v in vectors]
+    return _reduced_power(_echelon_pair(mat), n, d, order)
 
 
 def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder = LEX) -> bool:
-    """`power_in_span` on at most two reduced integer rows: each row's
-    leading column is zero in the other row, as `_integer_rref` and
-    `_kernel` return them."""
+    """`power_in_span` on independent integer rows, the second zero at the
+    first's leading column: an echelon pair as `_echelon_pair` returns it,
+    or reduced rows as `_integer_rref` and `_kernel` return them.  More
+    than two rows are refused when d > 1."""
     if not rows:
         return False
     if d == 1:
@@ -689,8 +724,9 @@ def has_base_point(U: RationalSubspace) -> bool:
 
     A point is a base point of U exactly when the d-th power of its
     linear form is apolar to U, so the test reduces to power detection
-    inside the annihilator.  `apolar_dual` already returns the primitive
-    reduced rows that `_reduced_power` takes, so they are not reduced again.
+    inside the annihilator.  `apolar_dual` returns reduced rows, and these
+    already meet the weaker contract of `_reduced_power` (the second row is
+    zero at the first row's leading column), so they are taken as they are.
     """
     return _reduced_power(apolar_dual(U), U.n, U.d, U.order)
 

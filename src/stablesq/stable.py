@@ -67,10 +67,13 @@ def _stable_complements(
 
     Out-of-range k yields nothing.  The budget (errors.DEFAULT_BUDGET when None)
     bounds the number of search nodes; exceeding it raises
-    BudgetExceededError.
+    BudgetExceededError, as does n over errors.DEFAULT_BUDGET.
     """
     if n < 1 or d < 0:
         raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
+    # the root is a tuple of n exponents
+    if n > errors.DEFAULT_BUDGET:
+        raise BudgetExceededError(f"{n} variables are over the budget {errors.DEFAULT_BUDGET}")
     if budget is None:
         budget = errors.DEFAULT_BUDGET
     if k < 0 or k > dim_component(n, d):

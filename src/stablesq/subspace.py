@@ -450,7 +450,8 @@ class SquareIndex:
         divisors; the end of their block in `entries`."""
         entries, owners, ends = self.entries, self._owners, self._ends
         intern = self._canon.setdefault
-        while self._next[0] <= count:
+        # a spent walk leaves the sentinel (inf, None), which count = inf passes
+        while self._next[0] <= count and self._next[1] is not None:
             c, lam = self._next
             columns, slot_of = _divisor_plan(lam, self.d)
             last = len(slot_of) - 1

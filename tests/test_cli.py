@@ -331,6 +331,14 @@ HUGE_INPUTS = {
         ["m", "--n", "99999999999999999999", "--d", "2", "--k", "1"],
         ["m", "--n", "1000000000", "--d", "2", "--k", "1"],
         ["table", "--n", "1000000000", "--d", "2", "--k", "1"],
+        # a range is counted before it is listed, and a grid of more cells
+        # than the budget is refused before any cell runs
+        ["gram", "--n", "5..1000000000", "--d", "4", "--k", "2"],
+        # a basis longer than the budget is refused before it is built
+        ["conjecture", "--n", "1000000000", "--d", "3", "--k", "1"],
+        # so is an enumeration whose root is a tuple of n exponents
+        ["enumerate", "--n", "1000000000", "--d", "2", "--k", "1"],
+        ["m", "--n", "3..1000000", "--d", "2", "--k", "1", "--budget", "1"],
     ],
 )
 def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):

@@ -27,6 +27,7 @@ from stablesq.qlinalg import (
     _coefficient,
     _column_index,
     _columns,
+    _echelon_pair,
     _fraction_row,
     _integer_row,
     _integer_rref,
@@ -1621,6 +1622,89 @@ def reduced_power_cases(draw):
 def test_pivot_power_test_matches_every_minor(case):
     rows, n, d, order = case
     assert _reduced_power(rows, n, d, order) == all_minors_power(rows, n, d, order)
+
+
+# ---------------------------------------------------------------------------
+# the echelon pair of power_in_span against the reduced rows it replaced
+
+
+def rref_power_in_span(vectors, n: int, d: int, order=LEX) -> bool:
+    """`power_in_span` on the reduced integer rows of `_integer_rref`, as
+    it ran before the echelon pair: the oracle of the fold."""
+    rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
+    return _reduced_power(rows, n, d, order)
+
+
+def power_outcome(test, *args):
+    """The answer, or the message of the refusal of a span of dimension 3."""
+    try:
+        return test(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def leading_column(row) -> int:
+    return next((c for c, x in enumerate(row) if x), len(row))
+
+
+@st.composite
+def echelon_cases(draw):
+    """(vectors, n, d, order): 1-4 generators, n <= 4, d <= 5, each a
+    combination of a base of 1-3 forms or d-th powers of linear forms with
+    some coefficients zero: zero rows, base forms, dependent rows, and
+    rows sharing their leading column.  Some are written as lists of "p/q"
+    strings, and the list may be put in descending order of leading
+    column, so a power in the base sits at either end of the pencil."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    order = draw(st.sampled_from(PRODUCT_ORDERS if n > 1 else PRODUCT_ORDERS[:2]))
+    linear = st.lists(coefficients, min_size=n, max_size=n)
+    powers = linear.map(lambda L: power_of(L, d))
+    base = draw(st.lists(st.one_of(forms(n, d), powers), min_size=1, max_size=3))
+    weights = st.lists(st.one_of(st.just(0), nonzero), min_size=len(base), max_size=len(base))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        g: dict = {}
+        for c, f in zip(draw(weights), base):
+            g = combine(1, g, c, f)
+        vectors.append(_as_vector(g, n, d, order))
+    if draw(st.booleans()):
+        vectors.sort(key=leading_column, reverse=True)
+    return [[str(x) for x in v] if draw(st.booleans()) else v for v in vectors], n, d, order
+
+
+@given(echelon_cases())
+# (x = x1, y = x2; under lex the columns of degree 3 are y^3, x*y^2, x^2*y, x^3)
+# a multiple of the first row: the reduction at the first row's lead drops it
+@example(([[1, 0, 0, 0], [2, 0, 0, 0]], 2, 3, LEX))
+# y^3 + x*y^2 and y^3, equal leads: y^3 in the span, at (0 : 1)
+@example(([[1, 1, 0, 0], [1, 0, 0, 0]], 2, 3, LEX))
+# a third generator in the span of the first two, each of the pair needed
+@example(([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 1, 1]], 2, 3, LEX))
+# generators in descending order of lead: x^3, then x*y^2 / 2
+@example(([["0", "0", "0", "1"], [0, "1/2", 0, 0]], 2, 3, LEX))
+# four generators of a 2-dimensional span holding (x + y)^3, with a zero row
+@example(([[1, 3, 3, 1], [0, 0, 0, 0], [1, 0, 0, 0], ["2", "3", "3", "1"]], 2, 3, LEX))
+# a power at either end of the pencil: x^4 after x^2*y^2, y^4 before it
+@example(([[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]], 2, 4, LEX))
+@example(([[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], 2, 4, LEX))
+# dimension 3 is refused in degree 3 and answered in degree 1
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]], 2, 3, LEX))
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, "1/2"], [1, 1, 0]], 3, 1, LEX))
+def test_echelon_pair_matches_the_reduced_rows(case):
+    vectors, n, d, order = case
+    mat = [_integer_row(_as_vector(v, n, d, order)) for v in vectors]
+    rank = len(_integer_rref([list(r) for r in mat])[1])
+    pair = _echelon_pair([list(r) for r in mat])
+    # at most three independent rows of the span, sorted by distinct leads,
+    # each zero at the leads of the rows before it; all of it when rank <= 2
+    leads = list(map(leading_column, pair))
+    assert leads == sorted(set(leads)) and len(pair) == min(rank, 3)
+    assert all(r[c] == 0 for i, r in enumerate(pair) for c in leads[:i])
+    assert len(_integer_rref([list(r) for r in pair + mat])[1]) == rank
+    got = power_outcome(power_in_span, vectors, n, d, order)
+    assert got == power_outcome(rref_power_in_span, vectors, n, d, order)
+    if rank > 2 and d > 1:
+        assert got == "exact power detection covers spans of dimension at most 2"
 
 
 def test_coefficient_passes_exact_numbers_through():

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -419,6 +419,20 @@ def test_size_upto_reads_the_walk_once_it_has_passed_the_count(monkeypatch):
         assert idx.size_upto(count) == len(idx.entries_upto(count))
     assert walks == []
     assert idx.size_upto(top) > len(idx.entries_upto(top - 1)) and len(walks) == 1
+
+
+def test_entries_upto_infinity_returns_the_whole_walk():
+    # the spent walk's sentinel count is infinite too: the whole walk of
+    # (3, 2) is the 15 monomials of degree 4, and a finite count still
+    # reads the prefix it read before
+    idx = SquareIndex(3, 2)
+    prefix = idx.entries_upto(2)
+    assert len(prefix) == 9
+    whole = idx.entries_upto(inf)
+    assert sorted(T for T, _ in whole) == sorted(_basis_tuples(3, 4))
+    assert idx.entries_upto(inf) == whole
+    assert idx.entries_upto(2) == prefix
+    assert idx.size_upto(inf) == 15
 
 
 def scan_missing(idx, complement):

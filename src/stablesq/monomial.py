@@ -175,22 +175,18 @@ def dim_component(n: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All degree-d exponent tuples in n variables, ascending lex order;
-    a basis longer than errors.DEFAULT_BUDGET is refused before it is built."""
+    """All degree-d exponent tuples in n variables, ascending lex order; a
+    basis of more than errors.DEFAULT_BUDGET exponents in all is refused
+    before it is built."""
     size = dim_component(n, d)
-    if size > errors.DEFAULT_BUDGET:
+    if n * size > errors.DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"the {size} monomials of degree {d} in {n} variables are over the budget "
-            f"{errors.DEFAULT_BUDGET}"
+            f"the {size} monomials of degree {d} in {n} variables hold {n * size} "
+            f"exponents, over the budget {errors.DEFAULT_BUDGET}"
         )
-    if n == 1:
-        return ((d,),)
-    out = []
-    for last in range(d + 1):
-        for rest in _basis_tuples(n - 1, d - last):
-            out.append(rest + (last,))
-    out.sort(key=lambda t: tuple(reversed(t)))
-    return tuple(out)
+    # every monomial of degree d divides (d, ..., d); reversing the divisors,
+    # listed by the exponent of x_1 first, puts x_n first
+    return tuple(p[::-1] for p in divisors_of_degree((d,) * n, d))
 
 
 def _power_free(n: int, d: int) -> list[tuple[int, ...]]:

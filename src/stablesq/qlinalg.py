@@ -16,14 +16,16 @@ exact elimination is reached, never an answer.
 The reduced row echelon form, whose pivot columns are the initial
 monomials of the space, is built on first use.  Two subspaces are equal
 exactly when these forms coincide.  Elimination is fraction-free over the
-integers; Fractions are made only for the public `rows`, `to_json` and
-`eliminate_variable`, and no floating point enters.
+integers, in one forward loop (`_echelon`) that the reduced form follows
+with back-substitution; Fractions are made only for the public `rows`,
+`to_json` and `eliminate_variable`, and no floating point enters.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress, product
@@ -95,44 +97,58 @@ def _integer_row(r) -> list[int]:
     return [a * (scale // b) for a, b in ratios]
 
 
+def _echelon(mat: list[list[int]], stop: int = 0) -> tuple[list[list[int]], list[int]]:
+    """Integer rows in echelon form spanning the rows of mat, and their
+    leading columns, ascending; the fold ends once `stop` rows are kept.
+
+    Each row in turn is cross-multiplied at the leading column of each kept
+    row, in ascending order of leading column, and is kept if anything is
+    left; a row so crossed is divided by its gcd, an input row kept as it
+    is is not."""
+    kept: list[tuple[int, list[int]]] = []  # (leading column, row), ascending
+    for row in mat:
+        crossed = False
+        for c, r in kept:
+            f = row[c]
+            if f:
+                p = r[c]
+                row = [p * a - f * b for a, b in zip(row, r)]
+                crossed = True
+        lead = next(compress(range(len(row)), row), None)
+        if lead is None:  # a zero row, or one dependent on the kept rows
+            continue
+        if crossed:
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+        insort(kept, (lead, row))  # the leads differ, so no two rows are compared
+        if len(kept) == stop:
+            break
+    return [r for _, r in kept], [c for c, _ in kept]
+
+
 def _integer_rref(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of integer rows, kept over the integers.
 
-    Fraction-free Gauss-Jordan elimination: a pivot clears its column from
-    every other row by cross-multiplication, and each updated row is
-    divided by the gcd of its entries.  Returns the pivot rows and columns;
-    each row is the reduced row scaled to primitive integers with a
-    positive pivot, so the rows are as canonical as the reduced form.
+    The echelon form of `_echelon`, then back-substitution from the last
+    pivot up: each pivot clears its column from the rows above it by
+    cross-multiplication, and each updated row is divided by the gcd of its
+    entries.  Returns the pivot rows and columns; each row is the reduced
+    row scaled to primitive integers with a positive pivot, so the rows are
+    as canonical as the reduced form.
     """
-    mat = [row for row in mat if any(row)]
-    q = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    cursor = 0
-    for col in range(q):
-        if cursor == len(mat):  # every row holds a pivot
-            break
-        sel = next((i for i in range(cursor, len(mat)) if mat[i][col]), None)
-        if sel is None:
-            continue
-        mat[cursor], mat[sel] = mat[sel], mat[cursor]
-        lead = mat[cursor]
-        p = lead[col]
-        kept = []
-        for i, row in enumerate(mat):
-            f = row[col]
-            if i != cursor and f:
-                row = [p * a - f * b for a, b in zip(row, lead)]
+    rows, pivots = _echelon(mat)
+    for j in range(len(rows) - 1, 0, -1):
+        r, c = rows[j], pivots[j]
+        p = r[c]
+        for i in range(j):
+            f = rows[i][c]
+            if f:
+                row = [p * a - f * b for a, b in zip(rows[i], r)]
                 g = gcd(*row)
-                if g == 0:  # a dependent row below the pivots
-                    continue
-                if g > 1:
-                    row = [a // g for a in row]
-            kept.append(row)
-        mat = kept
-        pivots.append(col)
-        cursor += 1
+                rows[i] = row if g == 1 else [a // g for a in row]
     out = []
-    for r, c in zip(mat, pivots):
+    for r, c in zip(rows, pivots):
         g = gcd(*r) if r[c] > 0 else -gcd(*r)
         out.append(r if g == 1 else [a // g for a in r])
     return out, pivots
@@ -609,48 +625,16 @@ def _pivot(row: list[int], n: int, d: int, order: MonomialOrder) -> tuple[int, i
     return i, k
 
 
-def _echelon_pair(mat: list[list[int]]) -> list[list[int]]:
-    """Integer rows in echelon form spanning the rows of mat, at most two
-    unless the span has dimension over 2.
-
-    The rows are folded in one at a time: each is cross-multiplied at the
-    leading column of each kept row, in ascending order of leading column,
-    which clears those columns, and is kept if anything is left.  So the
-    kept rows have distinct leading columns and are sorted by them, and the
-    second is zero at the first's leading column.  The fold stops at a third
-    independent row, which it returns with the two kept ones.  There is no
-    gcd normalization and no back-substitution: a returned row is an input
-    row after at most two cross-multiplications, so its entries cannot grow
-    without bound, and scaling a generator never changes which members of
-    the span are powers.
-    """
-    kept: list[tuple[int, list[int]]] = []  # (leading column, row), ascending
-    for row in mat:
-        for c, r in kept:
-            f = row[c]
-            if f:
-                p = r[c]
-                row = [p * a - f * b for a, b in zip(row, r)]
-        lead = next(compress(range(len(row)), row), None)
-        if lead is None:  # a zero row, or one dependent on the kept rows
-            continue
-        kept.append((lead, row))
-        kept.sort()  # the leads differ, so no two rows are compared
-        if len(kept) == 3:
-            break
-    return [r for _, r in kept]
-
-
 def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     """Whether a span of dimension at most 2 contains a d-th power.
 
     A nonzero form is a power of a linear form exactly when its first
     catalecticant has rank at most 1, which is tested along one nonzero
     pivot entry: every other row must be proportional to the pivot's row.
-    The span is brought to an echelon pair of integer rows r0, r1 by
-    `_echelon_pair`, and the pivot (i, k) is taken at the leading monomial
-    of r0, where the catalecticant A of r0 is nonzero and the catalecticant
-    B of r1 is zero, since r1 is zero at that column.  So A + u*B
+    The span is brought to echelon rows r0, r1 by `_echelon`, stopped at a
+    third, and the pivot (i, k) is taken at the leading monomial of r0,
+    where the catalecticant A of r0 is nonzero and the catalecticant B of
+    r1 is zero, since r1 is zero at that column.  So A + u*B
     has the pivot entry A[i][k] for every u, and it has rank at most 1
     exactly when its pivot minors, one quadratic in Z[u] per other row and
     column, vanish at u.  The pencil holds a power exactly when B has rank
@@ -662,13 +646,13 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     scan returns False once no root is left.
     """
     mat = [_integer_row(_as_vector(v, n, d, order)) for v in vectors]
-    return _reduced_power(_echelon_pair(mat), n, d, order)
+    return _reduced_power(_echelon(mat, 3)[0], n, d, order)
 
 
 def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder = LEX) -> bool:
     """`power_in_span` on independent integer rows, the second zero at the
-    first's leading column: an echelon pair as `_echelon_pair` returns it,
-    or reduced rows as `_integer_rref` and `_kernel` return them.  More
+    first's leading column: echelon rows as `_echelon` returns them, or
+    reduced rows as `_integer_rref` and `_kernel` return them.  More
     than two rows are refused when d > 1."""
     if not rows:
         return False

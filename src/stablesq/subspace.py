@@ -11,6 +11,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import (
+    accumulate,
     chain,
     combinations,
     combinations_with_replacement,
@@ -18,7 +19,7 @@ from itertools import (
     starmap,
     takewhile,
 )
-from math import factorial, inf, prod
+from math import comb, inf, prod
 from operator import add, mul
 from typing import Iterable, Iterator
 
@@ -209,6 +210,9 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     dim A_2d candidates.  The square takes the sumset when the first count
     is at most the second, and the walk otherwise: a U with few members
     goes by its members, and a U of small codimension by its complement.
+    The sumset, which lists all of A_2d, runs only when its n dim A_2d
+    exponents are within the default budget; the walk refuses a class that
+    would take its listing past that many.
     """
     index = square_index(U.n, U.d)
     if budget is not None:
@@ -219,8 +223,8 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
                 f"over the budget {budget}",
                 seen=candidates,
             )
-    m, k = U.dim, U.codim
-    if m * (m + 1) // 2 <= k * dim_component(U.n, 2 * U.d):
+    m, k, q = U.dim, U.codim, dim_component(U.n, 2 * U.d)
+    if m * (m + 1) // 2 <= k * q and U.n * q <= errors.DEFAULT_BUDGET:
         missing = index.sumset_missing(U.complement)
     else:
         missing = index.missing(U.complement)
@@ -297,6 +301,12 @@ def restrict_vars(U: MonomialSubspace, m: int) -> MonomialSubspace:
         raise InvalidInputError(f"need 2 <= m <= n={U.n}, got {m}")
     comp = [M[:m] for M in U.complement if sum(M[m:]) == 0]
     return MonomialSubspace._built(m, U.d, comp)
+
+
+def _arrangement_count(lam: tuple[int, ...]) -> int:
+    """The number of distinct rearrangements of the exponent tuple lam."""
+    sizes = Counter(lam).values()
+    return prod(map(comb, accumulate(sizes), sizes))
 
 
 def _divisor_plan(lam: tuple[int, ...], d: int) -> tuple[list, list[int]]:
@@ -447,12 +457,21 @@ class SquareIndex:
 
     def _grow(self, count: int) -> int:
         """Grow the index to hold every T with at most `count` degree-d
-        divisors; the end of their block in `entries`."""
+        divisors; the end of their block in `entries`.  A class whose
+        arrangements would take the entries past errors.DEFAULT_BUDGET
+        exponents in all is refused before any of them is entered."""
         entries, owners, ends = self.entries, self._owners, self._ends
         intern = self._canon.setdefault
         # a spent walk leaves the sentinel (inf, None), which count = inf passes
         while self._next[0] <= count and self._next[1] is not None:
             c, lam = self._next
+            size = len(entries) + _arrangement_count(lam)
+            if self.n * size > errors.DEFAULT_BUDGET:
+                raise BudgetExceededError(
+                    f"the {size} monomials of degree {2 * self.d} with at most {c} divisors "
+                    f"hold {self.n * size} exponents, over the budget {errors.DEFAULT_BUDGET}",
+                    seen=len(entries),
+                )
             columns, slot_of = _divisor_plan(lam, self.d)
             last = len(slot_of) - 1
             half = range(last // 2 + 1)
@@ -488,10 +507,8 @@ class SquareIndex:
         if self._next[0] > count:
             return self._grow(count)
         classes = ranked_classes(self.n, 2 * self.d, self.d)
-        return sum(
-            factorial(self.n) // prod(map(factorial, Counter(lam).values()))
-            for _, lam in takewhile(lambda ranked: ranked[0] <= count, classes)
-        )
+        ranked = takewhile(lambda ranked: ranked[0] <= count, classes)
+        return sum(_arrangement_count(lam) for _, lam in ranked)
 
     def _hits(self, complement) -> Iterator[int]:
         """The positions in `entries` of the T outside U^2, for U with this

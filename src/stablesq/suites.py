@@ -26,7 +26,7 @@ from .monomial import (
 )
 from .qlinalg import (
     _column_index,
-    _echelon_pair,
+    _echelon,
     _reduced_power,
     _restriction,
     apolar_perp,
@@ -1031,8 +1031,8 @@ def conjecture_scan(
                     def restrict() -> list:
                         l = [rng.randint(-9, 9) for _ in range(n - 1)]
                         l.append(rng.choice((1, -1)) * rng.randint(1, 9))
-                        # an echelon pair of the restricted span, built once
-                        return _echelon_pair([_restriction(unit[M], n, d, l)[0] for M in W])
+                        # echelon rows of the restricted span, built once
+                        return _echelon([_restriction(unit[M], n, d, l)[0] for M in W], 3)[0]
 
                     t.case()
                     restricted = t.redraw(

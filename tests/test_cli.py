@@ -174,6 +174,22 @@ def test_square_text_file(tmp_path, capsys):
     assert payload["complement"] == ["x1^3*x2", "x1^4"]
 
 
+def quadric(n: int, i: int, j: int) -> list[int]:
+    """The exponents of x_(i+1) * x_(j+1) in n variables."""
+    return [(v == i) + (v == j) for v in range(n)]
+
+
+def test_square_of_one_quadric_in_a_hundred_variables(tmp_path, capsys):
+    # the walk lists only the T with at most 2 divisors, about 10^4 of the
+    # 4,421,275 monomials of degree 4
+    f = tmp_path / "u.json"
+    f.write_text(json.dumps({"n": 100, "d": 2, "complement": [quadric(100, 0, 1)]}))
+    code, out, _ = run(capsys, "square", str(f))
+    assert code == 0
+    assert "codim = 2" in out
+    assert "missing monomials: x1*x2^3, x1^3*x2" in out
+
+
 def test_square_rational_file(tmp_path, capsys):
     f = tmp_path / "u.json"
     rows = [["1", "0", "0", "0", "0", "1"]]  # x1^2 + x3^2 direction
@@ -313,6 +329,11 @@ HUGE_INPUTS = {
     "huge.json": json.dumps({"n": 2, "d": 200000000, "complement": [[200000000, 0]]}),
     # JSON keys are strings, so no object row is ever a valid record
     "rows.json": json.dumps({"n": 11, "d": 11, "rows": [{"x": 1}]}),
+    # five power-free quadrics in 100 variables: the sumset would list all
+    # of A_4, and the walk every T of degree 4 with at most 10 divisors
+    "wide.json": json.dumps(
+        {"n": 100, "d": 2, "complement": [quadric(100, i, i + 1) for i in range(0, 10, 2)]}
+    ),
 }
 
 
@@ -339,6 +360,12 @@ HUGE_INPUTS = {
         # so is an enumeration whose root is a tuple of n exponents
         ["enumerate", "--n", "1000000000", "--d", "2", "--k", "1"],
         ["m", "--n", "3..1000000", "--d", "2", "--k", "1", "--budget", "1"],
+        # a basis of n * dim A_d exponents over the budget is refused before
+        # it is listed
+        ["m0", "--n", "1500", "--d", "2", "--k", "1"],
+        ["conjecture", "--n", "2000", "--d", "2", "--k", "1"],
+        # so is a square whose listing would pass that many exponents
+        ["square", "wide.json"],
     ],
 )
 def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stablesq
-from stablesq.errors import InvalidInputError
+from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
     GRLEX,
     LEX,
@@ -43,6 +43,27 @@ def test_dim_component_matches_binomial():
         for d in range(0, 7):
             assert dim_component(n, d) == comb(n - 1 + d, n - 1)
             assert len(_basis_tuples(n, d)) == dim_component(n, d)
+
+
+def recursive_basis(n: int, d: int) -> list[tuple[int, ...]]:
+    """The basis by recursion over the last exponent, sorted with x_n first."""
+    if n == 1:
+        return [(d,)]
+    out = [rest + (e,) for e in range(d + 1) for rest in recursive_basis(n - 1, d - e)]
+    return sorted(out, key=lambda t: t[::-1])
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 4), (2, 0), (2, 5), (3, 4), (4, 3), (5, 5), (6, 2)])
+def test_basis_is_listed_in_ascending_lex_order(n, d):
+    assert _basis_tuples(n, d) == tuple(recursive_basis(n, d))
+
+
+def test_basis_of_more_exponents_than_the_budget_is_refused(monkeypatch):
+    # the uncached listing: (3, 3) holds 10 * 3 exponents, (4, 3) 20 * 4
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 30)
+    assert len(_basis_tuples.__wrapped__(3, 3)) == 10
+    with pytest.raises(BudgetExceededError, match="80 exponents"):
+        _basis_tuples.__wrapped__(4, 3)
 
 
 def test_text_round_trip_exhaustive():

@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, gcd, inf, isqrt, lcm, prod
 from operator import add
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stablesq import qlinalg
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
     GRLEX,
@@ -27,11 +29,12 @@ from stablesq.qlinalg import (
     _coefficient,
     _column_index,
     _columns,
-    _echelon_pair,
+    _echelon,
     _fraction_row,
     _integer_row,
     _integer_rref,
     _kernel,
+    _multiply,
     _product_columns,
     _rank_mod_p,
     _reduced_power,
@@ -810,6 +813,108 @@ def test_rref_matches_fraction_elimination(rows):
     assert got_pivots == want_pivots
     assert got_rows == want_rows
     assert all(type(x) is Fraction for r in got_rows for x in r)
+
+
+# ---------------------------------------------------------------------------
+# the echelon fold with back-substitution against the fraction-free
+# Gauss-Jordan loop it replaced
+
+
+def gauss_jordan_rref(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """`_integer_rref` by fraction-free Gauss-Jordan elimination: each pivot
+    in turn clears its column from every other row by cross-multiplication,
+    and each updated row is divided by the gcd of its entries."""
+    mat = [row for row in mat if any(row)]
+    q = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    cursor = 0
+    for col in range(q):
+        if cursor == len(mat):  # every row holds a pivot
+            break
+        sel = next((i for i in range(cursor, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[cursor], mat[sel] = mat[sel], mat[cursor]
+        lead = mat[cursor]
+        p = lead[col]
+        kept = []
+        for i, row in enumerate(mat):
+            f = row[col]
+            if i != cursor and f:
+                row = [p * a - f * b for a, b in zip(row, lead)]
+                g = gcd(*row)
+                if g == 0:  # a dependent row below the pivots
+                    continue
+                if g > 1:
+                    row = [a // g for a in row]
+            kept.append(row)
+        mat = kept
+        pivots.append(col)
+        cursor += 1
+    out = []
+    for r, c in zip(mat, pivots):
+        g = gcd(*r) if r[c] > 0 else -gcd(*r)
+        out.append(r if g == 1 else [a // g for a in r])
+    return out, pivots
+
+
+two_digits = st.integers(-99, 99)
+
+
+@st.composite
+def product_rows(draw):
+    """(base, q): products of two sparse forms of degree 1-2 in 2-3
+    variables, as `product_rational` builds its rows."""
+    n, d1, d2 = draw(st.integers(2, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    table, q = _product_columns(n, d1, d2, LEX), dim_component(n, d1 + d2)
+
+    def sparse(size: int):
+        pairs = st.tuples(st.integers(0, size - 1), two_digits.filter(bool))
+        return st.lists(pairs, min_size=1, max_size=3, unique_by=lambda t: t[0])
+
+    f, g = sparse(len(table)), sparse(len(table[0]))
+    base = [_multiply(draw(f), draw(g), table, q) for _ in range(draw(st.integers(1, 4)))]
+    return base, q
+
+
+@st.composite
+def deficient_matrices(draw):
+    """(rows, q): more rows than a base of dense 2-digit rows or sparse
+    product rows, each row an integer combination of the base, so zero
+    rows, repeated rows and multiples of rows occur; sometimes one column
+    is zero throughout."""
+    if draw(st.booleans()):
+        base, q = draw(product_rows())
+    else:
+        q = draw(st.integers(1, 8))
+        base = draw(st.lists(st.lists(two_digits, min_size=q, max_size=q), min_size=1, max_size=5))
+    weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    rows = [
+        [sum(c * r[j] for c, r in zip(draw(weights), base)) for j in range(q)]
+        for _ in range(len(base) + draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, q - 1))
+        for r in rows:
+            r[zero] = 0
+    return rows, q
+
+
+@given(deficient_matrices())
+@example(([], 3))
+@example(([[0, 0], [0, 0]], 2))
+# the first row is not primitive and never crossed: not in the fold, where
+# it comes first, nor in back-substitution, where it is zero at the pivot below
+@example(([[-2, 0, 4], [0, 3, 0], [0, 0, 0]], 3))
+@example(([[0, 6, 9], [4, 2, 3], [4, 8, 12]], 3))
+def test_integer_rref_matches_gauss_jordan(case):
+    rows, q = case
+    copy = [list(r) for r in rows]
+    assert _integer_rref(copy) == gauss_jordan_rref([list(r) for r in rows])
+    assert copy == rows  # the input rows are not changed
+    with patch.object(qlinalg, "_integer_rref", gauss_jordan_rref):
+        want = _kernel(rows, q)
+    assert _kernel(rows, q) == want
 
 
 def row_at_a_time_rank_mod_p(mat: list[list[int]], q: int) -> int:
@@ -1625,13 +1730,13 @@ def test_pivot_power_test_matches_every_minor(case):
 
 
 # ---------------------------------------------------------------------------
-# the echelon pair of power_in_span against the reduced rows it replaced
+# the echelon rows of power_in_span against the reduced rows they replaced
 
 
 def rref_power_in_span(vectors, n: int, d: int, order=LEX) -> bool:
-    """`power_in_span` on the reduced integer rows of `_integer_rref`, as
-    it ran before the echelon pair: the oracle of the fold."""
-    rows, _ = _integer_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
+    """`power_in_span` on the reduced integer rows of Gauss-Jordan
+    elimination, as it ran before the fold: the oracle of `_echelon`."""
+    rows, _ = gauss_jordan_rref([_integer_row(_as_vector(v, n, d, order)) for v in vectors])
     return _reduced_power(rows, n, d, order)
 
 
@@ -1693,14 +1798,14 @@ def echelon_cases(draw):
 def test_echelon_pair_matches_the_reduced_rows(case):
     vectors, n, d, order = case
     mat = [_integer_row(_as_vector(v, n, d, order)) for v in vectors]
-    rank = len(_integer_rref([list(r) for r in mat])[1])
-    pair = _echelon_pair([list(r) for r in mat])
+    rank = len(gauss_jordan_rref([list(r) for r in mat])[1])
+    pair = _echelon([list(r) for r in mat], 3)[0]
     # at most three independent rows of the span, sorted by distinct leads,
     # each zero at the leads of the rows before it; all of it when rank <= 2
     leads = list(map(leading_column, pair))
     assert leads == sorted(set(leads)) and len(pair) == min(rank, 3)
     assert all(r[c] == 0 for i, r in enumerate(pair) for c in leads[:i])
-    assert len(_integer_rref([list(r) for r in pair + mat])[1]) == rank
+    assert len(gauss_jordan_rref([list(r) for r in pair + mat])[1]) == rank
     got = power_outcome(power_in_span, vectors, n, d, order)
     assert got == power_outcome(rref_power_in_span, vectors, n, d, order)
     if rank > 2 and d > 1:

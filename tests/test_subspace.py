@@ -435,6 +435,18 @@ def test_entries_upto_infinity_returns_the_whole_walk():
     assert idx.size_upto(inf) == 15
 
 
+def test_walk_refuses_a_class_that_would_pass_the_budget(monkeypatch):
+    # (3, 2): 3 + 6 + 3 monomials of degree 4 have at most 3 divisors, and
+    # the class of x1*x2*x3^2 adds 3 with 4 each; 12 * 3 exponents fit in 36
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 36)
+    idx = SquareIndex(3, 2)
+    assert len(idx.entries_upto(3)) == 12
+    with pytest.raises(BudgetExceededError, match="45 exponents"):
+        idx.entries_upto(4)
+    assert len(idx.entries) == 12
+    assert idx.size_upto(4) == 15
+
+
 def scan_missing(idx, complement):
     """The former SquareIndex.missing, kept as an oracle: scan every entry
     with at most 2|C| divisors and keep the T whose pairs all meet C."""

@@ -395,21 +395,12 @@ _COMMANDS = {
 }
 
 
-def _check_grid(args) -> None:
-    """Refuse a grid of more (n, d, k) cells than the budget before any
-    cell runs: the budget bounds each cell's search, and every cell is
-    at least one unit of work."""
-    cells = prod(r.stop - r.start for r in (args.n, args.d, args.k))
-    budget = getattr(args, "budget", None) or errors.DEFAULT_BUDGET
-    if cells > budget:
-        raise BudgetExceededError(f"{cells} cells are over the budget {budget}", seen=cells)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "k" in args:  # a command over a grid of ranges
-            _check_grid(args)
+        if "k" in args:  # a grid: the budget bounds each cell, and a cell is a unit of work
+            cells = prod(r.stop - r.start for r in (args.n, args.d, args.k))
+            errors.check_size(cells, "cells in the grid", getattr(args, "budget", None), seen=cells)
         code = _COMMANDS[args.command](args)
         # a closed pipe shows up here at the latest, not in the flush at exit
         sys.stdout.flush()

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from . import errors
 from .errors import InvalidInputError
-from .monomial import dim_component
+from .monomial import capped_dim, dim_component
 from .search import closed_form_m, compute_m, main_bound
 from .subspace import MonomialSubspace, square
 
@@ -32,13 +33,19 @@ def face_dim(r: int, dim_U2: int) -> int:
 def nonsingular_face_bound(n: int, d: int, k: int) -> int:
     """Largest face dimension reachable with base point free summands.
 
-    Valid for corank k with 1 <= k <= d - 1.
+    Valid for corank k with 1 <= k <= d - 1 and k <= dim A(n)_d.  With
+    k <= n, so 2^k <= dim A(n)_d, a cell's values are below 10 (dim A(n)_d)^2:
+    Python prints them if dim A(n)_d has at most MAX_DIGITS // 2 - 1 digits,
+    and a longer one is refused first.  (k > n is searched under a budget.)
     """
     if not (1 <= k <= d - 1):
         raise InvalidInputError(f"need 1 <= k <= d-1 = {d - 1}, got k={k}")
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got {n}")
-    r = dim_component(n, d) - k
+    digits = errors.MAX_DIGITS // 2 - 1
+    dim = capped_dim(n, d, 10**digits)
+    errors.check_size(len(str(dim)), f"digits in dim A({n})_{d}", digits)
+    if k > dim:
+        raise InvalidInputError(f"need k <= dim A({n})_{d} = {dim}, got k={k}")
+    r = dim - k
     return comb(r + 1, 2) - dim_component(n, 2 * d) + main_bound(k)
 
 

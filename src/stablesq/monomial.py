@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterator
 
 from . import errors
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import InvalidInputError
 
 
 def exponents(M) -> tuple[int, ...]:
@@ -164,13 +164,25 @@ class MonomialOrder:
 
 LEX = MonomialOrder.lex()
 GRLEX = MonomialOrder.grlex()
+_SHORT = 3 * errors.MAX_DIGITS  # n + d up to this gives a dimension below 8^MAX_DIGITS
 
 
 def dim_component(n: int, d: int) -> int:
-    """Dimension of the space of degree-d forms in n variables."""
+    """Dimension of the space of degree-d forms in n variables.  One too
+    long for Python to print is refused before math.comb computes it; it
+    is below 2^(n + d), so only n + d over _SHORT needs the count."""
+    if n < 1 or d < 0 or n + d > _SHORT:  # capped_dim checks n and d
+        digits = len(str(capped_dim(n, d, 10 ** (errors.MAX_DIGITS - 1))))
+        errors.check_size(digits, f"digits in dim A({n})_{d}", errors.MAX_DIGITS - 1)
+    return comb(n - 1 + d, n - 1)
+
+
+def capped_dim(n: int, d: int, cap: int) -> int:
+    """min(dim A(n)_d, cap + 1), by `errors.capped_comb`: the dimension to
+    compare with a bound, however large n and d are."""
     if n < 1 or d < 0:
         raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    return comb(n - 1 + d, n - 1)
+    return errors.capped_comb(n - 1 + d, d, cap)
 
 
 @lru_cache(maxsize=None)
@@ -178,12 +190,8 @@ def _basis_tuples(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All degree-d exponent tuples in n variables, ascending lex order; a
     basis of more than errors.DEFAULT_BUDGET exponents in all is refused
     before it is built."""
-    size = dim_component(n, d)
-    if n * size > errors.DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"the {size} monomials of degree {d} in {n} variables hold {n * size} "
-            f"exponents, over the budget {errors.DEFAULT_BUDGET}"
-        )
+    size = n * capped_dim(n, d, errors.DEFAULT_BUDGET)
+    errors.check_size(size, f"exponents in the monomials of degree {d} in {n} variables")
     # every monomial of degree d divides (d, ..., d); reversing the divisors,
     # listed by the exponent of x_1 first, puts x_n first
     return tuple(p[::-1] for p in divisors_of_degree((d,) * n, d))

@@ -33,7 +33,8 @@ from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterator
 
-from .errors import BudgetExceededError, InvalidInputError
+from . import errors
+from .errors import InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
     LEX, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
@@ -43,9 +44,8 @@ from .subspace import MonomialSubspace, _hilbert_function, json_int
 PRODUCT_DIM_GUARD = 20000
 MAX_TRIES = 100  # draws before a random sampler gives up on degenerate samples
 
-# Python's default limit on the digits of an integer string; Fraction's
-# parser would expand a larger decimal exponent in full, without bound
-MAX_EXPONENT = 4300
+# Fraction's parser would expand a decimal exponent of more than
+# errors.MAX_DIGITS digits in full, without bound
 _EXPONENT = re.compile(r"E[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -64,9 +64,9 @@ def _coefficient(x):
     if isinstance(x, str):
         exp = _EXPONENT.search(x)
         digits = exp[1].replace("_", "").lstrip("0") if exp else ""
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+        if len(digits) > len(str(errors.MAX_DIGITS)) or int(digits or 0) > errors.MAX_DIGITS:
             raise InvalidInputError(
-                f"bad coefficient: exponent of {x[:40]!r} exceeds {MAX_EXPONENT} in magnitude"
+                f"bad coefficient: exponent of {x[:40]!r} exceeds {errors.MAX_DIGITS} in magnitude"
             )
     try:
         return Fraction(x)
@@ -501,11 +501,7 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
         raise InvalidInputError("operands use different monomial orders")
     dC = U.d + V.d
     qC = dim_component(U.n, dC)
-    if qC > PRODUCT_DIM_GUARD:
-        raise BudgetExceededError(
-            f"product would live in dimension {qC}, over the guard {PRODUCT_DIM_GUARD}",
-            seen=qC,
-        )
+    errors.check_size(qC, f"monomials of degree {dC} in a product", PRODUCT_DIM_GUARD, seen=qC)
     # the integer reduced rows are sparse: 1 + codim entries for a dense U
     rows_U = [*map(_sparse, U._reduced()[0])]
     if V is U or V == U:  # a square: each a_i * a_j once, i <= j

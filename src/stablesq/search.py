@@ -15,8 +15,8 @@ from itertools import product
 from math import comb
 
 from . import errors, tables
-from .errors import BudgetExceededError, InvalidInputError
-from .monomial import _power_free, dim_component
+from .errors import InvalidInputError
+from .monomial import _power_free, capped_dim
 from .stable import _stable_complements, extremal_complement
 from .subspace import MonomialSubspace, square_index
 
@@ -50,10 +50,10 @@ def compute_m(
     and are scored by `SquareIndex.codim_square`; a MonomialSubspace is
     built only for a complement kept as a witness.
     """
-    if d < 1:
-        raise InvalidInputError(f"need d >= 1, got d={d}")
-    dim = dim_component(n, d)
-    if not (1 <= k <= dim):
+    if d < 1 or k < 1:
+        raise InvalidInputError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
+    dim = capped_dim(n, d, k)
+    if k > dim:
         raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
     idx = square_index(n, d)
     best = -1
@@ -120,30 +120,19 @@ def compute_m0_monomial(
     The budget (errors.DEFAULT_BUDGET when None) bounds C(N, k), which is
     compared with it before any monomial is listed.
     """
-    if d < 1:
-        raise InvalidInputError(f"need d >= 1, got d={d}")
-    dim = dim_component(n, d)
-    if not (1 <= k <= dim):
-        raise InvalidInputError(f"need 1 <= k <= dim A({n})_{d} = {dim}, got k={k}")
+    if d < 1 or k < 1:
+        raise InvalidInputError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
     if budget is None:
         budget = errors.DEFAULT_BUDGET
-    N = dim - n  # every monomial but the n powers x_i^d
+    # exact up to n + k + budget; past that, C(N, k) >= N is over the budget
+    N = capped_dim(n, d, n + k + budget) - n  # every monomial but the n powers x_i^d
     if k > N:
         raise InvalidInputError(
             f"no base point free monomial subspace of codimension {k} in "
             f"A({n})_{d}: only {N} non-power monomials"
         )
-    # C(N, j) grows with j up to N / 2, so the count stops once it is over
-    # the budget, before it grows too long to print
-    total = 1
-    for j in range(min(k, N - k)):
-        total = total * (N - j) // (j + 1)
-        if total > budget:
-            raise BudgetExceededError(
-                f"base point free search for n={n}, d={d}, k={k} needs at least "
-                f"{total} subsets, over the budget {budget}",
-                seen=0,
-            )
+    total = errors.capped_comb(N, k, budget)
+    errors.check_size(total, f"base point free subspaces of codim {k} in A({n})_{d}", budget)
     candidates = _power_free(n, d)
 
     # Positions in `candidates`; N stands for a pure power, which is never
@@ -290,7 +279,7 @@ class TableReport:
 
 def table_cell(n: int, d: int, k: int, budget: int | None = None) -> int | None:
     """m(n, d, k), or None when k >= dim A(n)_d so the cell is untabulated."""
-    if k >= dim_component(n, d):
+    if k >= capped_dim(n, d, k):
         return None
     return compute_m(n, d, k, budget=budget).value
 

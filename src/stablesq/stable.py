@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import errors
-from .errors import BudgetExceededError, InvalidInputError
-from .monomial import dim_component
+from .errors import InvalidInputError
+from .monomial import capped_dim
 from .subspace import MonomialSubspace
 
 
@@ -69,14 +69,9 @@ def _stable_complements(
     bounds the number of search nodes; exceeding it raises
     BudgetExceededError, as does n over errors.DEFAULT_BUDGET.
     """
-    if n < 1 or d < 0:
-        raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
-    # the root is a tuple of n exponents
-    if n > errors.DEFAULT_BUDGET:
-        raise BudgetExceededError(f"{n} variables are over the budget {errors.DEFAULT_BUDGET}")
-    if budget is None:
-        budget = errors.DEFAULT_BUDGET
-    if k < 0 or k > dim_component(n, d):
+    # the root is a tuple of n exponents; capped_dim checks n and d
+    errors.check_size(n, "variables")
+    if k > capped_dim(n, d, k) or k < 0:
         return
     if k == 0:
         yield []
@@ -86,21 +81,16 @@ def _stable_complements(
         return
 
     chosen, members = [], set()
-    nodes = found = 0
+    nodes = 0
+    what = f"nodes in the strongly stable search for n={n}, d={d}, k={k}"
 
     def grow(candidates: list[tuple[int, ...]]):
-        nonlocal nodes, found
+        nonlocal nodes
         for i, c in enumerate(candidates):
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"enumeration for n={n}, d={d}, k={k} exceeded budget {budget} "
-                    f"(at least {found} subspaces found in {nodes} nodes)",
-                    seen=nodes,
-                )
+            errors.check_size(nodes, what, budget, seen=nodes)
             chosen.append(c)
             if len(chosen) == k:
-                found += 1
                 yield [r[::-1] for r in chosen]
             else:
                 members.add(c)

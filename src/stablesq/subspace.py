@@ -24,7 +24,7 @@ from operator import add, mul
 from typing import Iterable, Iterator
 
 from . import errors
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
     LEX,
@@ -217,12 +217,7 @@ def square(U: MonomialSubspace, budget: int | None = None) -> MonomialSubspace:
     index = square_index(U.n, U.d)
     if budget is not None:
         candidates = index.size_upto(2 * U.codim)
-        if candidates > budget:
-            raise BudgetExceededError(
-                f"square in degree {2 * U.d} has {candidates} candidate monomials, "
-                f"over the budget {budget}",
-                seen=candidates,
-            )
+        errors.check_size(candidates, f"candidates in degree {2 * U.d}", budget, seen=candidates)
     m, k, q = U.dim, U.codim, dim_component(U.n, 2 * U.d)
     if m * (m + 1) // 2 <= k * q and U.n * q <= errors.DEFAULT_BUDGET:
         missing = index.sumset_missing(U.complement)
@@ -236,15 +231,16 @@ def _hilbert_function(n: int, d: int, max_degree: int, codims: Iterator[int]) ->
     generated in degree d, from its codimensions in degree d, d + 1, ...,
     which `codims` yields up to the first 0: A_1 * A_i = A_(i+1), so once a
     degree is filled, so is every later one.  Below d the ideal is zero.
-    No degree past max_degree is computed, and a max_degree over the
-    default budget is refused before any is."""
+    No degree past max_degree is computed, and max_degree times the digits
+    of the largest value below d, which bounds the list and the binomials
+    in it, is checked against the default budget before any is."""
     if max_degree < 0:
         raise InvalidInputError(f"need max_degree >= 0, got {max_degree}")
-    if max_degree > errors.DEFAULT_BUDGET:
-        raise BudgetExceededError(
-            f"max_degree {max_degree} is over the budget {errors.DEFAULT_BUDGET}"
-        )
-    values = [dim_component(n, i) for i in range(min(d, max_degree + 1))]
+    top = min(d, max_degree + 1)
+    digits = len(str(dim_component(n, max(top - 1, 0))))
+    errors.check_size(max_degree * digits, "digits in a Hilbert function")
+    # dim A_i = C(n - 1 + i, i), each from the one before
+    values = list(accumulate(range(1, top), lambda v, i: v * (n - 1 + i) // i, initial=1))[:top]
     values += islice(codims, max_degree + 1 - len(values))
     values += [0] * (max_degree + 1 - len(values))
     return HilbertFunction(tuple(values), generated_in_degree=d)
@@ -258,6 +254,7 @@ def _complement_sizes(U: MonomialSubspace) -> Iterator[int]:
     n, comp = U.n, U.complement
     yield len(comp)
     while comp:
+        errors.check_size(n * n * len(comp), "exponents in the next degree of a Hilbert function")
         made = Counter([t[:j] + (t[j] + 1,) + t[j + 1 :] for t in comp for j in range(n)])
         comp = [c for c, k in made.items() if k == n - c.count(0)]
         yield len(comp)
@@ -422,14 +419,8 @@ class SquareIndex:
             raise InvalidInputError(f"need n >= 1 and d >= 0, got n={n}, d={d}")
         # ranking the first class counts divisors over a list of d + 1
         # entries, and builds a tuple of n
-        if 2 * d > errors.DEFAULT_BUDGET:
-            raise BudgetExceededError(
-                f"squares in degree {2 * d} are over the budget {errors.DEFAULT_BUDGET}"
-            )
-        if n > errors.DEFAULT_BUDGET:
-            raise BudgetExceededError(
-                f"{n} variables are over the budget {errors.DEFAULT_BUDGET}"
-            )
+        errors.check_size(2 * d, "degrees of a square")
+        errors.check_size(n, "variables")
         self.n = n
         self.d = d
         self.entries: list[tuple[tuple[int, ...], tuple]] = []
@@ -465,13 +456,8 @@ class SquareIndex:
         # a spent walk leaves the sentinel (inf, None), which count = inf passes
         while self._next[0] <= count and self._next[1] is not None:
             c, lam = self._next
-            size = len(entries) + _arrangement_count(lam)
-            if self.n * size > errors.DEFAULT_BUDGET:
-                raise BudgetExceededError(
-                    f"the {size} monomials of degree {2 * self.d} with at most {c} divisors "
-                    f"hold {self.n * size} exponents, over the budget {errors.DEFAULT_BUDGET}",
-                    seen=len(entries),
-                )
+            size = self.n * (len(entries) + _arrangement_count(lam))
+            errors.check_size(size, "exponents in the square index", seen=len(entries))
             columns, slot_of = _divisor_plan(lam, self.d)
             last = len(slot_of) - 1
             half = range(last // 2 + 1)
@@ -560,11 +546,19 @@ class SquareIndex:
         Such a T is 2c - 1 on a set `down` inside the support of c, 2c + 1
         on a set `up` of the same size disjoint from it, and 2c elsewhere;
         c is the first member of the pair when `down` precedes `up` in
-        index order, and the second when it follows it."""
+        index order, and the second when it follows it.  They are counted
+        first: by Vandermonde, the T with `up` after (before) a `down` whose
+        last (first) member is p, the t-th of s in the support, number
+        C(n - 1 - p + t, t + 1) (C(p + s - 1 - t, s - t))."""
         n = self.n
+        support = [i for i in range(n) if c[i]]
+        s = len(support)
+        count = 1 + sum(
+            comb(n - 1 - p + t, t + 1) + comb(p + s - 1 - t, s - t) for t, p in enumerate(support)
+        )
+        errors.check_size(n * count, "exponents in the balanced owners of a member")
         double = [2 * e for e in c]
         owners = [tuple(double)]
-        support = [i for i in range(n) if c[i]]
         for j in range(1, len(support) + 1):
             for down in combinations(support, j):
                 after, before = range(down[-1] + 1, n), range(down[0])

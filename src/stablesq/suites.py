@@ -18,14 +18,14 @@ from math import comb
 from operator import mul
 from typing import Callable, Iterator
 
+from . import errors
 from .errors import InvalidInputError
 from .gram import face_gap, face_profile, nonsingular_face_bound, singular_face_dim
 from .macaulay import gotzmann_persists, green_restriction_bound, macaulay_growth_bound
 from .monomial import (
-    LEX, _basis_tuples, _power_free, dim_component, expand, monomial_to_text, multiply, pivot
+    _basis_tuples, _power_free, capped_dim, dim_component, expand, monomial_to_text, multiply, pivot
 )
 from .qlinalg import (
-    _column_index,
     _echelon,
     _reduced_power,
     _restriction,
@@ -1020,19 +1020,19 @@ def conjecture_scan(
             for k in k_values:
                 if not (1 <= k <= min(d - 1, n - 1, 2)) or n < 3:
                     continue
+                # C(P, k) spans of the P power-free monomials, dim A_d per member
+                q = capped_dim(n, d, errors.DEFAULT_BUDGET)
+                size = errors.capped_comb(q - n, k, errors.DEFAULT_BUDGET) * q
+                errors.check_size(size, f"coefficients in the spans of n={n}, d={d}, k={k}")
                 t = _Tally(SuiteOptions(seed=seed))
                 rng = t.rng(f"conjecture:{n}:{d}:{k}")
-                # each monomial as the int unit vector of its column, which
-                # the restriction takes without re-checking the monomial
-                q, index = dim_component(n, d), _column_index(n, d, LEX)
-                unit = {M: [int(c == index[M]) for c in range(q)] for M in _power_free(n, d)}
                 for W in combinations(_power_free(n, d), k):
 
                     def restrict() -> list:
                         l = [rng.randint(-9, 9) for _ in range(n - 1)]
                         l.append(rng.choice((1, -1)) * rng.randint(1, 9))
                         # echelon rows of the restricted span, built once
-                        return _echelon([_restriction(unit[M], n, d, l)[0] for M in W], 3)[0]
+                        return _echelon([_restriction({M: 1}, n, d, l)[0] for M in W], 3)[0]
 
                     t.case()
                     restricted = t.redraw(

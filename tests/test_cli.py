@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import stablesq
@@ -366,13 +366,32 @@ HUGE_INPUTS = {
         ["conjecture", "--n", "2000", "--d", "2", "--k", "1"],
         # so is a square whose listing would pass that many exponents
         ["square", "wide.json"],
+        # the balanced owners of x_n^d, n tuples of n, are counted first
+        ["m", "--n", "20000", "--d", "2", "--k", "1"],
+        ["m", "--n", "300000", "--d", "300000", "--k", "1"],
+        # dim A_d is compared with k by a capped count, not by math.comb
+        ["table", "--n", "1000000", "--d", "1000000", "--k", "1"],
+        # C(P, k) spans of dim A_d coefficients each, for P power-free monomials
+        ["conjecture", "--n", "120", "--d", "2", "--k", "1"],
+        ["conjecture", "--n", "200", "--d", "2", "--k", "1"],
+        # face bounds longer than Python prints
+        ["gram", "--n", "5000", "--d", "5000", "--k", "2"],
+        ["gram", "--n", "1000000", "--d", "1000000", "--k", "2"],
     ],
 )
 def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):
-    # each command runs in a child that caps its own address space at 1 GiB,
-    # so a list sized by the input fails there and not on the host
     for name, text in HUGE_INPUTS.items():
         (tmp_path / name).write_text(text)
+    start = time.monotonic()
+    proc = _run_capped(argv, tmp_path)
+    assert time.monotonic() - start < 10
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run_capped(argv, cwd):
+    """Run the command line in a child that caps its own address space at
+    1 GiB, so a list sized by the input fails there and not on the host."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -380,14 +399,10 @@ def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(stablesq.__file__).resolve().parents[1]))
-    start = time.monotonic()
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", child, *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
     )
-    assert time.monotonic() - start < 10
-    assert proc.returncode in (1, 2), proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exits_2(capsys):
@@ -526,6 +541,69 @@ def test_load_subspace_fuzz_exits_0_or_2(tmp_path, capsys, content):
     f.write_text(content)
     assert _exit_code(["square", str(f)]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# fuzz of the whole command line: every subcommand, with huge integers,
+# reversed and huge ranges, and subspace files that are not JSON objects.
+# Each example starts a child process, so the examples are few and fixed.
+# A range end is small or past the default budget, so a grid either runs
+# a few cells or is refused; a grid of up to the budget's 10 million
+# cells would run that many.
+
+HUGE = ["1000000000", "99999999999999999999"]
+small = st.integers(-1, 4).map(str)
+ends = st.one_of(small, st.sampled_from(HUGE))
+ranges = st.one_of(
+    small, st.sampled_from(["1000000", *HUGE]), st.builds("{}..{}".format, ends, ends)
+)
+grid_flags = st.sampled_from(
+    [[], ["--budget", "1"], ["--format", "json"], ["--witnesses"], ["--diff-paper"],
+     ["--threads", "2"], ["--order", "grlex"], ["--seed", HUGE[1]], ["--trials", "2"]]
+)
+grids = st.builds(
+    lambda cmd, n, d, k, flags: [cmd, "--n", n, "--d", d, "--k", k, *flags],
+    st.sampled_from(["table", "m", "m0", "enumerate", "gram", "conjecture"]),
+    ranges, ranges, ranges, grid_flags,
+)
+huge_sizes = st.sampled_from([1000000, 10**9, 10**20])
+huge_records = st.fixed_dictionaries(
+    {"n": st.one_of(huge_sizes, st.integers(1, 3)), "d": st.one_of(huge_sizes, st.integers(0, 3))},
+    optional={"rows": st.just([]), "complement": st.just([])},
+).map(json.dumps)
+not_objects = st.sampled_from(["[1, 2]", "5", '"x"', "null", "true", "[]", "[{}]"])
+files = st.builds(
+    lambda cmd, content, flags: (content, [cmd, "u.txt", *flags]),
+    st.sampled_from(["square", "hilbert"]),
+    st.one_of(records, texts, huge_records, not_objects),
+    st.sampled_from(
+        [[], ["--budget", "2"], ["--order", "grlex"], ["--format", "csv"],
+         ["--max-degree", "6"], ["--max-degree", HUGE[0]], ["--max-degree", "-1"]]
+    ),
+)
+checks = st.builds(
+    lambda suite, seed: ["check", "--suite", suite, "--seed", seed, "--trials", "1"],
+    st.sampled_from(["base", "gram", "conjecture", "nope", ","]),
+    st.one_of(small, st.sampled_from(HUGE)),
+)
+
+
+@settings(
+    max_examples=50, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(grids.map(lambda argv: ("", argv)), files, checks.map(lambda argv: ("", argv))))
+# each of these hung in math.comb, or ended in a traceback
+@example(("", ["gram", "--n", "1", "--d", "5", "--k", "3"]))
+@example(('{"n": 1000000, "d": 1000000, "complement": []}', ["square", "u.txt"]))
+@example(('{"n": 1000000, "d": 1000000, "complement": []}', ["hilbert", "u.txt"]))
+@example(('{"n": 1000000000, "d": 1000000, "rows": []}', ["square", "u.txt"]))
+@example(('{"n": 100, "d": 1000000, "complement": []}', ["hilbert", "u.txt"]))
+def test_command_line_fuzz_exits_0_1_or_2(tmp_path, case):
+    content, argv = case
+    (tmp_path / "u.txt").write_text(content)
+    proc = _run_capped(argv, tmp_path)
+    assert proc.returncode in (0, 1, 2), (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from stablesq.errors import InvalidInputError
+from stablesq.errors import MAX_DIGITS, BudgetExceededError, InvalidInputError
 from stablesq.gram import (
     FaceProfile,
     face_dim,
@@ -35,6 +35,22 @@ def test_nonsingular_bound_hand_values():
         nonsingular_face_bound(3, 3, 3)  # needs k <= d - 1
     with pytest.raises(InvalidInputError):
         nonsingular_face_bound(3, 3, 0)
+
+
+def test_face_bounds_too_long_to_print_are_refused():
+    # dim A(2)_d = d + 1, and a face bound is about (dim A_d)^2 / 2: one of
+    # MAX_DIGITS // 2 - 1 digits gives bounds Python prints, one digit more
+    # is refused before any binomial is computed
+    d = 10 ** (MAX_DIGITS // 2 - 1) - 2
+    assert len(str(nonsingular_face_bound(2, d, 2))) <= MAX_DIGITS
+    assert len(str(singular_face_dim(2, d, 2))) <= MAX_DIGITS
+    with pytest.raises(BudgetExceededError, match="digits"):
+        nonsingular_face_bound(2, d + 1, 2)
+    with pytest.raises(BudgetExceededError):
+        nonsingular_face_bound(10**6, 10**6, 2)
+    # a corank over dim A(n)_d is refused, not handed to math.comb
+    with pytest.raises(InvalidInputError):
+        nonsingular_face_bound(1, 5, 3)
 
 
 def test_singular_face_dim_consistency():

@@ -11,13 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stablesq
-from stablesq.errors import BudgetExceededError, InvalidInputError
+from stablesq.errors import MAX_DIGITS, BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
     GRLEX,
     LEX,
     MonomialOrder,
     _basis_tuples,
     arrangements,
+    capped_dim,
     count_divisors,
     dim_component,
     divisors_of_degree,
@@ -56,6 +57,22 @@ def recursive_basis(n: int, d: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("n, d", [(1, 0), (1, 4), (2, 0), (2, 5), (3, 4), (4, 3), (5, 5), (6, 2)])
 def test_basis_is_listed_in_ascending_lex_order(n, d):
     assert _basis_tuples(n, d) == tuple(recursive_basis(n, d))
+
+
+def test_dimension_too_long_to_print_is_refused():
+    # dim A(2)_d = d + 1; one of MAX_DIGITS digits or more is refused by a
+    # capped count, before math.comb would compute it
+    top = 10 ** (MAX_DIGITS - 1)
+    assert dim_component(2, top - 2) == top - 1
+    with pytest.raises(BudgetExceededError, match=f"digits in dim A\\(2\\)_{top - 1}"):
+        dim_component(2, top - 1)
+    # math.comb(2 * 10**6 - 1, 10**6) alone takes about half a minute
+    with pytest.raises(BudgetExceededError):
+        dim_component(10**6, 10**6)
+    assert capped_dim(10**6, 10**6, 100) == 101
+    assert capped_dim(4, 3, 20) == 20
+    with pytest.raises(InvalidInputError):
+        capped_dim(0, 2, 5)
 
 
 def test_basis_of_more_exponents_than_the_budget_is_refused(monkeypatch):

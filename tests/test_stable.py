@@ -62,8 +62,8 @@ def grow_complements(n, d, k, budget=10_000_000):
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(
-                f"enumeration for n={n}, d={d}, k={k} exceeded budget {budget} "
-                f"(at least {len(results)} subspaces found in {nodes} nodes)",
+                f"at least {nodes} nodes in the strongly stable search for n={n}, d={d}, "
+                f"k={k}, over the budget {budget}",
                 seen=nodes,
             )
         if len(chosen) == k:

@@ -545,6 +545,21 @@ def test_codim_square_lists_balanced_owners_without_growing_the_index():
     assert square_index(20, 20).entries == []
 
 
+@pytest.mark.parametrize(
+    "c", [(2, 0, 0, 0), (0, 0, 0, 2), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 2, 1)]
+)
+def test_balanced_owners_are_counted_before_they_are_built(monkeypatch, c):
+    # the count is exact: a budget of n times the owners lists them, one
+    # less refuses before any is built
+    n = len(c)
+    owners = SquareIndex(n, sum(c))._balanced_owners(c)[1]
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", n * len(owners))
+    assert SquareIndex(n, sum(c))._balanced_owners(c)[1] == owners
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", n * len(owners) - 1)
+    with pytest.raises(BudgetExceededError, match=f"at least {n * len(owners)} exponents"):
+        SquareIndex(n, sum(c))._balanced_owners(c)
+
+
 def test_codim_square_skips_a_member_whose_owners_all_have_too_many_divisors():
     # each owner of x1*...*x18 has over 2^18 / 37 divisors of degree 18,
     # far more than twice the codimension, so none of them is built
@@ -647,6 +662,18 @@ def test_huge_degrees_are_refused_before_any_list(monkeypatch):
     assert len(ideal_hilbert_function(U, 100).values) == 101
     with pytest.raises(BudgetExceededError):
         ideal_hilbert_function(U, 101)
+    # max_degree is weighed by the digits of the largest value below d,
+    # here the 2 of dim A(3)_3 = 10
+    W = MonomialSubspace(3, 4, [(4, 0, 0)])
+    assert len(ideal_hilbert_function(W, 50).values) == 51
+    with pytest.raises(BudgetExceededError, match="at least 102 digits"):
+        ideal_hilbert_function(W, 51)
+    # the next degree lists n exponents for each of n moves of each monomial
+    # outside the ideal: 9 * 10 from degree 3, then 9 * 15 from degree 4
+    Z = MonomialSubspace.zero(3, 3)
+    assert ideal_hilbert_function(Z, 4).values == (1, 3, 6, 10, 15)
+    with pytest.raises(BudgetExceededError, match="at least 135 exponents"):
+        ideal_hilbert_function(Z, 5)
     assert SquareIndex(2, 50).d == 50
     with pytest.raises(BudgetExceededError):
         SquareIndex(2, 51)

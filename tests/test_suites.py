@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from stablesq import suites
-from stablesq.errors import InvalidInputError
+from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import _power_free
 from stablesq.qlinalg import span
 from stablesq.suites import (
@@ -104,6 +104,15 @@ def test_conjecture_scan_cell_filter():
     results = conjecture_scan([3], [3], [1, 3], trials=2, seed=1)
     assert [r.name for r in results] == ["restriction-power-free-n3-d3-k1"]
     assert results[0].passed
+
+
+def test_conjecture_scan_refuses_a_cell_over_the_budget(monkeypatch):
+    # (3, 3, 1): C(7, 1) spans of the 7 power-free cubics, dim A_3 = 10 each
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 69)
+    with pytest.raises(BudgetExceededError, match="at least 70 coefficients"):
+        conjecture_scan([3], [3], [1])
+    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 70)
+    assert conjecture_scan([3], [3], [1])[0].passed
 
 
 def _shape_oracle(W: tuple, n: int, d: int) -> bool:

@@ -48,35 +48,6 @@ def monomial_to_text(exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def monomial_from_text(text: str, n: int) -> tuple[int, ...]:
-    """Parse x-notation back into an exponent tuple in n variables."""
-    if n < 1:
-        raise InvalidInputError("monomial needs at least one variable")
-    stripped = text.strip()
-    exps = [0] * n
-    if stripped == "1":
-        return tuple(exps)
-    for factor in stripped.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            var, _, power = factor.partition("^")
-        else:
-            var, power = factor, "1"
-        if not var.startswith("x"):
-            raise InvalidInputError(f"bad factor {factor!r} in {text!r}")
-        try:
-            idx = int(var[1:])
-            e = int(power)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad factor {factor!r} in {text!r}") from exc
-        if not (1 <= idx <= n):
-            raise InvalidInputError(f"variable x{idx} out of range for n={n}")
-        if e < 1:
-            raise InvalidInputError(f"exponent must be positive in {factor!r}")
-        exps[idx - 1] += e
-    return tuple(exps)
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A comparison rule for monomials of equal degree.
@@ -163,7 +134,6 @@ class MonomialOrder:
 
 
 LEX = MonomialOrder.lex()
-GRLEX = MonomialOrder.grlex()
 _SHORT = 3 * errors.MAX_DIGITS  # n + d up to this gives a dimension below 8^MAX_DIGITS
 
 

@@ -17,15 +17,19 @@ from math import comb
 from . import errors, tables
 from .errors import InvalidInputError
 from .monomial import _power_free, capped_dim
-from .stable import _stable_complements, extremal_complement
+from .stable import _stable_complements
 from .subspace import MonomialSubspace, square_index
+
+# the most maximizers a search keeps as witnesses; it counts them all
+WITNESS_CAP = 64
+
 
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of a maximization over a family of subspaces.
 
     witness_count is the number of maximizers found; witnesses holds at
-    most witness_cap of them.  restricted_to names the family searched.
+    most WITNESS_CAP of them.  restricted_to names the family searched.
     searched is the number of subspaces the search decides: for m, the
     strongly stable subspaces visited; for m0, C(N, k), the k-subsets of
     the N non-power monomials, whether scored one by one or cut off.
@@ -41,9 +45,7 @@ class SearchResult:
     searched: int = 0
 
 
-def compute_m(
-    n: int, d: int, k: int, budget: int | None = None, witness_cap: int = 64
-) -> SearchResult:
+def compute_m(n: int, d: int, k: int, budget: int | None = None) -> SearchResult:
     """Exact m(n, d, k) by exhausting strongly stable subspaces.
 
     The complements come from the enumeration's generator, in its order,
@@ -67,7 +69,7 @@ def compute_m(
             best, count, witnesses = c, 0, []
         if c == best:
             count += 1
-            if len(witnesses) < witness_cap:
+            if len(witnesses) < WITNESS_CAP:
                 witnesses.append(MonomialSubspace._built(n, d, C))
     return SearchResult(
         n, d, k, best, count, tuple(witnesses), "strongly-stable", searched
@@ -103,9 +105,7 @@ def small_subspace_bound(n: int, r: int) -> int:
     return n * r - comb(n, 2)
 
 
-def compute_m0_monomial(
-    n: int, d: int, k: int, budget: int | None = None, witness_cap: int = 64
-) -> SearchResult:
+def compute_m0_monomial(n: int, d: int, k: int, budget: int | None = None) -> SearchResult:
     """Max codim U^2 over base point free MONOMIAL subspaces of codim k.
 
     Monomial subspaces are a strict subfamily of all base point free
@@ -215,7 +215,7 @@ def compute_m0_monomial(
         ties = tail.count(top)
         count += ties
         c = start
-        for _ in range(min(ties, witness_cap - len(wits))):
+        for _ in range(min(ties, WITNESS_CAP - len(wits))):
             c = gain.index(top, c, N)
             wits.append((*prefix, c))
             c += 1
@@ -223,33 +223,6 @@ def compute_m0_monomial(
     descend(0, k, 0)
     witnesses = tuple(MonomialSubspace._built(n, d, [candidates[i] for i in w]) for w in wits)
     return SearchResult(n, d, k, best, count, witnesses, "bpf-monomial", total)
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """m(n, d, k) across a range of degrees, with the d = k anchor value."""
-
-    n: int
-    k: int
-    values: dict
-    reference: int
-    stable: bool
-
-
-def verify_degree_stability(n: int, k: int, d_values) -> StabilityReport:
-    """Check that m(n, d, k) does not depend on d once d >= k."""
-    ds = sorted(set(d_values))
-    if not ds:
-        raise InvalidInputError("empty degree range")
-    for d in ds:
-        if d < k:
-            raise InvalidInputError(
-                f"degree stability concerns d >= k; got d={d} < k={k}"
-            )
-    reference = compute_m(n, k, k).value
-    values = {d: compute_m(n, d, k).value for d in ds}
-    stable = all(v == reference for v in values.values())
-    return StabilityReport(n, k, values, reference, stable)
 
 
 @dataclass(frozen=True)
@@ -267,10 +240,6 @@ class TableReport:
     def mismatches(self) -> list:
         cells = self.cells
         return [(c, cells[c], e) for c, e in self.published.items() if cells[c] != e]
-
-    @property
-    def matches(self) -> int:
-        return self.compared - len(self.mismatches)
 
     @property
     def clean(self) -> bool:
@@ -299,14 +268,3 @@ def verify_table(
         c: tables.published_value(*c) for c in grid if diff and tables.covered(*c)
     }
     return TableReport(cells, published)
-
-
-def extremal_matches_search(n: int, d: int, k: int) -> bool:
-    """True when the canonical extremal subspace is the unique maximizer."""
-    result = compute_m(n, d, k)
-    target = MonomialSubspace(n, d, extremal_complement(n, d, k))
-    return (
-        result.witness_count == 1
-        and result.witnesses[0] == target
-        and result.value == closed_form_m(n, d, k)
-    )

@@ -131,19 +131,6 @@ def extremal_complement(n: int, d: int, k: int) -> list[tuple[int, ...]]:
     return comp
 
 
-def extremal_subspace(n: int, d: int, k: int) -> MonomialSubspace:
-    """The codimension-k subspace whose square has the largest codimension.
-
-    Extremality holds in the regime n, d >= k, which is enforced here;
-    `extremal_complement` builds the same shape without the regime guard.
-    """
-    if not (1 <= k <= n and k <= d):
-        raise InvalidInputError(
-            f"extremal shape is only maximizing for n, d >= k; got n={n}, d={d}, k={k}"
-        )
-    return MonomialSubspace._built(n, d, extremal_complement(n, d, k))
-
-
 def extend_stable(U: MonomialSubspace) -> MonomialSubspace:
     """Grow a strongly stable U by one dimension, staying strongly stable.
 

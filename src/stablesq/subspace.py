@@ -77,10 +77,6 @@ class MonomialSubspace:
         return cls._built(n, d, [t for t in _basis_tuples(n, d) if t not in mem])
 
     @classmethod
-    def full(cls, n: int, d: int) -> "MonomialSubspace":
-        return cls(n, d, ())
-
-    @classmethod
     def zero(cls, n: int, d: int) -> "MonomialSubspace":
         return cls._built(n, d, _basis_tuples(n, d))
 
@@ -250,11 +246,14 @@ def _complement_sizes(U: MonomialSubspace) -> Iterator[int]:
     """The number of monomials outside the ideal of U in degree d, d + 1,
     ..., up to the first 0.  A monomial c of the next degree is outside
     exactly when every c / x_j is: when c arises as t * x_j from as many
-    outside monomials t as c has variables."""
+    outside monomials t as c has variables.  The exponents listed in all
+    degrees so far are checked against the default budget before each."""
     n, comp = U.n, U.complement
+    listed = 0
     yield len(comp)
     while comp:
-        errors.check_size(n * n * len(comp), "exponents in the next degree of a Hilbert function")
+        listed += n * n * len(comp)
+        errors.check_size(listed, "exponents in the degrees of a Hilbert function", seen=listed)
         made = Counter([t[:j] + (t[j] + 1,) + t[j + 1 :] for t in comp for j in range(n)])
         comp = [c for c, k in made.items() if k == n - c.count(0)]
         yield len(comp)

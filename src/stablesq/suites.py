@@ -1012,8 +1012,10 @@ def conjecture_scan(
     Exact for k <= 2 via the rank-one test of each restricted member's
     catalecticant along one pivot entry; a cell where some span violates
     this reports a failing CheckResult.  A grid with no cell to scan is
-    refused, since a scan of no cell passes nothing.
+    refused, since a scan of no cell passes nothing, and so is a trial
+    count over the default budget.
     """
+    errors.check_size(trials, "trials")
     out = []
     for n in n_values:
         for d in d_values:
@@ -1068,11 +1070,13 @@ SUITES["conjecture"] = _conjecture_suite
 
 def run_suites(names: list[str], opts: SuiteOptions | None = None) -> list[CheckResult]:
     """The results of the named suites, in order; naming none is refused,
-    since a run of no check passes nothing."""
+    since a run of no check passes nothing, and so is a trial count over
+    the default budget."""
     opts = opts or SuiteOptions()
     known = ", ".join(sorted(SUITES))
     if not names:
         raise InvalidInputError(f"no suite named; known: {known}")
+    errors.check_size(opts.trials, "trials")
     results = []
     for name in names:
         if name not in SUITES:

@@ -6,13 +6,21 @@ the published values from scratch; the rest read the named suites from
 one run shared with the seed-0 pin of tests/test_suites.py.
 """
 
-from stablesq.search import (
-    closed_form_m,
-    compute_m,
-    extremal_matches_search,
-    verify_degree_stability,
-    verify_table,
-)
+import pytest
+
+from stablesq.search import closed_form_m, compute_m, verify_table
+from stablesq.stable import extremal_complement
+from stablesq.subspace import MonomialSubspace
+
+
+# the regime n, d >= k: k = 1..6, n = max(2, k)..6, d = k..7
+REGIME = [(n, d, k) for k in range(1, 7) for n in range(max(2, k), 7) for d in range(k, 8)]
+
+
+@pytest.fixture(scope="module")
+def regime_results():
+    """One compute_m result per cell of REGIME, read by criteria 2 and 3."""
+    return {cell: compute_m(*cell) for cell in REGIME}
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -34,25 +42,19 @@ def _suite_ok(suite_results: dict, name: str):
 def test_criterion_01_published_table_reproduced():
     rep = verify_table(range(3, 7), range(2, 10), range(1, 10))
     ok = rep.clean and rep.compared == 288
-    detail = f"{rep.matches}/{rep.compared} cells match"
+    detail = f"{rep.compared - len(rep.mismatches)}/{rep.compared} cells match"
     if rep.mismatches:
         detail += f"; first mismatch {rep.mismatches[0]}"
     _report(1, "reference table reproduced on n=3..6, d=2..9, k=1..9", ok, detail)
 
 
-def test_criterion_02_closed_form_with_unique_extremal_witness():
-    cells = 0
+def test_criterion_02_closed_form_with_unique_extremal_witness(regime_results):
     bad = []
-    for k in range(1, 7):
-        for n in range(max(2, k), 7):
-            for d in range(k, 8):
-                cells += 1
-                r = compute_m(n, d, k)
-                if r.value != closed_form_m(n, d, k) or not extremal_matches_search(
-                    n, d, k
-                ):
-                    bad.append((n, d, k))
-    detail = f"{cells} cells" + (f"; failures {bad[:3]}" if bad else "")
+    for (n, d, k), r in regime_results.items():
+        extremal = MonomialSubspace(n, d, extremal_complement(n, d, k))
+        if r.value != closed_form_m(n, d, k) or r.witnesses != (extremal,) or r.witness_count != 1:
+            bad.append((n, d, k))
+    detail = f"{len(regime_results)} cells" + (f"; failures {bad[:3]}" if bad else "")
     _report(
         2,
         "m equals C(k+2,3) + (n-k)k with a unique extremal witness for n, d >= k",
@@ -61,20 +63,17 @@ def test_criterion_02_closed_form_with_unique_extremal_witness():
     )
 
 
-def test_criterion_03_value_constant_in_degree():
-    bad = []
-    cells = 0
-    for k in range(1, 7):
-        for n in range(max(2, k), 7):
-            cells += 1
-            rep = verify_degree_stability(n, k, range(k, 8))
-            if not rep.stable:
-                bad.append((n, k, rep.values))
+def test_criterion_03_value_constant_in_degree(regime_results):
+    rows = {}
+    for (n, d, k), r in regime_results.items():
+        rows.setdefault((n, k), {})[d] = r.value
+    # each row's values against its d = k anchor
+    bad = [(n, k, values) for (n, k), values in rows.items() if set(values.values()) != {values[k]}]
     _report(
         3,
         "m(n, d, k) does not depend on d in the regime d >= k",
         not bad,
-        f"{cells} (n, k) rows" + (f"; failures {bad[:2]}" if bad else ""),
+        f"{len(rows)} (n, k) rows" + (f"; failures {bad[:2]}" if bad else ""),
     )
 
 

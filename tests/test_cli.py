@@ -326,6 +326,9 @@ def test_closed_pipe_exits_1_without_traceback(argv, lines_read):
 
 HUGE_INPUTS = {
     "u.txt": "3 2 1\n1 1 0\n",
+    # span(x1^2): the quotient never dies, and its degree i lists 2i + 1
+    # monomials outside the ideal
+    "x1sq.txt": "3 2 5\n0 2 0\n0 0 2\n1 1 0\n1 0 1\n0 1 1\n",
     "huge.json": json.dumps({"n": 2, "d": 200000000, "complement": [[200000000, 0]]}),
     # JSON keys are strings, so no object row is ever a valid record
     "rows.json": json.dumps({"n": 11, "d": 11, "rows": [{"x": 1}]}),
@@ -377,6 +380,14 @@ HUGE_INPUTS = {
         # face bounds longer than Python prints
         ["gram", "--n", "5000", "--d", "5000", "--k", "2"],
         ["gram", "--n", "1000000", "--d", "1000000", "--k", "2"],
+        # a Hilbert function's work is bounded over all its degrees
+        # together, not only in each
+        ["hilbert", "x1sq.txt", "--max-degree", "100000"],
+        # a trial count is a size like any other
+        ["check", "--suite", "random", "--trials", "1000000000"],
+        # every draw for the exceptional shapes is rejected, so each runs
+        # all its trials
+        ["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "100000000"],
     ],
 )
 def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):

@@ -13,7 +13,7 @@ from stablesq.gram import (
 )
 from stablesq.monomial import dim_component
 from stablesq.search import closed_form_m, compute_m
-from stablesq.stable import extremal_subspace
+from stablesq.stable import extremal_complement
 from stablesq.subspace import MonomialSubspace, square
 
 
@@ -74,7 +74,7 @@ def test_gap_values():
 
 
 def test_face_profile_on_extremal_witness():
-    U = extremal_subspace(3, 3, 2)
+    U = MonomialSubspace(3, 3, extremal_complement(3, 3, 2))
     profile = face_profile(U)
     assert isinstance(profile, FaceProfile)
     assert profile.n == 3 and profile.d == 3 and profile.k == 2

@@ -61,3 +61,47 @@ def test_every_private_definition_is_used():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(defined - used) == []
+
+
+# test oracles: the slow paths that tests check a library kernel against
+ORACLES = {"reduce", "macaulay_value"}
+
+
+def test_every_public_definition_is_reached():
+    # a public function, class or constant that no module, command, suite
+    # or benchmark workload names is kept alive only by its tests
+    tops = [top for path in MODULES for top in ast.parse(path.read_text()).body]
+    reads = [named(top) for top in tops]
+    # the benchmark's harness and workloads, not its own tests
+    bench = Path(stablesq.__file__).parents[2] / "perfbench"
+    harness = [path for path in bench.glob("*.py") if not path.name.startswith("test_")]
+    reads += [named(ast.parse(path.read_text())) for path in harness]
+    unreached = []
+    for i, top in enumerate(tops):
+        if isinstance(top, ast.Assign):
+            names = {t.id for t in top.targets if isinstance(t, ast.Name)}
+        elif not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        elif any(isinstance(dec, ast.Call) and getattr(dec.func, "id", None) == "_check"
+                 for dec in top.decorator_list):
+            continue  # a check that @_check registers runs in its suite
+        else:
+            names = {top.name}
+        names = {name for name in names if not name.startswith("_")} - ORACLES
+        # every name read in src/ and perfbench/ outside this definition
+        used = set().union(*reads[:i], *reads[i + 1 :])
+        unreached += sorted(names - used)
+    assert unreached == []
+
+
+def named(tree):
+    """Every name a tree reads: loaded names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out

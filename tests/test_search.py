@@ -12,7 +12,6 @@ from stablesq.search import (
     main_bound,
     small_subspace_bound,
     table_cell,
-    verify_degree_stability,
     verify_table,
 )
 from stablesq.subspace import MonomialSubspace, square, square_index
@@ -58,9 +57,12 @@ def test_compute_m_reports_witnesses():
 
 
 @pytest.mark.parametrize("search", (compute_m, compute_m0_monomial))
-def test_witness_cap_bounds_the_list_not_the_count(search):
-    none = search(3, 2, 2, witness_cap=0)
-    one = search(3, 2, 2, witness_cap=1)
+def test_witness_cap_bounds_the_list_not_the_count(search, monkeypatch):
+    monkeypatch.setattr("stablesq.search.WITNESS_CAP", 0)
+    none = search(3, 2, 2)
+    monkeypatch.setattr("stablesq.search.WITNESS_CAP", 1)
+    one = search(3, 2, 2)
+    monkeypatch.undo()
     assert none.witnesses == ()
     assert len(one.witnesses) == 1
     assert none.value == one.value
@@ -135,7 +137,7 @@ def _plain_m0_scan(n, d, k, witness_cap):
     return best, count, tuple(wits)
 
 
-def test_m0_search_matches_plain_scan():
+def test_m0_search_matches_plain_scan(monkeypatch):
     cells = 0
     for n, d, k in product(range(2, 6), range(2, 6), range(1, 5)):
         N = len(_power_free(n, d))
@@ -143,7 +145,8 @@ def test_m0_search_matches_plain_scan():
             continue
         cells += 1
         for cap in (64, 3):
-            r = compute_m0_monomial(n, d, k, witness_cap=cap)
+            monkeypatch.setattr("stablesq.search.WITNESS_CAP", cap)
+            r = compute_m0_monomial(n, d, k)
             got = (r.value, r.witness_count, tuple(w.complement for w in r.witnesses))
             assert got == _plain_m0_scan(n, d, k, cap), (n, d, k, cap)
             assert r.searched == comb(N, k)
@@ -207,16 +210,10 @@ def test_verify_table_small_grid():
     rep = verify_table(range(3, 5), range(2, 4), range(1, 4))
     assert rep.clean
     assert rep.compared == 12
-    assert rep.matches == 12
+    assert rep.compared - len(rep.mismatches) == 12
     assert rep.cells[(3, 2, 1)] == 3
 
 
-def test_degree_stability_report():
-    rep = verify_degree_stability(3, 2, range(2, 6))
-    assert rep.stable
-    assert rep.reference == compute_m(3, 2, 2).value
-    assert set(rep.values) == {2, 3, 4, 5}
-    with pytest.raises(InvalidInputError):
-        verify_degree_stability(3, 2, [1])  # degree below k
-    with pytest.raises(InvalidInputError):
-        verify_degree_stability(3, 2, [])
+def test_m_is_constant_in_degree_from_k():
+    reference = compute_m(3, 2, 2).value
+    assert [compute_m(3, d, 2).value for d in range(2, 6)] == [reference] * 4

@@ -11,7 +11,6 @@ from stablesq.stable import (
     enumerate_strongly_stable,
     extend_stable,
     extremal_complement,
-    extremal_subspace,
     is_strongly_stable,
 )
 from stablesq.subspace import MonomialSubspace, square
@@ -168,15 +167,13 @@ def test_extremal_complement_values():
         extremal_complement(2, 2, 3)  # k > n
 
 
-def test_extremal_subspace_is_stable_and_guarded():
+def test_extremal_subspace_is_strongly_stable():
     for n in (2, 3, 4):
         for d in (2, 3, 4):
             for k in range(1, min(n, d) + 1):
-                U = extremal_subspace(n, d, k)
+                U = MonomialSubspace(n, d, extremal_complement(n, d, k))
                 assert is_strongly_stable(U)
                 assert U.codim == k
-    with pytest.raises(InvalidInputError):
-        extremal_subspace(3, 2, 3)  # k > d
 
 
 def test_extremal_subspace_attains_closed_form():
@@ -185,7 +182,7 @@ def test_extremal_subspace_attains_closed_form():
     for n in (2, 3, 4):
         for k in range(1, min(n, 3) + 1):
             for d in range(k, 5):
-                U = extremal_subspace(n, d, k)
+                U = MonomialSubspace(n, d, extremal_complement(n, d, k))
                 assert square(U).codim == closed_form_m(n, d, k)
 
 
@@ -200,7 +197,7 @@ def test_extend_stable_walks_up():
     Z = extend_stable(MonomialSubspace.zero(2, 2))
     assert Z.complement == frozenset({(2, 0), (1, 1)})  # only x2^2 joins the subspace
     with pytest.raises(InvalidInputError):
-        extend_stable(MonomialSubspace.full(2, 2))
+        extend_stable(MonomialSubspace(2, 2, ()))
 
 
 def test_enumeration_budget(monkeypatch):

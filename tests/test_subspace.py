@@ -18,18 +18,16 @@ from stablesq.monomial import (
     enumerate_monomials,
     expand,
     exponents,
-    monomial_from_text,
     multiply,
     reduce,
 )
-from stablesq.monomial import GRLEX, LEX, MonomialOrder
+from stablesq.monomial import LEX, MonomialOrder
 from stablesq.qlinalg import initial_subspace, monomial_span, random_subspace, span
 from stablesq.search import closed_form_m, compute_m, compute_m0_monomial
 from stablesq.stable import (
     enumerate_strongly_stable,
     extend_stable,
     extremal_complement,
-    extremal_subspace,
     is_strongly_stable,
 )
 from stablesq.suites import _stable_family, _subsets
@@ -49,6 +47,8 @@ from stablesq.subspace import (
 )
 
 from test_stable import grow_complements
+
+GRLEX = MonomialOrder.grlex()
 
 
 def complements(n, d, max_size):
@@ -74,7 +74,7 @@ def test_construction_and_validation():
         MonomialSubspace(2, 2, [(1, 0)])  # wrong degree
     with pytest.raises(InvalidInputError):
         MonomialSubspace(2, 2, [(2, 0, 0)])  # wrong variable count
-    assert MonomialSubspace.full(2, 2).codim == 0
+    assert MonomialSubspace(2, 2, ()).codim == 0
     assert MonomialSubspace.zero(2, 2).dim == 0
 
 
@@ -110,7 +110,7 @@ def test_bad_shape_refused_before_the_basis_is_built(build):
 
 
 def test_complement_elements_are_plain_tuples():
-    U = extremal_subspace(3, 3, 2)
+    U = MonomialSubspace(3, 3, extremal_complement(3, 3, 2))
     built = [
         MonomialSubspace(3, 2, [(2, 0, 0), [1, 1, 0], (0, 1, 1)]),
         MonomialSubspace.from_members(3, 2, [(2, 0, 0), [1, 1, 0]]),
@@ -130,7 +130,6 @@ def test_complement_elements_are_plain_tuples():
     # every monomial the public functions hand back is a plain tuple too
     R = span([{(2, 0, 0): 1, (0, 1, 1): -1}, {(1, 1, 0): 1}], 3, 2)
     returned = [
-        monomial_from_text("x1^2*x3", 3),
         *enumerate_monomials(3, 2),
         multiply((1, 0, 0), (0, 1, 1)),
         reduce((1, 0, 1)),
@@ -240,8 +239,6 @@ def test_producers_on_strongly_stable_families_equal_the_checked_construction():
         for V in built_from(U):
             assert_equals_checked_construction(V)
     for n, d in ((2, 4), (3, 2), (3, 3), (4, 2)):
-        for k in range(1, min(n, d) + 1):
-            assert_equals_checked_construction(extremal_subspace(n, d, k))
         for k in (1, 2):
             for V in compute_m0_monomial(n, d, k).witnesses:
                 assert_equals_checked_construction(V)
@@ -291,11 +288,11 @@ def sumset_selected(U):
 
 @settings(max_examples=150, deadline=None)
 @given(any_subspace(max_n=6, max_d=5))
-@example(MonomialSubspace.full(3, 0))  # d = 0
+@example(MonomialSubspace(3, 0, ()))  # d = 0
 @example(MonomialSubspace.zero(3, 0))
-@example(MonomialSubspace.full(1, 4))  # n = 1
+@example(MonomialSubspace(1, 4, ()))  # n = 1
 @example(MonomialSubspace.zero(1, 4))
-@example(MonomialSubspace.full(5, 3))  # codim 0
+@example(MonomialSubspace(5, 3, ()))  # codim 0
 @example(MonomialSubspace.zero(5, 3))  # codim q
 @example(MonomialSubspace(3, 2, [(1, 1, 0)]))  # the tie m(m + 1)/2 = 15 = k dim A_4
 def test_sumset_and_class_walk_agree_with_the_naive_product(U):
@@ -518,7 +515,7 @@ def test_budgeted_square_ranks_only_the_classes_it_counts(monkeypatch):
     # 35,251 exponent classes of degree 40 in 20 variables: a query ranks
     # only those with at most 2 codim U divisors of degree 20
     square_index.cache_clear()
-    assert square(MonomialSubspace.full(20, 20), budget=10).codim == 0
+    assert square(MonomialSubspace(20, 20, ()), budget=10).codim == 0
     idx = square_index(20, 20)
     top = (0,) * 19 + (40,)
     assert idx._next == (1, top) and idx.entries == []
@@ -604,7 +601,8 @@ def test_codim_square_answers_do_not_depend_on_earlier_queries(n, d):
             assert idx.codim_square(C) == SquareIndex(n, d).codim_square(C) == want, C
 
 
-def test_compute_m_matches_a_scan_over_the_oracle_enumeration():
+def test_compute_m_matches_a_scan_over_the_oracle_enumeration(monkeypatch):
+    monkeypatch.setattr("stablesq.search.WITNESS_CAP", 3)
     for n, d, k in product(range(2, 5), range(2, 5), range(1, 7)):
         if k > dim_component(n, d):
             continue
@@ -612,7 +610,7 @@ def test_compute_m_matches_a_scan_over_the_oracle_enumeration():
         scored = [(len(scan_missing(idx, frozenset(C))), C) for C in grow_complements(n, d, k)[0]]
         best = max(c for c, _ in scored)
         tops = [frozenset(C) for c, C in scored if c == best]
-        result = compute_m(n, d, k, witness_cap=3)
+        result = compute_m(n, d, k)
         assert (result.value, result.witness_count, result.searched) == (best, len(tops), len(scored))
         assert [U.complement for U in result.witnesses] == tops[:3]
 
@@ -622,11 +620,11 @@ def test_square_of_large_extremal_shapes(n, d, k, want):
     # 593,775 and 10,295,472 monomials of degree 2d: only the few with
     # at most 2k divisors may be built
     assert closed_form_m(n, d, k) == want
-    assert square(extremal_subspace(n, d, k)).codim == want
+    assert square(MonomialSubspace(n, d, extremal_complement(n, d, k))).codim == want
 
 
 def test_square_edge_subspaces():
-    assert square(MonomialSubspace.full(2, 2)).codim == 0
+    assert square(MonomialSubspace(2, 2, ())).codim == 0
     assert square(MonomialSubspace.zero(2, 2)).codim == dim_component(2, 4)
 
 
@@ -634,9 +632,9 @@ def test_square_budget():
     # the budget bounds the degree-2d monomials that can be missing from
     # U^2: those with at most 2 codim U divisors of degree d
     for U in (
-        MonomialSubspace.full(3, 3),
+        MonomialSubspace(3, 3, ()),
         MonomialSubspace.zero(3, 3),
-        extremal_subspace(3, 3, 2),
+        MonomialSubspace(3, 3, extremal_complement(3, 3, 2)),
     ):
         size = sum(count_divisors(T, 3) <= 2 * U.codim for T in _basis_tuples(3, 6))
         for budget in (1, size - 1, size, size + 1):
@@ -650,7 +648,7 @@ def test_square_budget():
                 assert square(U, budget=budget) == square(U)
     # 10,295,472 monomials of degree 30, but only a few with at most 8
     # divisors of degree 15
-    U = extremal_subspace(8, 15, 4)
+    U = MonomialSubspace(8, 15, extremal_complement(8, 15, 4))
     assert square(U, budget=10**7) == square(U)
 
 
@@ -663,16 +661,21 @@ def test_huge_degrees_are_refused_before_any_list(monkeypatch):
     with pytest.raises(BudgetExceededError):
         ideal_hilbert_function(U, 101)
     # max_degree is weighed by the digits of the largest value below d,
-    # here the 2 of dim A(3)_3 = 10
-    W = MonomialSubspace(3, 4, [(4, 0, 0)])
+    # here the 2 of dim A(3)_3 = 10; x1^2*x2^2 leaves the quotient at once
+    W = MonomialSubspace(3, 4, [(2, 2, 0)])
     assert len(ideal_hilbert_function(W, 50).values) == 51
     with pytest.raises(BudgetExceededError, match="at least 102 digits"):
         ideal_hilbert_function(W, 51)
+    # x1^i stays outside in every degree, so its 9 exponents a degree add
+    # up: 12 degrees list 108
+    with pytest.raises(BudgetExceededError, match="at least 108 exponents"):
+        ideal_hilbert_function(MonomialSubspace(3, 4, [(4, 0, 0)]), 50)
     # the next degree lists n exponents for each of n moves of each monomial
-    # outside the ideal: 9 * 10 from degree 3, then 9 * 15 from degree 4
+    # outside the ideal, and the budget bounds their sum over the degrees:
+    # 9 * 10 from degree 3, then 90 + 9 * 15 from degree 4
     Z = MonomialSubspace.zero(3, 3)
     assert ideal_hilbert_function(Z, 4).values == (1, 3, 6, 10, 15)
-    with pytest.raises(BudgetExceededError, match="at least 135 exponents"):
+    with pytest.raises(BudgetExceededError, match="at least 225 exponents"):
         ideal_hilbert_function(Z, 5)
     assert SquareIndex(2, 50).d == 50
     with pytest.raises(BudgetExceededError):
@@ -746,7 +749,7 @@ def test_hilbert_function_matches_propagation_oracle():
         for k in range(1, min(3 * d - 3, len(free)) + 1):
             family += [MonomialSubspace(n, d, rng.sample(free, k)) for _ in range(20)]
     for n, d in ((1, 0), (1, 3), (2, 0), (3, 0), (3, 1)):
-        family += [MonomialSubspace.full(n, d), MonomialSubspace.zero(n, d)]
+        family += [MonomialSubspace(n, d, ()), MonomialSubspace.zero(n, d)]
     assert len(family) == 1354
     for U in family:
         for top in (0, U.d, 2 * U.d + 1):
@@ -788,7 +791,7 @@ def test_base_point_detection():
     assert is_base_point_free(MonomialSubspace(2, 2, [(1, 1)]))
     assert not is_base_point_free(MonomialSubspace(2, 2, [(2, 0)]))
     # full space has no base point, zero subspace is all base points
-    assert is_base_point_free(MonomialSubspace.full(2, 2))
+    assert is_base_point_free(MonomialSubspace(2, 2, ()))
     assert not is_base_point_free(MonomialSubspace.zero(2, 2))
 
 

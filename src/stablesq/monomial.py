@@ -8,7 +8,7 @@ exception, see `MonomialOrder.block`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -57,23 +57,12 @@ class MonomialOrder:
     each block under the opposite convention x_1 > x_2 > ... > x_n, so a
     monomial heavy in early variables sorts high.
 
-    Orders key the library's lru caches, so the hash is computed once.  A
-    string hashes differently in another process, so unpickling computes
-    it again.
+    An order only sorts what the commands print and names the columns of
+    a rational JSON record; every computation lists monomials in lex order.
     """
 
     kind: str
     split: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.split)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return MonomialOrder, (self.kind, self.split)
 
     @staticmethod
     def lex() -> "MonomialOrder":
@@ -104,10 +93,6 @@ class MonomialOrder:
             except ValueError as exc:
                 raise InvalidInputError(f"bad block split in {name!r}") from exc
         raise InvalidInputError(f"unknown order {name!r}; use lex, grlex, or block:m")
-
-    @property
-    def name(self) -> str:
-        return f"block:{self.split}" if self.kind == "block" else self.kind
 
     def check(self, n: int) -> None:
         """Refuse a block split that leaves no variable in the second block."""

@@ -1,18 +1,19 @@
 """Exact linear algebra over the rationals for non-monomial subspaces.
 
 A subspace is the row space of integer vectors whose columns are the
-degree-d monomials sorted descending under a chosen order.  Its dimension
-is certified when it is built: the rank modulo the prime 32749 is a
-lower bound on the rank over Q, so it is exact when it equals the number
-of rows or of columns, and exact elimination decides every other case.
-The modular rank is lazy and sparse.  A row whose leading column is new
-and whose leading entry is a unit modulo the prime is a pivot as it is,
-with no reduction; its tail is reduced modulo the prime only when a later
-row meets it.  Every other row waits and is eliminated as a sparse map of
-its nonzero residues.  The prime is the largest below 2^15, so the
-modular elimination runs on one-digit CPython ints.  The certification
-does not depend on the prime: a smaller one changes only how often the
-exact elimination is reached, never an answer.
+degree-d monomials sorted descending in lex order; no answer depends on
+the order, and a JSON record in another is placed on them as it is read.
+Its dimension is certified when it is built: the rank modulo the prime
+32749 is a lower bound on the rank over Q, so it is exact when it equals
+the number of rows or of columns, and exact elimination decides every
+other case.  The modular rank is lazy and sparse.  A row whose leading
+column is new and whose leading entry is a unit modulo the prime is a
+pivot as it is, with no reduction; its tail is reduced modulo the prime
+only when a later row meets it.  Every other row waits and is eliminated
+as a sparse map of its nonzero residues.  The prime is the largest below
+2^15, so the modular elimination runs on one-digit CPython ints.  The
+certification does not depend on the prime: a smaller one changes only
+how often the exact elimination is reached, never an answer.
 The reduced row echelon form, whose pivot columns are the initial
 monomials of the space, is built on first use.  Two subspaces are equal
 exactly when these forms coincide.  Elimination is fraction-free over the
@@ -36,9 +37,7 @@ from typing import Iterator
 from . import errors
 from .errors import InvalidInputError
 from .macaulay import HilbertFunction
-from .monomial import (
-    LEX, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
-)
+from .monomial import LEX, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
 from .subspace import MonomialSubspace, _hilbert_function, json_int
 
 PRODUCT_DIM_GUARD = 20000
@@ -75,13 +74,13 @@ def _coefficient(x):
 
 
 @lru_cache(maxsize=None)
-def _columns(n: int, d: int, order: MonomialOrder) -> tuple[tuple[int, ...], ...]:
-    return tuple(enumerate_monomials(n, d, order))
+def _columns(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(enumerate_monomials(n, d))
 
 
 @lru_cache(maxsize=None)
-def _column_index(n: int, d: int, order: MonomialOrder) -> dict:
-    return {M: i for i, M in enumerate(_columns(n, d, order))}
+def _column_index(n: int, d: int) -> dict:
+    return {M: i for i, M in enumerate(_columns(n, d))}
 
 
 def _all_int(r) -> bool:
@@ -267,20 +266,20 @@ class RationalSubspace:
     `pivots`) is built exactly on first use and kept.
     """
 
-    __slots__ = ("n", "d", "order", "dim", "_basis", "_echelon", "_rows")
+    __slots__ = ("n", "d", "dim", "_basis", "_echelon", "_rows")
 
-    def __init__(self, n: int, d: int, rows, order: MonomialOrder = LEX):
-        self._certify(n, d, [_integer_row(_as_vector(r, n, d, order)) for r in rows], order)
+    def __init__(self, n: int, d: int, rows):
+        self._certify(n, d, [_integer_row(_as_vector(r, n, d)) for r in rows])
 
     @classmethod
-    def _built(cls, n: int, d: int, mat: list[list[int]], order: MonomialOrder):
+    def _built(cls, n: int, d: int, mat: list[list[int]]):
         """The row space of int rows of length dim A_d that this module built;
         the rows are certified but not checked."""
         U = object.__new__(cls)
-        U._certify(n, d, mat, order)
+        U._certify(n, d, mat)
         return U
 
-    def _certify(self, n: int, d: int, mat: list[list[int]], order: MonomialOrder) -> None:
+    def _certify(self, n: int, d: int, mat: list[list[int]]) -> None:
         """Set the fields from checked int rows: the rank modulo the prime,
         trusted when it is the row or column count, else exact elimination."""
         q = dim_component(n, d)
@@ -296,7 +295,6 @@ class RationalSubspace:
         _set = object.__setattr__
         _set(self, "n", n)
         _set(self, "d", d)
-        _set(self, "order", order)
         _set(self, "dim", rank)
         _set(self, "_basis", mat)
         _set(self, "_echelon", echelon)
@@ -336,10 +334,10 @@ class RationalSubspace:
 
     @property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return _columns(self.n, self.d, self.order)
+        return _columns(self.n, self.d)
 
     def contains(self, vector) -> bool:
-        vec = _integer_row(_as_vector(vector, self.n, self.d, self.order))
+        vec = _integer_row(_as_vector(vector, self.n, self.d))
         rows, pivots = self._reduced()
         scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
         return not any(_normal_form(vec, (rows, pivots), scale))
@@ -349,52 +347,54 @@ class RationalSubspace:
             isinstance(other, RationalSubspace)
             and self.n == other.n
             and self.d == other.d
-            and self.order == other.order
             and self.dim == other.dim
             and self._reduced()[0] == other._reduced()[0]
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.d, self.order, tuple(map(tuple, self._reduced()[0]))))
+        return hash((self.n, self.d, tuple(map(tuple, self._reduced()[0]))))
 
     def __repr__(self) -> str:
-        return (
-            f"RationalSubspace(n={self.n}, d={self.d}, dim={self.dim}, "
-            f"order={self.order.name})"
-        )
+        return f"RationalSubspace(n={self.n}, d={self.d}, dim={self.dim})"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "order": self.order.name,
-            "rows": [[str(x) for x in r] for r in self.rows],
-        }
+        rows = [[str(x) for x in r] for r in self.rows]
+        return {"n": self.n, "d": self.d, "order": "lex", "rows": rows}
 
 
 def rational_subspace_from_json(data: dict) -> RationalSubspace:
+    """The subspace of a JSON record.  Its "order" (lex when absent) names
+    only the column order of its list rows: once every row is checked, a
+    list row is read as the monomial dict it lists, on the lex columns."""
     if not isinstance(data, dict):
         raise InvalidInputError(
             f"bad rational subspace record: expected an object, got {type(data).__name__}"
         )
     try:
+        n, d = json_int(data, "n"), json_int(data, "d")
         order = MonomialOrder.parse(data.get("order", "lex"))
-        return RationalSubspace(json_int(data, "n"), json_int(data, "d"), data["rows"], order)
+        order.check(n)
+        rows = data["rows"]
+        vecs = [_as_vector(r, n, d) for r in rows]
+        if order != LEX and vecs:
+            cols = enumerate_monomials(n, d, order)
+            vecs = [v if isinstance(r, dict) else dict(zip(cols, v)) for r, v in zip(rows, vecs)]
+        return RationalSubspace(n, d, vecs)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 
 
-def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
+def _as_vector(vector, n: int, d: int) -> list:
     """The one intake of a coefficient vector from outside: a new list over
-    the degree-d columns under order.  n and d are checked first; a
-    monomial dict has every key checked before the column index is built
-    and is then placed by its keys; any other iterable is read in column
-    order.  Every coefficient goes through `_coefficient` unless all are
-    already ints or Fractions, and the length must be the column count."""
+    the degree-d columns.  n and d are checked first; a monomial dict has
+    every key checked before the column index is built and is then placed
+    by its keys; any other iterable is read in column order.  Every
+    coefficient goes through `_coefficient` unless all are already ints or
+    Fractions, and the length must be the column count."""
     q = dim_component(n, d)
     if isinstance(vector, dict):
         keys = [exponent_tuple(key, n, d) for key in vector]
-        idx = _column_index(n, d, order)
+        idx = _column_index(n, d)
         out = [0] * q
         for key, val in zip(keys, vector.values()):
             out[idx[key]] = val
@@ -407,31 +407,31 @@ def _as_vector(vector, n: int, d: int, order: MonomialOrder) -> list:
     return out
 
 
-def span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> RationalSubspace:
+def span(vectors, n: int, d: int) -> RationalSubspace:
     """Row space of the given coefficient vectors (lists or monomial dicts)."""
-    return RationalSubspace(n, d, vectors, order)
+    return RationalSubspace(n, d, vectors)
 
 
-def monomial_span(U: MonomialSubspace, order: MonomialOrder = LEX) -> RationalSubspace:
+def monomial_span(U: MonomialSubspace) -> RationalSubspace:
     """The same subspace, re-encoded as an echelon matrix."""
-    return span([{M: 1} for M in U.members], U.n, U.d, order)
+    return span([{M: 1} for M in U.members], U.n, U.d)
 
 
 @lru_cache(maxsize=None)
-def _apolar_weights(n: int, d: int, order: MonomialOrder) -> tuple[int, ...]:
+def _apolar_weights(n: int, d: int) -> tuple[int, ...]:
     """<x^a, x^a> = prod a_i! for each degree-d column."""
-    return tuple(prod(map(factorial, M)) for M in _columns(n, d, order))
+    return tuple(prod(map(factorial, M)) for M in _columns(n, d))
 
 
-def apolar_perp(vectors, n: int, d: int, order: MonomialOrder = LEX) -> RationalSubspace:
+def apolar_perp(vectors, n: int, d: int) -> RationalSubspace:
     """Orthogonal complement under the differentiation pairing.
 
     Monomials are orthogonal to each other and <x^a, x^a> = prod a_i!,
     so the perp is the kernel of one weighted row per input form.
     """
-    weights = _apolar_weights(n, d, order)
-    rows = [_integer_row(list(map(mul, weights, _as_vector(v, n, d, order)))) for v in vectors]
-    return RationalSubspace._built(n, d, _kernel(rows, len(weights)), order)
+    weights = _apolar_weights(n, d)
+    rows = [_integer_row(list(map(mul, weights, _as_vector(v, n, d)))) for v in vectors]
+    return RationalSubspace._built(n, d, _kernel(rows, len(weights)))
 
 
 def _linear(l, n: int) -> list:
@@ -442,31 +442,24 @@ def _linear(l, n: int) -> list:
     return lvec
 
 
-def _linear_pairs(l: list, n: int, order: MonomialOrder) -> list[tuple[int, int]]:
-    """The nonzero (column, coefficient) pairs of l: the column of x_i takes l[i]."""
-    return _sparse([l[M.index(1)] for M in _columns(n, 1, order)])
-
-
-def linear_multiples(l, n: int, d: int, order: MonomialOrder = LEX) -> list[list]:
+def linear_multiples(l, n: int, d: int) -> list[list]:
     """The forms l*mu for mu in the degree d-1 basis, as coefficient lists
-    over the degree-d columns under order, each made by `_multiply`; l has n
-    exact coefficients (ints, Fractions or rational strings)."""
+    over the degree-d columns, each made by `_multiply`; l has n exact
+    coefficients (ints, Fractions or rational strings)."""
     if d < 1:
         raise InvalidInputError(f"linear multiples need degree d >= 1, got d={d}")
-    lpairs = _linear_pairs(_linear(l, n), n, order)
-    table, q = _product_columns(n, d - 1, 1, order), dim_component(n, d)
+    lpairs = _sparse(_linear(l, n)[::-1])  # lex lists x_n first
+    table, q = _product_columns(n, d - 1, 1), dim_component(n, d)
     return [_multiply([(i, 1)], lpairs, table, q) for i in range(len(table))]
 
 
 @lru_cache(maxsize=8)
-def _product_columns(n: int, d1: int, d2: int, order: MonomialOrder) -> tuple:
+def _product_columns(n: int, d1: int, d2: int) -> tuple:
     """Entry [i][j] is the degree-(d1 + d2) column of the product of the
     i-th degree-d1 and the j-th degree-d2 column."""
-    idx = _column_index(n, d1 + d2, order)
-    right = _columns(n, d2, order)
-    return tuple(
-        tuple(idx[tuple(map(add, M, N))] for N in right) for M in _columns(n, d1, order)
-    )
+    idx = _column_index(n, d1 + d2)
+    right = _columns(n, d2)
+    return tuple(tuple(idx[tuple(map(add, M, N))] for N in right) for M in _columns(n, d1))
 
 
 def _sparse(r: list) -> list[tuple[int, int]]:
@@ -497,8 +490,6 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
     """
     if U.n != V.n:
         raise InvalidInputError(f"mixed variable counts {U.n} and {V.n}")
-    if U.order != V.order:
-        raise InvalidInputError("operands use different monomial orders")
     dC = U.d + V.d
     qC = dim_component(U.n, dC)
     errors.check_size(qC, f"monomials of degree {dC} in a product", PRODUCT_DIM_GUARD, seen=qC)
@@ -508,9 +499,9 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
         pairs = combinations_with_replacement(rows_U, 2)
     else:
         pairs = product(rows_U, map(_sparse, V._reduced()[0]))
-    table = _product_columns(U.n, U.d, V.d, U.order)
+    table = _product_columns(U.n, U.d, V.d)
     rows = [_multiply(f, g, table, qC) for f, g in pairs]
-    return RationalSubspace._built(U.n, dC, rows, U.order)
+    return RationalSubspace._built(U.n, dC, rows)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:
@@ -518,7 +509,7 @@ def square_rational(U: RationalSubspace) -> RationalSubspace:
 
 
 def initial_subspace(U: RationalSubspace) -> MonomialSubspace:
-    """Monomial space spanned by the initial monomials of the rows; its
+    """Monomial space spanned by the lex-initial monomials of the rows; its
     complement is the columns off the pivots."""
     pivots = set(U._reduced()[1])
     comp = [M for c, M in enumerate(U.columns) if c not in pivots]
@@ -533,21 +524,21 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
     l = _integer_row(_linear(l, U.n))
     if not any(l):
         raise InvalidInputError("the zero form does not define a colon space")
-    n, d, order = U.n, U.d, U.order
+    n, d = U.n, U.d
     # (U : l) is the kernel of mu -> l*mu modulo U: column mu of its matrix
     # is the normal form of l*mu, all at one scale, so the matrix is a
     # multiple of the map
     rows, pivots = U._reduced()
     scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    forms = [_normal_form(f, (rows, pivots), scale) for f in linear_multiples(l, n, d, order)]
-    return RationalSubspace._built(n, d - 1, _kernel(list(zip(*forms)), len(forms)), order)
+    forms = [_normal_form(f, (rows, pivots), scale) for f in linear_multiples(l, n, d)]
+    return RationalSubspace._built(n, d - 1, _kernel(list(zip(*forms)), len(forms)))
 
 
 def _ideal_codims(U: RationalSubspace) -> Iterator[int]:
     """The codimension of the ideal generated by U from degree d on, up to
     the first 0; each degree is the last one times the linear forms."""
     identity = [[int(i == j) for j in range(U.n)] for i in range(U.n)]
-    linear = RationalSubspace._built(U.n, 1, identity, U.order)
+    linear = RationalSubspace._built(U.n, 1, identity)
     current = U
     yield current.codim
     while current.codim:
@@ -569,24 +560,24 @@ def apolar_dual(U: RationalSubspace) -> list[list[int]]:
     the reduced echelon form of the annihilator with each row scaled to
     primitive integers with a positive lead.
     """
-    weights = _apolar_weights(U.n, U.d, U.order)
+    weights = _apolar_weights(U.n, U.d)
     return _kernel([list(map(mul, weights, row)) for row in U._reduced()[0]], len(weights))
 
 
 @lru_cache(maxsize=None)
-def _catalecticant_plan(n: int, d: int, order: MonomialOrder) -> tuple:
+def _catalecticant_plan(n: int, d: int) -> tuple:
     """Per degree-d column M, the triples (i, column of M / x_i, exponent of x_i)."""
-    idx_lo = _column_index(n, d - 1, order)
+    idx_lo = _column_index(n, d - 1)
     return tuple(
         tuple((i, idx_lo[M[:i] + (e - 1,) + M[i + 1 :]], e) for i, e in enumerate(M) if e)
-        for M in _columns(n, d, order)
+        for M in _columns(n, d)
     )
 
 
-def _catalecticant(vec: list, n: int, d: int, order: MonomialOrder) -> list[list]:
+def _catalecticant(vec: list, n: int, d: int) -> list[list]:
     """The n partial-derivative rows of a checked coefficient vector."""
     rows = [[0] * dim_component(n, d - 1) for _ in range(n)]
-    for x, terms in zip(vec, _catalecticant_plan(n, d, order)):
+    for x, terms in zip(vec, _catalecticant_plan(n, d)):
         if x:
             # M -> M / x_i is injective, so each entry is written once
             for i, c, e in terms:
@@ -612,16 +603,16 @@ def _rank_one(A: list[list[int]], i: int, k: int) -> bool:
     return True
 
 
-def _pivot(row: list[int], n: int, d: int, order: MonomialOrder) -> tuple[int, int]:
+def _pivot(row: list[int], n: int, d: int) -> tuple[int, int]:
     """(i, k) with the leading monomial M of row equal to x_i times column k
     of degree d - 1, for the first variable x_i of M; the catalecticant of
     the row is nonzero at [i][k]."""
     c = next(c for c, x in enumerate(row) if x)
-    i, k, _ = _catalecticant_plan(n, d, order)[c][0]
+    i, k, _ = _catalecticant_plan(n, d)[c][0]
     return i, k
 
 
-def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
+def power_in_span(vectors, n: int, d: int) -> bool:
     """Whether a span of dimension at most 2 contains a d-th power.
 
     A nonzero form is a power of a linear form exactly when its first
@@ -641,11 +632,11 @@ def power_in_span(vectors, n: int, d: int, order: MonomialOrder = LEX) -> bool:
     step in exact ints; from then on every minor must vanish there.  The
     scan returns False once no root is left.
     """
-    mat = [_integer_row(_as_vector(v, n, d, order)) for v in vectors]
-    return _reduced_power(_echelon(mat, 3)[0], n, d, order)
+    mat = [_integer_row(_as_vector(v, n, d)) for v in vectors]
+    return _reduced_power(_echelon(mat, 3)[0], n, d)
 
 
-def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder = LEX) -> bool:
+def _reduced_power(rows: list[list[int]], n: int, d: int) -> bool:
     """`power_in_span` on independent integer rows, the second zero at the
     first's leading column: echelon rows as `_echelon` returns them, or
     reduced rows as `_integer_rref` and `_kernel` return them.  More
@@ -659,12 +650,12 @@ def _reduced_power(rows: list[list[int]], n: int, d: int, order: MonomialOrder =
             "exact power detection covers spans of dimension at most 2"
         )
     # scaling a generator does not change which members are powers
-    A, *rest = (_catalecticant(r, n, d, order) for r in rows)
-    i, k = _pivot(rows[0], n, d, order)
+    A, *rest = (_catalecticant(r, n, d) for r in rows)
+    i, k = _pivot(rows[0], n, d)
     if not rest:
         return _rank_one(A, i, k)
     B = rest[0]
-    if _rank_one(B, *_pivot(rows[1], n, d, order)):
+    if _rank_one(B, *_pivot(rows[1], n, d)):
         return True
     # B[i][k] == 0, so (A + u*B)[i][k] = a for every u; the pivot minors of
     # row j are a*(A + u*B)[j][l] - (A + u*B)[i][l] * (A + u*B)[j][k]
@@ -708,10 +699,10 @@ def has_base_point(U: RationalSubspace) -> bool:
     already meet the weaker contract of `_reduced_power` (the second row is
     zero at the first row's leading column), so they are taken as they are.
     """
-    return _reduced_power(apolar_dual(U), U.n, U.d, U.order)
+    return _reduced_power(apolar_dual(U), U.n, U.d)
 
 
-def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
+def _restriction(vector, n: int, d: int, l):
     """The restriction of a form to l = 0, scaled to integers.
 
     l is first scaled to a primitive integer vector, which leaves the
@@ -719,8 +710,7 @@ def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     the largest exponent of x_n in f and L = -(l_1 x_1 + ... + l_(n-1) x_(n-1)),
     returns den * l_n^top * f(x', L / l_n) as integer coefficients over the
     degree-d basis in n - 1 variables, and the scale den * l_n^top.  Horner's
-    rule runs on int lists, each step h <- h*L by `_multiply`; the form and l
-    are checked before the order meets n - 1 variables.
+    rule runs on int lists, each step h <- h*L by `_multiply`.
     """
     if n < 2:
         raise InvalidInputError("elimination needs at least 2 variables")
@@ -729,7 +719,7 @@ def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     *head, last = [x // g for x in lvec]
     if last == 0:
         raise InvalidInputError("last coefficient must be nonzero to eliminate")
-    terms = zip(_columns(n, d, order), _as_vector(vector, n, d, order))
+    terms = zip(_columns(n, d), _as_vector(vector, n, d))
     terms = [(M, x) for M, x in terms if x]
     den = lcm(*(x.denominator for _, x in terms))
     # den * f = sum of f_e * x_n^e with f_e free of x_n and integral
@@ -737,20 +727,20 @@ def _restriction(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     for M, x in terms:
         parts.setdefault(M[-1], []).append((M[:-1], x.numerator * (den // x.denominator)))
     top = max(parts, default=0)
-    L = _linear_pairs([-x for x in head], n - 1, order)
+    L = _sparse([-x for x in reversed(head)])  # lex lists x_(n-1) first
     # Horner's rule: h <- h * L + f_e * l_n^(top - e), of degree d - e, from e = top down
     h = [0] * dim_component(n - 1, d - top)
     for e in range(top, -1, -1):
         if e < top:
-            table = _product_columns(n - 1, d - e - 1, 1, order)
+            table = _product_columns(n - 1, d - e - 1, 1)
             h = _multiply(_sparse(h), L, table, dim_component(n - 1, d - e))
-        idx = _column_index(n - 1, d - e, order)
+        idx = _column_index(n - 1, d - e)
         for T, c in parts.get(e, ()):
             h[idx[T]] += c * last ** (top - e)
     return h, den * last**top
 
 
-def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
+def eliminate_variable(vector, n: int, d: int, l):
     """Substitute the last variable using the relation l = 0.
 
     Returns the coefficients of f(x_1, ..., x_(n-1), s) with
@@ -763,13 +753,13 @@ def eliminate_variable(vector, n: int, d: int, l, order: MonomialOrder = LEX):
     is done over the integers by `_restriction`; each column c becomes
     Fraction(c, den * l_n^top) once, at the end.
     """
-    row, scale = _restriction(vector, n, d, l, order)
+    row, scale = _restriction(vector, n, d, l)
     zero = Fraction(0)
     return [Fraction(c, scale) if c else zero for c in row]
 
 
 def random_subspace(
-    n: int, d: int, codim: int, rng: random.Random, bound: int = 100, order: MonomialOrder = LEX
+    n: int, d: int, codim: int, rng: random.Random, bound: int = 100
 ) -> RationalSubspace:
     """Random subspace of the given codimension with integer coefficients.
 
@@ -781,7 +771,7 @@ def random_subspace(
         raise InvalidInputError(f"codimension {codim} out of range for dim {q}")
     for _ in range(MAX_TRIES):
         rows = [[rng.randint(-bound, bound) for _ in range(q)] for _ in range(target)]
-        U = RationalSubspace(n, d, rows, order)
+        U = RationalSubspace(n, d, rows)
         if U.dim == target:
             return U
     raise InvalidInputError(f"could not sample a rank-{target} subspace in {MAX_TRIES} tries")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from operator import mul
 from typing import Callable, Iterator
@@ -336,12 +336,15 @@ def check_codim2_thresholds(t: _Tally) -> None:
     t.note = f"values d=2..8 at n=3: {[seen.get((3, d)) for d in range(2, 9)]}"
 
 
+_CODIM1_RATIONAL = ((3, 2, {0, 2}), (4, 2, {0, 2}), (3, 3, {0, 1}))
+
+
 @_check("classification", "codim-1-rational-values")
 def check_codim1_rational(t: _Tally) -> None:
     """Random base point free codimension-1 subspaces: the square's
     codimension lies in {0, 2} for degree 2 and in {0, 1} for degree 3."""
     rng = t.rng("classification-rational")
-    for n, d, allowed in ((3, 2, {0, 2}), (4, 2, {0, 2}), (3, 3, {0, 1})):
+    for n, d, allowed in _CODIM1_RATIONAL:
         for _ in range(max(5, t.opts.trials // 5)):
             U = _free_subspace(t, n, d, 1, rng)
             if U is not None:
@@ -1002,6 +1005,13 @@ def _shape_power_times_variables(W: tuple, n: int, d: int) -> bool:
     return any(all(M[a] == d - 1 for M in W) for a in range(n))
 
 
+def _scan_size(n: int, d: int, k: int) -> int:
+    """The coefficients of one try at every span of a cell: C(P, k) spans
+    of the P power-free monomials, dim A_d per member."""
+    q = capped_dim(n, d, errors.DEFAULT_BUDGET)
+    return errors.capped_comb(q - n, k, errors.DEFAULT_BUDGET) * q
+
+
 def conjecture_scan(
     n_values, d_values, k_values, trials: int = 4, seed: int = 0
 ) -> list[CheckResult]:
@@ -1011,58 +1021,69 @@ def conjecture_scan(
 
     Exact for k <= 2 via the rank-one test of each restricted member's
     catalecticant along one pivot entry; a cell where some span violates
-    this reports a failing CheckResult.  A grid with no cell to scan is
-    refused, since a scan of no cell passes nothing, and so is a trial
-    count over the default budget.
+    this reports a failing CheckResult; a span of the exceptional shape is
+    excused before its two tries.  A grid with no cell to scan is refused,
+    since a scan of no cell passes nothing, and so is a cell whose `trials`
+    tries hold more coefficients than the default budget.
     """
-    errors.check_size(trials, "trials")
+    grid = product(n_values, d_values, k_values)
+    cells = [(n, d, k) for n, d, k in grid if 1 <= k <= min(d - 1, n - 1, 2) and n >= 3]
+    if not cells:
+        raise InvalidInputError("no cells to scan: need 1 <= k <= min(d-1, n-1, 2) and n >= 3")
+    for n, d, k in cells:
+        what = f"coefficients in {trials} tries at the spans of n={n}, d={d}, k={k}"
+        errors.check_size(trials * _scan_size(n, d, k), what)
     out = []
-    for n in n_values:
-        for d in d_values:
-            for k in k_values:
-                if not (1 <= k <= min(d - 1, n - 1, 2)) or n < 3:
-                    continue
-                # C(P, k) spans of the P power-free monomials, dim A_d per member
-                q = capped_dim(n, d, errors.DEFAULT_BUDGET)
-                size = errors.capped_comb(q - n, k, errors.DEFAULT_BUDGET) * q
-                errors.check_size(size, f"coefficients in the spans of n={n}, d={d}, k={k}")
-                t = _Tally(SuiteOptions(seed=seed))
-                rng = t.rng(f"conjecture:{n}:{d}:{k}")
-                for W in combinations(_power_free(n, d), k):
+    for n, d, k in cells:
+        t = _Tally(SuiteOptions(seed=seed))
+        rng = t.rng(f"conjecture:{n}:{d}:{k}")
+        for W in combinations(_power_free(n, d), k):
 
-                    def restrict() -> list:
-                        l = [rng.randint(-9, 9) for _ in range(n - 1)]
-                        l.append(rng.choice((1, -1)) * rng.randint(1, 9))
-                        # echelon rows of the restricted span, built once
-                        return _echelon([_restriction({M: 1}, n, d, l)[0] for M in W], 3)[0]
+            def restrict() -> list:
+                l = [rng.randint(-9, 9) for _ in range(n - 1)]
+                l.append(rng.choice((1, -1)) * rng.randint(1, 9))
+                # echelon rows of the restricted span, built once
+                return _echelon([_restriction({M: 1}, n, d, l)[0] for M in W], 3)[0]
 
-                    t.case()
-                    restricted = t.redraw(
-                        restrict,
-                        lambda rows: len(rows) == k and not _reduced_power(rows, n - 1, d),
-                        "",
-                        tries=max(2, trials),
-                    )
-                    if restricted is None and not (
-                        n == k + 1 and _shape_power_times_variables(W, n, d)
-                    ):
-                        names = ",".join(map(monomial_to_text, W))
-                        t.fail(f"span({names}) restricted to a power every time")
-                out.append(t.result(f"restriction-power-free-n{n}-d{d}-k{k}"))
-    if not out:
-        raise InvalidInputError(
-            "no cells to scan: need 1 <= k <= min(d-1, n-1, 2) and n >= 3"
-        )
+            t.case()
+            excused = n == k + 1 and _shape_power_times_variables(W, n, d)
+            restricted = t.redraw(
+                restrict,
+                lambda rows: len(rows) == k and not _reduced_power(rows, n - 1, d),
+                "",
+                tries=2 if excused else max(2, trials),
+            )
+            if restricted is None and not excused:
+                names = ",".join(map(monomial_to_text, W))
+                t.fail(f"span({names}) restricted to a power every time")
+        out.append(t.result(f"restriction-power-free-n{n}-d{d}-k{k}"))
     return out
 
 
+_CONJECTURE_GRID = ((3, 4), (3, 4, 5), (1, 2))
+
+
 def _conjecture_suite(opts: SuiteOptions) -> list[CheckResult]:
-    return conjecture_scan(
-        (3, 4), (3, 4, 5), (1, 2), trials=max(4, opts.trials // 10), seed=opts.seed
-    )
+    return conjecture_scan(*_CONJECTURE_GRID, trials=max(4, opts.trials // 10), seed=opts.seed)
 
 
 SUITES["conjecture"] = _conjecture_suite
+
+
+def _square_size(n: int, d: int) -> int:
+    """The coefficients of the C(q + 1, 2) products that span (A_d)^2, q = dim A_d."""
+    q = dim_component(n, d)
+    return comb(q + 1, 2) * dim_component(n, 2 * d)
+
+
+# the coefficients one trial may build in each suite that reads `trials`:
+# squares of A_d at the cells of codim-1-rational-values (a fifth of the
+# trials) and at each random check's largest; the spans of the conjecture grid
+_TRIAL_SIZE = {
+    "classification": sum(_square_size(n, d) for n, d, _ in _CODIM1_RATIONAL) // 5,
+    "random": sum(map(_square_size, (4, 4, 3, 3, 5), (3, 3, 3, 4, 2))),
+    "conjecture": sum(_scan_size(*cell) for cell in product(*_CONJECTURE_GRID)) // 10,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1070,16 +1091,16 @@ SUITES["conjecture"] = _conjecture_suite
 
 def run_suites(names: list[str], opts: SuiteOptions | None = None) -> list[CheckResult]:
     """The results of the named suites, in order; naming none is refused,
-    since a run of no check passes nothing, and so is a trial count over
-    the default budget."""
+    since a run of no check passes nothing, and so is a trial count whose
+    trials of a named suite may build more coefficients than the default
+    budget (`_TRIAL_SIZE`); every suite is weighed before any runs."""
     opts = opts or SuiteOptions()
     known = ", ".join(sorted(SUITES))
     if not names:
         raise InvalidInputError(f"no suite named; known: {known}")
-    errors.check_size(opts.trials, "trials")
-    results = []
     for name in names:
         if name not in SUITES:
             raise InvalidInputError(f"unknown suite {name!r}; known: {known}")
-        results.extend(SUITES[name](opts))
-    return results
+        size = opts.trials * _TRIAL_SIZE.get(name, 0)
+        errors.check_size(size, f"coefficients in {opts.trials} trials of the {name} suite")
+    return [r for name in names for r in SUITES[name](opts)]

@@ -388,6 +388,11 @@ HUGE_INPUTS = {
         # every draw for the exceptional shapes is rejected, so each runs
         # all its trials
         ["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "100000000"],
+        # a trial count under the budget is weighed by the work of a trial:
+        # the squares a random trial may build, the spans a conjecture try
+        # restricts
+        ["check", "--suite", "random", "--trials", "10000000"],
+        ["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "10000000"],
     ],
 )
 def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):
@@ -632,6 +637,22 @@ PIN_FILES = {
         "rows": [["1", "0", "0", "0", "0", "1"], ["0", "1/2", "0", "-1", "0", "0"]],
     }),
 }
+# one list of rows read under three orders.  Within one degree grlex lists
+# the columns as lex does, and block:1 in three variables as lex does
+# with the variables reversed, so both print what the rows print under
+# lex; block:2 lists them in another order, and prints another square and
+# Hilbert function
+ORDER_ROWS = [
+    [0, 0, 0, 0, 0, 1, 0, 0, "1/2", 0], [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, "1/2", 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, -1, 0, "1/2", 0, 0, 0, 0, 0],
+    [0, 0, "1/2", 0, 0, 0, 0, 0, 0, 0],
+]
+ORDER_FILES = {"grlex.json": "grlex", "block1.json": "block:1", "block2.json": "block:2"}
+PIN_FILES.update(
+    (name, json.dumps({"n": 3, "d": 3, "order": order, "rows": ORDER_ROWS}))
+    for name, order in ORDER_FILES.items()
+)
 
 PINNED = {
     "table --n 3 --d 2..3 --k 1..6 --diff-paper": (
@@ -750,6 +771,42 @@ PINNED = {
     ),
     "hilbert rational.json --format json": (
         0, "335a0d5312467da136964aac79de747710bcaad31c8f2c570393c9fcbad4fe89"
+    ),
+    "square grlex.json": (
+        0, "fa0721b23927145930c69b5778bfd56fa452dfd5b66a32f2d340aa6893ca06cb"
+    ),
+    "square grlex.json --format json": (
+        0, "3fb41e92c5fc78c84cd9a01f3f02342a50a69e9b13a2c00758502a09ed42ef09"
+    ),
+    "hilbert grlex.json": (
+        0, "9a75534ec07e3950efecfcfc9457711fb0c59416970ab1ac29a57cbcc5458e1d"
+    ),
+    "hilbert grlex.json --format json": (
+        0, "fbb4c5e63114fb1aef74cc021b72d310134482aeadb8424fe62b7f2cfd832b62"
+    ),
+    "square block1.json": (
+        0, "fa0721b23927145930c69b5778bfd56fa452dfd5b66a32f2d340aa6893ca06cb"
+    ),
+    "square block1.json --format json": (
+        0, "3fb41e92c5fc78c84cd9a01f3f02342a50a69e9b13a2c00758502a09ed42ef09"
+    ),
+    "hilbert block1.json": (
+        0, "9a75534ec07e3950efecfcfc9457711fb0c59416970ab1ac29a57cbcc5458e1d"
+    ),
+    "hilbert block1.json --format json": (
+        0, "fbb4c5e63114fb1aef74cc021b72d310134482aeadb8424fe62b7f2cfd832b62"
+    ),
+    "square block2.json": (
+        0, "a24e4f007fc621de2874e607e337ce09bcb6fda2849bd7cdcb1023fc57712070"
+    ),
+    "square block2.json --format json": (
+        0, "cd345a05e0edc228836a7651329037a4884b11219124afce29ca5f308be97ffc"
+    ),
+    "hilbert block2.json": (
+        0, "070abbf2dfb4b0d7eb87bc476387434e68c5463f4fb8212cf2ffd1b8bdda9b87"
+    ),
+    "hilbert block2.json --format json": (
+        0, "f238f29400205f8d6b4abd0dbbf24b7fe391f8e6d253cadf4ac959d5b47272f3"
     ),
     "gram --n 2..6 --d 4..5 --k 2..3": (
         0, "567e3c48032b79e8a241c08858da55d76878bce18aa578577267527302c63329"

@@ -1,5 +1,8 @@
+import json
+from collections import Counter
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +220,23 @@ def test_verify_table_small_grid():
 def test_m_is_constant_in_degree_from_k():
     reference = compute_m(3, 2, 2).value
     assert [compute_m(3, d, 2).value for d in range(2, 6)] == [reference] * 4
+
+
+def test_large_grid_matches_closed_form_bundled_table_and_pin():
+    # tests/m_grid.json is a regression gate, not a proof: it pins what
+    # the per-cell search computed when it was recorded
+    pin = json.loads((Path(__file__).parent / "m_grid.json").read_text())["rows"]
+    report = verify_table(range(3, 10), range(2, 13), range(1, 15), diff=False)
+    seen = Counter()
+    for (n, d, k), value in report.cells.items():
+        assert value == pin[f"{n},{d}"][k - 1], (n, d, k)
+        if value is None:
+            continue
+        if n >= k and d >= k:
+            assert value == closed_form_m(n, d, k), (n, d, k)
+            seen["closed form"] += 1
+        if covered(n, d, k):
+            assert value == published_value(n, d, k), (n, d, k)
+            seen["bundled"] += 1
+        seen["tabulated"] += 1
+    assert seen == {"tabulated": 1059, "closed form": 378, "bundled": 284}

@@ -107,12 +107,35 @@ def test_conjecture_scan_cell_filter():
 
 
 def test_conjecture_scan_refuses_a_cell_over_the_budget(monkeypatch):
-    # (3, 3, 1): C(7, 1) spans of the 7 power-free cubics, dim A_3 = 10 each
-    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 69)
-    with pytest.raises(BudgetExceededError, match="at least 70 coefficients"):
-        conjecture_scan([3], [3], [1])
-    monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", 70)
-    assert conjecture_scan([3], [3], [1])[0].passed
+    # (3, 3, 1): C(7, 1) spans of the 7 power-free cubics, dim A_3 = 10
+    # each, weighed once per try
+    for trials, size in ((1, 70), (4, 280)):
+        monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", size - 1)
+        message = f"at least {size} coefficients in {trials} tries"
+        with pytest.raises(BudgetExceededError, match=message):
+            conjecture_scan([3], [3], [1], trials=trials)
+        monkeypatch.setattr("stablesq.errors.DEFAULT_BUDGET", size)
+        assert conjecture_scan([3], [3], [1], trials=trials)[0].passed
+
+
+def test_every_cell_is_weighed_before_any_is_scanned(monkeypatch):
+    # (4, 5, 2) is over the budget at 1,000 tries, so (3, 3, 1) is not scanned
+    monkeypatch.setattr(suites, "_power_free", None)
+    with pytest.raises(BudgetExceededError, match="n=4, d=5, k=2"):
+        conjecture_scan([3, 4], [3, 5], [1, 2], trials=1000)
+
+
+def test_run_suites_weighs_trials_by_the_work_of_a_trial(monkeypatch):
+    # each suite whose checks read the trial count is refused one trial
+    # past the budget over its trial size, before any suite runs
+    monkeypatch.setattr(suites, "SUITES", {name: None for name in SUITES})
+    assert set(suites._TRIAL_SIZE) == {"classification", "random", "conjecture"}
+    for name, size in suites._TRIAL_SIZE.items():
+        trials = suites.errors.DEFAULT_BUDGET // size + 1
+        with pytest.raises(BudgetExceededError, match=f"in {trials} trials of the {name} suite"):
+            run_suites(["base", name], SuiteOptions(trials=trials))
+    # the largest trial of the random suite squares A_3 in 4 variables
+    assert suites._TRIAL_SIZE["random"] > suites._square_size(4, 3) == 210 * 84
 
 
 def _shape_oracle(W: tuple, n: int, d: int) -> bool:
@@ -211,11 +234,11 @@ SEED_0_RESULTS = [
     ("face-gap-growth", True, "gaps [2, 4, 6, 8, 10, 12]", 6, 0, None),
     ("face-profile-consistency", True, "", 4, 0, None),
     ("restriction-power-free-n3-d3-k1", True, "", 7, 0, 0),
-    ("restriction-power-free-n3-d3-k2", True, "", 21, 15, 0),
+    ("restriction-power-free-n3-d3-k2", True, "", 21, 8, 0),
     ("restriction-power-free-n3-d4-k1", True, "", 12, 0, 0),
-    ("restriction-power-free-n3-d4-k2", True, "", 66, 21, 0),
+    ("restriction-power-free-n3-d4-k2", True, "", 66, 15, 0),
     ("restriction-power-free-n3-d5-k1", True, "", 18, 1, 0),
-    ("restriction-power-free-n3-d5-k2", True, "", 153, 24, 0),
+    ("restriction-power-free-n3-d5-k2", True, "", 153, 14, 0),
     ("restriction-power-free-n4-d3-k1", True, "", 16, 0, 0),
     ("restriction-power-free-n4-d3-k2", True, "", 120, 1, 0),
     ("restriction-power-free-n4-d4-k1", True, "", 31, 0, 0),
@@ -234,9 +257,9 @@ def test_all_suites_pinned_at_seed_0(default_suite_results):
 # The resamples of the conjecture suite's cells at seeds 1-3, in the order
 # of SEED_0_RESULTS; every other field is as at seed 0, with the seed.
 CONJECTURE_RESAMPLES = {
-    1: [0, 18, 0, 20, 0, 28, 0, 0, 0, 2, 0, 4],
-    2: [0, 20, 0, 18, 0, 22, 0, 1, 0, 1, 0, 2],
-    3: [0, 18, 0, 22, 2, 17, 0, 0, 0, 1, 0, 2],
+    1: [0, 9, 0, 12, 0, 12, 0, 0, 0, 2, 0, 4],
+    2: [0, 7, 0, 10, 0, 10, 0, 1, 0, 1, 0, 2],
+    3: [0, 8, 0, 8, 2, 7, 0, 0, 0, 1, 0, 2],
 }
 
 

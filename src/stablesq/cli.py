@@ -20,7 +20,7 @@ from math import prod
 
 from . import errors
 from .errors import BudgetExceededError, InvalidInputError
-from .monomial import LEX, MonomialOrder, monomial_to_text
+from .monomial import monomial_to_text
 from .qlinalg import (
     RationalSubspace,
     hilbert_function_rational,
@@ -67,13 +67,6 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
-def _parse_order(text: str) -> MonomialOrder:
-    try:
-        return MonomialOrder.parse(text)
-    except InvalidInputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="stablesq",
@@ -110,12 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list strongly stable subspaces")
     add_common(p)
-    p.add_argument("--order", type=_parse_order, default=MonomialOrder.lex())
 
     p = sub.add_parser("square", help="square a subspace read from a file")
     p.add_argument("file")
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--order", type=_parse_order, default=None)
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("hilbert", help="Hilbert function of the quotient by a subspace")
@@ -236,7 +227,9 @@ def _cmd_maximize(args, compute) -> int:
     payload = [dict(zip(header, row)) for row in rows]
     if args.witnesses:
         for item, r in zip(payload, records):
-            item["witnesses"] = [sorted(map(monomial_to_text, w.complement)) for w in r.witnesses]
+            item["witnesses"] = [
+                list(map(monomial_to_text, w.sorted_complement())) for w in r.witnesses
+            ]
 
     def text():
         for r in records:
@@ -245,7 +238,7 @@ def _cmd_maximize(args, compute) -> int:
                 f"({r.witness_count} maximizer(s), family {r.restricted_to})"
             )
             for w in r.witnesses if args.witnesses else ():
-                comp = ", ".join(map(monomial_to_text, sorted(w.complement)))
+                comp = ", ".join(map(monomial_to_text, w.sorted_complement()))
                 yield f"  complement {{{comp}}}"
 
     _emit(args.format, payload, header, rows, text())
@@ -257,20 +250,15 @@ def _cmd_maximize(args, compute) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    # the views sort the complements as they print, so the order is
-    # checked against every n first: an error leaves stdout empty
-    for n in args.n:
-        args.order.check(n)
     records = [
         U
         for n, d, k in product(args.n, args.d, args.k)
         for U in enumerate_strongly_stable(n, d, k, budget=args.budget)
     ]
-    ordered = lambda: ((U, U.sorted_complement(args.order)) for U in records)
-    names = lambda comp: map(monomial_to_text, comp)
-    payload = ({"n": U.n, "d": U.d, "complement": comp} for U, comp in ordered())
-    rows = ([U.n, U.d, U.codim, " ".join(names(comp))] for U, comp in ordered())
-    text = (f"n={U.n} d={U.d} k={U.codim}: {{{', '.join(names(comp))}}}" for U, comp in ordered())
+    names = lambda U: map(monomial_to_text, U.sorted_complement())
+    payload = ({"n": U.n, "d": U.d, "complement": U.sorted_complement()} for U in records)
+    rows = ([U.n, U.d, U.codim, " ".join(names(U))] for U in records)
+    text = (f"n={U.n} d={U.d} k={U.codim}: {{{', '.join(names(U))}}}" for U in records)
     _emit(args.format, payload, ["n", "d", "k", "complement"], rows,
           chain(text, [f"{len(records)} subspaces"]))
     return 0
@@ -307,14 +295,12 @@ def _cmd_square(args) -> int:
     rational = isinstance(U, RationalSubspace)
     if rational and args.budget is not None:
         raise InvalidInputError("--budget applies to monomial subspaces only")
-    if rational and args.order is not None:
-        raise InvalidInputError("--order applies to monomial subspaces only")
     sq = square_rational(U) if rational else square(U, budget=args.budget)
     kind = "rational" if rational else "monomial"
     record = {"kind": kind, "n": sq.n, "d": sq.d, "dim": sq.dim, "codim": sq.codim}
     text = [f"U^2 in degree {sq.d}: dim = {sq.dim}, codim = {sq.codim}"]
     if not rational:
-        missing = list(map(monomial_to_text, sq.sorted_complement(args.order or LEX)))
+        missing = list(map(monomial_to_text, sq.sorted_complement()))
         record["complement"] = missing
         if missing:
             text.append("missing monomials: " + ", ".join(missing))

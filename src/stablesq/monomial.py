@@ -1,14 +1,14 @@
-"""Monomials of fixed degree and the orders used to sort them.
+"""Monomials of fixed degree, listed and sorted in lex order.
 
 A monomial in n variables is an exponent tuple (a_1, ..., a_n).  The
-ambient convention is ascending: x_1 < x_2 < ... < x_n, so x_n^d is the
-largest monomial of its degree under lex.  Block orders are the one
-exception, see `MonomialOrder.block`.
+convention is ascending: x_1 < x_2 < ... < x_n, so x_n^d is the largest
+monomial of its degree under lex, and the lex sort key of M is M[::-1].
+Lex is the one monomial order: no answer depends on an order, and it only
+sorts what the commands print and the columns of a rational subspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -48,77 +48,6 @@ def monomial_to_text(exps) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A comparison rule for monomials of equal degree.
-
-    lex and grlex follow the ascending convention (x_n largest).  block(m)
-    splits the variables into x_1..x_m and the rest and applies grlex to
-    each block under the opposite convention x_1 > x_2 > ... > x_n, so a
-    monomial heavy in early variables sorts high.
-
-    An order only sorts what the commands print and names the columns of
-    a rational JSON record; every computation lists monomials in lex order.
-    """
-
-    kind: str
-    split: int = 0
-
-    @staticmethod
-    def lex() -> "MonomialOrder":
-        return MonomialOrder("lex")
-
-    @staticmethod
-    def grlex() -> "MonomialOrder":
-        return MonomialOrder("grlex")
-
-    @staticmethod
-    def block(split: int) -> "MonomialOrder":
-        if split < 1:
-            raise InvalidInputError(f"block split must be >= 1, got {split}")
-        return MonomialOrder("block", split)
-
-    @staticmethod
-    def parse(name: str) -> "MonomialOrder":
-        if not isinstance(name, str):
-            raise InvalidInputError(f"order must be a name, got {name!r}")
-        name = name.strip()
-        if name == "lex":
-            return MonomialOrder.lex()
-        if name == "grlex":
-            return MonomialOrder.grlex()
-        if name.startswith("block:"):
-            try:
-                return MonomialOrder.block(int(name.split(":", 1)[1]))
-            except ValueError as exc:
-                raise InvalidInputError(f"bad block split in {name!r}") from exc
-        raise InvalidInputError(f"unknown order {name!r}; use lex, grlex, or block:m")
-
-    def check(self, n: int) -> None:
-        """Refuse a block split that leaves no variable in the second block."""
-        if self.kind == "block" and self.split >= n:
-            raise InvalidInputError(
-                f"block split {self.split} needs at least {self.split + 1} variables"
-            )
-
-    def key(self, M) -> tuple:
-        """Sort key; larger key means larger monomial.
-
-        Valid for comparing monomials of equal total degree (grlex keys are
-        also total across degrees).
-        """
-        if self.kind == "lex":
-            return tuple(reversed(M))
-        if self.kind == "grlex":
-            return (sum(M), *reversed(M))
-        if self.kind == "block":
-            self.check(len(M))
-            head, tail = M[: self.split], M[self.split :]
-            return (sum(head), *head, sum(tail), *tail)
-        raise InvalidInputError(f"unknown order kind {self.kind!r}")
-
-
-LEX = MonomialOrder.lex()
 _SHORT = 3 * errors.MAX_DIGITS  # n + d up to this gives a dimension below 8^MAX_DIGITS
 
 
@@ -157,9 +86,9 @@ def _power_free(n: int, d: int) -> list[tuple[int, ...]]:
     return [t for t in _basis_tuples(n, d) if max(t) < d]
 
 
-def enumerate_monomials(n: int, d: int, order: MonomialOrder = LEX) -> list[tuple[int, ...]]:
-    """Degree-d monomials in n variables, sorted descending under the order."""
-    return sorted(_basis_tuples(n, d), key=order.key, reverse=True)
+def enumerate_monomials(n: int, d: int) -> list[tuple[int, ...]]:
+    """Degree-d monomials in n variables, descending in lex order."""
+    return list(reversed(_basis_tuples(n, d)))
 
 
 def multiply(M, T) -> tuple[int, ...]:

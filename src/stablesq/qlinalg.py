@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals for non-monomial subspaces.
 
 A subspace is the row space of integer vectors whose columns are the
-degree-d monomials sorted descending in lex order; no answer depends on
-the order, and a JSON record in another is placed on them as it is read.
+degree-d monomials sorted descending in lex order.  No answer depends on
+the order, so lex is the only one, and a JSON record naming another is
+refused.
 Its dimension is certified when it is built: the rank modulo the prime
 32749 is a lower bound on the rank over Q, so it is exact when it equals
 the number of rows or of columns, and exact elimination decides every
@@ -37,7 +38,7 @@ from typing import Iterator
 from . import errors
 from .errors import InvalidInputError
 from .macaulay import HilbertFunction
-from .monomial import LEX, MonomialOrder, dim_component, enumerate_monomials, exponent_tuple
+from .monomial import dim_component, enumerate_monomials, exponent_tuple
 from .subspace import MonomialSubspace, _hilbert_function, json_int
 
 PRODUCT_DIM_GUARD = 20000
@@ -363,23 +364,18 @@ class RationalSubspace:
 
 
 def rational_subspace_from_json(data: dict) -> RationalSubspace:
-    """The subspace of a JSON record.  Its "order" (lex when absent) names
-    only the column order of its list rows: once every row is checked, a
-    list row is read as the monomial dict it lists, on the lex columns."""
+    """The subspace of a JSON record.  Its list rows are read on the lex
+    columns, so an "order" other than "lex" (or none) is refused before
+    any row is read."""
     if not isinstance(data, dict):
         raise InvalidInputError(
             f"bad rational subspace record: expected an object, got {type(data).__name__}"
         )
     try:
         n, d = json_int(data, "n"), json_int(data, "d")
-        order = MonomialOrder.parse(data.get("order", "lex"))
-        order.check(n)
-        rows = data["rows"]
-        vecs = [_as_vector(r, n, d) for r in rows]
-        if order != LEX and vecs:
-            cols = enumerate_monomials(n, d, order)
-            vecs = [v if isinstance(r, dict) else dict(zip(cols, v)) for r, v in zip(rows, vecs)]
-        return RationalSubspace(n, d, vecs)
+        if data.get("order", "lex") != "lex":
+            raise ValueError(f"order must be 'lex', got {data['order']!r}")
+        return RationalSubspace(n, d, data["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad rational subspace record: {exc}") from exc
 

@@ -27,8 +27,6 @@ from . import errors
 from .errors import InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import (
-    LEX,
-    MonomialOrder,
     _basis_tuples,
     arrangements,
     count_divisors,
@@ -98,8 +96,9 @@ class MonomialSubspace:
             object.__setattr__(self, "_members", cached)
         return cached
 
-    def sorted_complement(self, order: MonomialOrder = LEX) -> list[tuple[int, ...]]:
-        return sorted(self.complement, key=order.key, reverse=True)
+    def sorted_complement(self) -> list[tuple[int, ...]]:
+        """The complement's exponent tuples, descending in lex order."""
+        return sorted(self.complement, key=lambda M: M[::-1], reverse=True)
 
     def __eq__(self, other) -> bool:
         return (

@@ -204,7 +204,7 @@ def _subsets(n: int, d: int, pool, sizes) -> Iterator[MonomialSubspace]:
 
 
 def _where(U: MonomialSubspace) -> str:
-    return f"n={U.n} d={U.d} comp={sorted(map(monomial_to_text, U.complement))}"
+    return f"n={U.n} d={U.d} comp={list(map(monomial_to_text, U.sorted_complement()))}"
 
 
 # ---------------------------------------------------------------------------

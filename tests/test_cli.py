@@ -1,6 +1,5 @@
-import csv
+import argparse
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -16,13 +15,37 @@ import stablesq
 from stablesq import cli
 from stablesq.cli import main
 from stablesq.gram import singular_face_dim
-from stablesq.monomial import monomial_to_text
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# every subcommand's arguments, each flag by its option string and each
+# positional by its name; -h and --help are left out
+CLI_ARGUMENTS = {
+    "table": ["--n", "--d", "--k", "--budget", "--format", "--diff-paper", "--threads"],
+    "m": ["--n", "--d", "--k", "--budget", "--format", "--witnesses"],
+    "m0": ["--n", "--d", "--k", "--budget", "--format", "--witnesses"],
+    "enumerate": ["--n", "--d", "--k", "--budget", "--format"],
+    "square": ["file", "--budget", "--format"],
+    "hilbert": ["file", "--max-degree", "--format"],
+    "gram": ["--n", "--d", "--k", "--budget", "--format"],
+    "check": ["--suite", "--seed", "--trials"],
+    "conjecture": ["--n", "--d", "--k", "--seed", "--trials"],
+}
+
+
+def test_cli_arguments_are_pinned():
+    top = cli._build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [s for a in p._actions if a.dest != "help" for s in a.option_strings or [a.dest]]
+        for name, p in sub.choices.items()
+    }
+    assert got == CLI_ARGUMENTS
 
 
 def test_table_text_with_diff(capsys):
@@ -128,30 +151,15 @@ def test_enumerate_command(capsys):
     assert "x1^2" in out
 
 
-def test_enumerate_csv_order_flag(capsys):
-    code, out, _ = run(
-        capsys,
-        "enumerate",
-        "--n", "3", "--d", "2", "--k", "2",
-        "--format", "csv",
-        "--order", "grlex",
-    )
-    assert code == 0
-    assert out.splitlines()[0] == "n,d,k,complement"
-
-
-def test_enumerate_json_follows_order(capsys):
-    argv = ["enumerate", "--n", "3", "--d", "2", "--k", "3"]
-
-    def json_order(*flags):
-        _, out, _ = run(capsys, *argv, *flags, "--format", "json")
-        return [U["complement"] for U in json.loads(out)]
-
-    _, out, _ = run(capsys, *argv, "--order", "block:1", "--format", "csv")
-    csv_order = [row[3] for row in csv.reader(io.StringIO(out))][1:]
-    block = json_order("--order", "block:1")
-    assert [" ".join(monomial_to_text(tuple(M)) for M in comp) for comp in block] == csv_order
-    assert block != json_order()  # block:1 and lex disagree on this grid
+def test_witnesses_print_in_the_order_of_enumerate(capsys):
+    # text and JSON list each complement descending in lex, as enumerate does
+    argv = ["m0", "--n", "3", "--d", "2", "--k", "2", "--witnesses"]
+    _, out, _ = run(capsys, *argv)
+    text = [line.strip()[len("complement {"):-1].split(", ")
+            for line in out.splitlines() if line.startswith("  complement")]
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert text == json.loads(out)[0]["witnesses"]
+    assert ["x1*x3", "x1*x2"] in text
 
 
 def test_square_monomial_file(tmp_path, capsys):
@@ -177,6 +185,14 @@ def test_square_text_file(tmp_path, capsys):
 def quadric(n: int, i: int, j: int) -> list[int]:
     """The exponents of x_(i+1) * x_(j+1) in n variables."""
     return [(v == i) + (v == j) for v in range(n)]
+
+
+def test_a_record_in_another_order_is_refused(tmp_path, capsys):
+    f = tmp_path / "u.json"
+    f.write_text(json.dumps({"n": 3, "d": 2, "order": "block:2", "rows": [[1, 0, 0, 0, 0, 1]]}))
+    code, out, err = run(capsys, "square", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational subspace record: order must be 'lex'")
 
 
 def test_square_of_one_quadric_in_a_hundred_variables(tmp_path, capsys):
@@ -340,68 +356,74 @@ HUGE_INPUTS = {
 }
 
 
+# each case with its exit code: 1 for a budget refusal, 2 for invalid input
+HUGE_CASES = [
+    (["hilbert", "u.txt", "--max-degree", "100000000"], 1),
+    (["m", "--n", "2", "--d", "200000000", "--k", "1"], 1),
+    (["m0", "--n", "2", "--d", "200000000", "--k", "1"], 1),
+    # C(19999, 10000) has over 6,000 digits, too many to print
+    (["m0", "--n", "2", "--d", "20000", "--k", "10000"], 1),
+    (["square", "huge.json"], 1),
+    (["square", "huge.json", "--budget", "10"], 1),
+    (["square", "rows.json"], 2),
+    # a huge n is refused before a tuple of n exponents is built
+    (["m", "--n", "99999999999999999999", "--d", "2", "--k", "1"], 1),
+    (["m", "--n", "1000000000", "--d", "2", "--k", "1"], 1),
+    (["table", "--n", "1000000000", "--d", "2", "--k", "1"], 1),
+    # a range is counted before it is listed, and a grid of more cells
+    # than the budget is refused before any cell runs
+    (["gram", "--n", "5..1000000000", "--d", "4", "--k", "2"], 1),
+    # a basis longer than the budget is refused before it is built
+    (["conjecture", "--n", "1000000000", "--d", "3", "--k", "1"], 1),
+    # so is an enumeration whose root is a tuple of n exponents
+    (["enumerate", "--n", "1000000000", "--d", "2", "--k", "1"], 1),
+    (["m", "--n", "3..1000000", "--d", "2", "--k", "1", "--budget", "1"], 1),
+    # a basis of n * dim A_d exponents over the budget is refused before
+    # it is listed
+    (["m0", "--n", "1500", "--d", "2", "--k", "1"], 1),
+    (["conjecture", "--n", "2000", "--d", "2", "--k", "1"], 1),
+    # so is a square whose listing would pass that many exponents
+    (["square", "wide.json"], 1),
+    # the balanced owners of x_n^d, n tuples of n, are counted first
+    (["m", "--n", "20000", "--d", "2", "--k", "1"], 1),
+    (["m", "--n", "300000", "--d", "300000", "--k", "1"], 1),
+    # dim A_d is compared with k by a capped count, not by math.comb
+    (["table", "--n", "1000000", "--d", "1000000", "--k", "1"], 1),
+    # C(P, k) spans of dim A_d coefficients each, for P power-free monomials
+    (["conjecture", "--n", "120", "--d", "2", "--k", "1"], 1),
+    (["conjecture", "--n", "200", "--d", "2", "--k", "1"], 1),
+    # face bounds longer than Python prints
+    (["gram", "--n", "5000", "--d", "5000", "--k", "2"], 1),
+    (["gram", "--n", "1000000", "--d", "1000000", "--k", "2"], 1),
+    # a Hilbert function's work is bounded over all its degrees
+    # together, not only in each
+    (["hilbert", "x1sq.txt", "--max-degree", "100000"], 1),
+    # a trial count is a size like any other
+    (["check", "--suite", "random", "--trials", "1000000000"], 1),
+    # every draw for the exceptional shapes is rejected, so each runs
+    # all its trials
+    (["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "100000000"], 1),
+    # a trial count under the budget is weighed by the work of a trial:
+    # the squares a random trial may build, the spans a conjecture try
+    # restricts
+    (["check", "--suite", "random", "--trials", "10000000"], 1),
+    (["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "10000000"], 1),
+]
+PREFIX = {1: "budget exceeded: ", 2: "error: bad rational subspace record"}
+
+
+# each case is named by its place: argv0, argv1, ...
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["hilbert", "u.txt", "--max-degree", "100000000"],
-        ["m", "--n", "2", "--d", "200000000", "--k", "1"],
-        ["m0", "--n", "2", "--d", "200000000", "--k", "1"],
-        # C(19999, 10000) has over 6,000 digits, too many to print
-        ["m0", "--n", "2", "--d", "20000", "--k", "10000"],
-        ["square", "huge.json"],
-        ["square", "huge.json", "--budget", "10"],
-        ["square", "rows.json"],
-        # a huge n is refused before a tuple of n exponents is built
-        ["m", "--n", "99999999999999999999", "--d", "2", "--k", "1"],
-        ["m", "--n", "1000000000", "--d", "2", "--k", "1"],
-        ["table", "--n", "1000000000", "--d", "2", "--k", "1"],
-        # a range is counted before it is listed, and a grid of more cells
-        # than the budget is refused before any cell runs
-        ["gram", "--n", "5..1000000000", "--d", "4", "--k", "2"],
-        # a basis longer than the budget is refused before it is built
-        ["conjecture", "--n", "1000000000", "--d", "3", "--k", "1"],
-        # so is an enumeration whose root is a tuple of n exponents
-        ["enumerate", "--n", "1000000000", "--d", "2", "--k", "1"],
-        ["m", "--n", "3..1000000", "--d", "2", "--k", "1", "--budget", "1"],
-        # a basis of n * dim A_d exponents over the budget is refused before
-        # it is listed
-        ["m0", "--n", "1500", "--d", "2", "--k", "1"],
-        ["conjecture", "--n", "2000", "--d", "2", "--k", "1"],
-        # so is a square whose listing would pass that many exponents
-        ["square", "wide.json"],
-        # the balanced owners of x_n^d, n tuples of n, are counted first
-        ["m", "--n", "20000", "--d", "2", "--k", "1"],
-        ["m", "--n", "300000", "--d", "300000", "--k", "1"],
-        # dim A_d is compared with k by a capped count, not by math.comb
-        ["table", "--n", "1000000", "--d", "1000000", "--k", "1"],
-        # C(P, k) spans of dim A_d coefficients each, for P power-free monomials
-        ["conjecture", "--n", "120", "--d", "2", "--k", "1"],
-        ["conjecture", "--n", "200", "--d", "2", "--k", "1"],
-        # face bounds longer than Python prints
-        ["gram", "--n", "5000", "--d", "5000", "--k", "2"],
-        ["gram", "--n", "1000000", "--d", "1000000", "--k", "2"],
-        # a Hilbert function's work is bounded over all its degrees
-        # together, not only in each
-        ["hilbert", "x1sq.txt", "--max-degree", "100000"],
-        # a trial count is a size like any other
-        ["check", "--suite", "random", "--trials", "1000000000"],
-        # every draw for the exceptional shapes is rejected, so each runs
-        # all its trials
-        ["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "100000000"],
-        # a trial count under the budget is weighed by the work of a trial:
-        # the squares a random trial may build, the spans a conjecture try
-        # restricts
-        ["check", "--suite", "random", "--trials", "10000000"],
-        ["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "10000000"],
-    ],
+    "argv, code", HUGE_CASES, ids=[f"argv{i}" for i in range(len(HUGE_CASES))]
 )
-def test_huge_numbers_are_refused_quickly_without_traceback(argv, tmp_path):
+def test_huge_numbers_are_refused_quickly_without_traceback(argv, code, tmp_path):
     for name, text in HUGE_INPUTS.items():
         (tmp_path / name).write_text(text)
     start = time.monotonic()
     proc = _run_capped(argv, tmp_path)
     assert time.monotonic() - start < 10
-    assert proc.returncode in (1, 2), proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(PREFIX[code]), proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -475,10 +497,9 @@ def _exit_code(argv):
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--budget", "5")),
         ("u.json", {"n": 2, "d": 1, "rows": [[0.1, 1]]}, ()),
         ("u.json", {"n": 2, "d": 1, "rows": [[True, 1]]}, ()),
-        # --order sorts the missing monomials of a monomial square only
-        ("u.json", {"n": 3, "d": 2, "rows": [["1", "0", "0", "0", "0", "1"]]},
-         ("--order", "block:5")),
-        ("u.json", {"n": 2, "d": 1, "rows": [[1, 0]]}, ("--order", "lex")),
+        # a record lists its rows on the lex columns and names no other order
+        ("u.json", {"n": 3, "d": 2, "order": "block:2", "rows": [["1", 0, 0, 0, 0, "1"]]}, ()),
+        ("u.json", {"n": 2, "d": 1, "order": "grlex", "rows": [[1, 0]]}, ()),
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 0, 0], [True, 1]]}, ()),
         ("u.json", {"n": 2, "d": 1, "rows": [[1, 1], [1.5, 0]]}, ()),
         ("u.json", {"n": 0, "d": 1, "rows": [[0.5]]}, ()),
@@ -538,7 +559,7 @@ records = st.fixed_dictionaries(
     optional={
         "rows": st.one_of(sized_lists(coefficients), st.sampled_from([5, "ab", None])),
         "complement": st.one_of(sized_lists(st.integers(-1, 4)), st.sampled_from([[5], ["ab"]])),
-        "order": st.sampled_from(["lex", "grlex", "block:1", "block:x", "rev", 5, None]),
+        "order": st.just("lex"),
     },
 ).map(json.dumps)
 
@@ -574,7 +595,7 @@ ranges = st.one_of(
 )
 grid_flags = st.sampled_from(
     [[], ["--budget", "1"], ["--format", "json"], ["--witnesses"], ["--diff-paper"],
-     ["--threads", "2"], ["--order", "grlex"], ["--seed", HUGE[1]], ["--trials", "2"]]
+     ["--threads", "2"], ["--seed", HUGE[1]], ["--trials", "2"]]
 )
 grids = st.builds(
     lambda cmd, n, d, k, flags: [cmd, "--n", n, "--d", d, "--k", k, *flags],
@@ -592,7 +613,7 @@ files = st.builds(
     st.sampled_from(["square", "hilbert"]),
     st.one_of(records, texts, huge_records, not_objects),
     st.sampled_from(
-        [[], ["--budget", "2"], ["--order", "grlex"], ["--format", "csv"],
+        [[], ["--budget", "2"], ["--format", "csv"],
          ["--max-degree", "6"], ["--max-degree", HUGE[0]], ["--max-degree", "-1"]]
     ),
 )
@@ -637,18 +658,17 @@ PIN_FILES = {
         "rows": [["1", "0", "0", "0", "0", "1"], ["0", "1/2", "0", "-1", "0", "0"]],
     }),
 }
-# one list of rows read under three orders.  Within one degree grlex lists
-# the columns as lex does, and block:1 in three variables as lex does
-# with the variables reversed, so both print what the rows print under
-# lex; block:2 lists them in another order, and prints another square and
-# Hilbert function
+# one list of rows on the lex columns; the same rows under any other order
+# are refused
 ORDER_ROWS = [
     [0, 0, 0, 0, 0, 1, 0, 0, "1/2", 0], [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, 0, 0, "1/2", 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
     [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, -1, 0, "1/2", 0, 0, 0, 0, 0],
     [0, 0, "1/2", 0, 0, 0, 0, 0, 0, 0],
 ]
-ORDER_FILES = {"grlex.json": "grlex", "block1.json": "block:1", "block2.json": "block:2"}
+ORDER_FILES = {
+    "lex.json": "lex", "grlex.json": "grlex", "block1.json": "block:1", "block2.json": "block:2"
+}
 PIN_FILES.update(
     (name, json.dumps({"n": 3, "d": 3, "order": order, "rows": ORDER_ROWS}))
     for name, order in ORDER_FILES.items()
@@ -695,7 +715,7 @@ PINNED = {
         0, "72632d71b78dad6388d8b2e558331740ec1de72c927a02e8df7c67c359416aa6"
     ),
     "m0 --n 3..4 --d 2..3 --k 1..2 --witnesses --format json": (
-        0, "1a7de6541bd3e957df85bf1f4f7471a23088edb80cbd66d07542df5986946d19"
+        0, "4ea045c2f6c42377a822eba4aa527015ebb0087624688326059b51d3cad71d78"
     ),
     "enumerate --n 3 --d 2..3 --k 1..3": (
         0, "b84434f23bc4c1d80c4c7068c65e5b63345a47506a2364a1264dbc6287ebb026"
@@ -704,18 +724,6 @@ PINNED = {
         0, "cb5a4b6e66d63709c81c9dd694887e7e00da45cb9e2bc600762b3147c2778d99"
     ),
     "enumerate --n 3 --d 2..3 --k 1..3 --format json": (
-        0, "f4e41dd4ca15a161dabaeb5164877e6f2e1ecb923cdf831451ac38d6e3e72d58"
-    ),
-    "enumerate --n 3 --d 2..3 --k 1..3 --order lex --format json": (
-        0, "f4e41dd4ca15a161dabaeb5164877e6f2e1ecb923cdf831451ac38d6e3e72d58"
-    ),
-    "enumerate --n 3 --d 2..3 --k 1..3 --order grlex": (
-        0, "b84434f23bc4c1d80c4c7068c65e5b63345a47506a2364a1264dbc6287ebb026"
-    ),
-    "enumerate --n 3 --d 2..3 --k 1..3 --order grlex --format csv": (
-        0, "cb5a4b6e66d63709c81c9dd694887e7e00da45cb9e2bc600762b3147c2778d99"
-    ),
-    "enumerate --n 3 --d 2..3 --k 1..3 --order grlex --format json": (
         0, "f4e41dd4ca15a161dabaeb5164877e6f2e1ecb923cdf831451ac38d6e3e72d58"
     ),
     "square mono.json": (
@@ -727,7 +735,7 @@ PINNED = {
     "square mono.json --format json": (
         0, "27820af63cfd7070b48903322a852fe801330c617a935f5b3d942f0be956b151"
     ),
-    "square mono.txt --order grlex": (
+    "square mono.txt": (
         0, "54e37dc23f2e4907adcc8a0a83cd2000e4b457a0aa6f66873acf2375e5cc16f4"
     ),
     "square mono.txt --format csv": (
@@ -772,41 +780,17 @@ PINNED = {
     "hilbert rational.json --format json": (
         0, "335a0d5312467da136964aac79de747710bcaad31c8f2c570393c9fcbad4fe89"
     ),
-    "square grlex.json": (
+    "square lex.json": (
         0, "fa0721b23927145930c69b5778bfd56fa452dfd5b66a32f2d340aa6893ca06cb"
     ),
-    "square grlex.json --format json": (
+    "square lex.json --format json": (
         0, "3fb41e92c5fc78c84cd9a01f3f02342a50a69e9b13a2c00758502a09ed42ef09"
     ),
-    "hilbert grlex.json": (
+    "hilbert lex.json": (
         0, "9a75534ec07e3950efecfcfc9457711fb0c59416970ab1ac29a57cbcc5458e1d"
     ),
-    "hilbert grlex.json --format json": (
+    "hilbert lex.json --format json": (
         0, "fbb4c5e63114fb1aef74cc021b72d310134482aeadb8424fe62b7f2cfd832b62"
-    ),
-    "square block1.json": (
-        0, "fa0721b23927145930c69b5778bfd56fa452dfd5b66a32f2d340aa6893ca06cb"
-    ),
-    "square block1.json --format json": (
-        0, "3fb41e92c5fc78c84cd9a01f3f02342a50a69e9b13a2c00758502a09ed42ef09"
-    ),
-    "hilbert block1.json": (
-        0, "9a75534ec07e3950efecfcfc9457711fb0c59416970ab1ac29a57cbcc5458e1d"
-    ),
-    "hilbert block1.json --format json": (
-        0, "fbb4c5e63114fb1aef74cc021b72d310134482aeadb8424fe62b7f2cfd832b62"
-    ),
-    "square block2.json": (
-        0, "a24e4f007fc621de2874e607e337ce09bcb6fda2849bd7cdcb1023fc57712070"
-    ),
-    "square block2.json --format json": (
-        0, "cd345a05e0edc228836a7651329037a4884b11219124afce29ca5f308be97ffc"
-    ),
-    "hilbert block2.json": (
-        0, "070abbf2dfb4b0d7eb87bc476387434e68c5463f4fb8212cf2ffd1b8bdda9b87"
-    ),
-    "hilbert block2.json --format json": (
-        0, "f238f29400205f8d6b4abd0dbbf24b7fe391f8e6d253cadf4ac959d5b47272f3"
     ),
     "gram --n 2..6 --d 4..5 --k 2..3": (
         0, "567e3c48032b79e8a241c08858da55d76878bce18aa578577267527302c63329"
@@ -830,10 +814,50 @@ PINNED = {
     "m --n 3 --d 3 --k 3 --budget 1": (
         1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     ),
+    # a record in an order other than lex is refused
+    "square grlex.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "square grlex.json --format json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "hilbert grlex.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "hilbert grlex.json --format json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "square block1.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "square block1.json --format json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "hilbert block1.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "hilbert block1.json --format json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "square block2.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "square block2.json --format json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "hilbert block2.json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    "hilbert block2.json --format json": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    # --order is no flag, and is refused before the CSV header is printed
+    "square mono.txt --order grlex": (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
     "enumerate --n 3 --d 2 --k 2 --order block:3": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     ),
-    # the order is checked against n before the CSV header is printed
     "enumerate --n 3 --d 2 --k 2 --order block:3 --format csv": (
         2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     ),

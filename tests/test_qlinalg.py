@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from stablesq import qlinalg
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
-    MonomialOrder,
     _basis_tuples,
     dim_component,
     enumerate_monomials,
@@ -405,38 +404,27 @@ def test_rational_serialization_round_trip():
     V = rational_subspace_from_json(U.to_json())
     assert V == U
     assert U.to_json()["order"] == "lex"
+    # a record that names no order is read in lex
+    record = U.to_json()
+    del record["order"]
+    assert rational_subspace_from_json(record) == U
 
 
-@given(st.data())
-def test_a_record_under_any_order_is_read_onto_the_lex_columns(data):
-    # a list row lists the coefficients of the monomials of the record's
-    # order, so it spans what the monomial dicts it names span
-    n, d = data.draw(st.sampled_from(((2, 2), (3, 2), (3, 3), (4, 2))))
-    blocks = [f"block:{m}" for m in range(1, n)]
-    name = data.draw(st.sampled_from(["lex", "grlex", *blocks]))
-    cols = enumerate_monomials(n, d, MonomialOrder.parse(name))
-    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4).map(str))
-    rows = data.draw(st.lists(st.lists(entry, min_size=len(cols), max_size=len(cols)), max_size=4))
-    record = {"n": n, "d": d, "order": name, "rows": rows}
-    U = rational_subspace_from_json(record)
-    dicts = [dict(zip(cols, r)) for r in rows]
-    assert U == span(dicts, n, d)
-    assert rational_subspace_from_json(U.to_json()) == U
-    # a dict row names its monomials, so the order leaves it as it is
-    assert rational_subspace_from_json({**record, "rows": dicts}) == U
+REFUSED = "^bad rational subspace record: order must be 'lex'"
 
 
 @pytest.mark.parametrize(
     "record, message",
     [
-        ({"n": 2, "d": 2, "order": "block:2", "rows": []}, "block split 2 needs at least 3"),
-        ({"n": 1, "d": 3, "order": "block:1", "rows": [[1]]}, "block split 1 needs at least 2"),
-        ({"n": 3, "d": 2, "order": "block:1", "rows": [[1, 0]]}, "length 2, expected 6"),
-        ({"n": 3, "d": 2, "order": "block:1", "rows": [[1.5] * 6]}, "is a float"),
-        ({"n": 3, "d": 2, "order": "block:0", "rows": []}, "bad block split"),
-        ({"n": 3, "d": 2, "order": "revlex", "rows": []}, "unknown order"),
-        # a row is checked before the columns of the order are listed
-        ({"n": 30, "d": 30, "order": "block:2", "rows": [[1]]}, "length 1, expected"),
+        # an order other than lex is refused before any row is read
+        ({"n": 3, "d": 2, "order": "grlex", "rows": 5}, f"{REFUSED}, got 'grlex'"),
+        ({"n": 3, "d": 2, "order": "block:1", "rows": [[1] * 6]}, f"{REFUSED}, got 'block:1'"),
+        ({"n": 3, "d": 2, "order": "lex", "rows": [[1, 0]]}, "length 2, expected 6"),
+        ({"n": 3, "d": 2, "rows": [[1.5] * 6]}, "is a float"),
+        ({"n": 3, "d": 2, "order": 5, "rows": []}, f"{REFUSED}, got 5"),
+        ({"n": 3, "d": 2, "order": None, "rows": []}, f"{REFUSED}, got None"),
+        # a row is checked before the columns are listed
+        ({"n": 30, "d": 30, "order": "lex", "rows": [[1]]}, "length 1, expected"),
     ],
 )
 def test_a_bad_record_under_an_order_is_refused(record, message):

@@ -4,23 +4,24 @@ A subspace is the row space of integer vectors whose columns are the
 degree-d monomials sorted descending in lex order.  No answer depends on
 the order, so lex is the only one, and a JSON record naming another is
 refused.
-Its dimension is certified when it is built: the rank modulo the prime
-32749 is a lower bound on the rank over Q, so it is exact when it equals
-the number of rows or of columns, and exact elimination decides every
-other case.  The modular rank is lazy and sparse.  A row whose leading
-column is new and whose leading entry is a unit modulo the prime is a
-pivot as it is, with no reduction; its tail is reduced modulo the prime
-only when a later row meets it.  Every other row waits and is eliminated
-as a sparse map of its nonzero residues.  The prime is the largest below
-2^15, so the modular elimination runs on one-digit CPython ints.  The
-certification does not depend on the prime: a smaller one changes only
-how often the exact elimination is reached, never an answer.
-The reduced row echelon form, whose pivot columns are the initial
-monomials of the space, is built on first use.  Two subspaces are equal
-exactly when these forms coincide.  Elimination is fraction-free over the
-integers, in one forward loop (`_echelon`) that the reduced form follows
-with back-substitution; Fractions are made only for the public `rows`,
+A subspace has one of two forms, fixed when it is built: full when the
+rank modulo the prime 32749 is q = dim A_d; otherwise the exact reduced
+form.  The modular rank never exceeds the rank over Q, so it certifies
+only fullness and is computed only from q rows or more; a full space
+builds its reduced form, the identity, on first use.  The modular
+elimination is lazy and sparse: a row whose leading column is new and
+whose leading entry is a unit modulo the prime is a pivot as it is, and
+every other row is eliminated as a sparse map of its nonzero residues.
+The prime is the largest below 2^15, so that elimination runs on
+one-digit CPython ints; a smaller one changes only how often the exact
+elimination is reached, never an answer.
+The pivot columns of the reduced row echelon form are the initial
+monomials of the space, and two subspaces are equal exactly when these
+forms coincide.  Elimination is fraction-free over the integers, in one
+forward loop (`_echelon`) that the reduced form follows with
+back-substitution; Fractions are made only for the public `rows`,
 `to_json` and `eliminate_variable`, and no floating point enters.
+Every product is weighed against the default budget before it is built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress, product
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Iterator
 
@@ -41,7 +42,6 @@ from .macaulay import HilbertFunction
 from .monomial import dim_component, enumerate_monomials, exponent_tuple
 from .subspace import MonomialSubspace, _hilbert_function, json_int
 
-PRODUCT_DIM_GUARD = 20000
 MAX_TRIES = 100  # draws before a random sampler gives up on degenerate samples
 
 # Fraction's parser would expand a decimal exponent of more than
@@ -162,9 +162,7 @@ def _fraction_row(r: list[int], c: int) -> list[Fraction]:
 
 # the largest prime below 2^15: residues and the multiplier are below
 # 2^15, so every a - f*b of the elimination is below 2^30 in magnitude, a
-# one-digit CPython int.  A rank drop modulo it only costs time: the
-# certification in RationalSubspace, unchanged by the choice of prime,
-# sends every such case to the exact elimination.
+# one-digit CPython int.  A rank drop modulo it only costs an exact reduction.
 _PRIME = 32749
 
 
@@ -175,7 +173,7 @@ def _rank_mod_p(mat: list[list[int]], q: int) -> int:
     pivot, taken with no reduction, when its leading column has no pivot
     yet and its leading entry is a unit modulo the prime: such rows are
     already in echelon form modulo the prime.  The scan stops once the
-    rank reaches min(rows, q).  Every other row waits, then is reduced
+    rank reaches q.  Every other row waits, then is reduced
     modulo the prime into a sparse {column: residue} map and eliminated
     from its leading column up.  It meets a raw pivot's tail only through
     the first row that needs it: the tail is then reduced once, divided by
@@ -183,11 +181,10 @@ def _rank_mod_p(mat: list[list[int]], q: int) -> int:
     row left with a nonzero residue at a column without a pivot becomes
     one, kept the same way.  A minor that vanishes over Q vanishes modulo
     the prime, so the result never exceeds the rank over Q, and the caller
-    trusts it only when it equals the row count or q.  _PRIME < 2^15 keeps
-    every product below 2^30.
+    trusts it only when it equals q.  _PRIME < 2^15 keeps every product
+    below 2^30.
     """
     p = _PRIME
-    limit = min(len(mat), q)
     # column c -> a raw row of mat, or {j: row[j] / row[c]} for j past c; a
     # dict, as pair tuples would outlive the call in the tuple free list
     pivots: dict[int, list[int] | dict[int, int]] = {}
@@ -198,8 +195,8 @@ def _rank_mod_p(mat: list[list[int]], q: int) -> int:
             waiting.append((c, row))
             continue
         pivots[c] = row
-        if len(pivots) == limit:
-            return limit
+        if len(pivots) == q:
+            return q
     for start, row in waiting:
         r = {c: row[c] % p for c in compress(range(q), row)}
         for c in range(start, q):
@@ -210,8 +207,8 @@ def _rank_mod_p(mat: list[list[int]], q: int) -> int:
             if tail is None:
                 inv = pow(f, -1, p)
                 pivots[c] = {j: b * inv % p for j, b in r.items() if j > c and b}
-                if len(pivots) == limit:
-                    return limit
+                if len(pivots) == q:
+                    return q
                 break
             if type(tail) is list:  # a raw pivot's first use
                 inv = pow(tail[c], -1, p)
@@ -263,11 +260,12 @@ def _normal_form(vec, echelon, scale: int) -> list[int]:
 class RationalSubspace:
     """Row space of coefficient vectors (lists or monomial dicts) over the columns.
 
-    dim is certified on construction; the reduced echelon form (`rows`,
-    `pivots`) is built exactly on first use and kept.
+    dim is certified on construction, and with it the reduced echelon form
+    (`rows`, `pivots`), but for a full space, whose identity is built on
+    first use.
     """
 
-    __slots__ = ("n", "d", "dim", "_basis", "_echelon", "_rows")
+    __slots__ = ("n", "d", "dim", "_echelon")
 
     def __init__(self, n: int, d: int, rows):
         self._certify(n, d, [_integer_row(_as_vector(r, n, d)) for r in rows])
@@ -281,49 +279,34 @@ class RationalSubspace:
         return U
 
     def _certify(self, n: int, d: int, mat: list[list[int]]) -> None:
-        """Set the fields from checked int rows: the rank modulo the prime,
-        trusted when it is the row or column count, else exact elimination."""
+        """Set the fields from checked int rows: full when there are q rows
+        or more of rank q modulo the prime, else the exact reduced form."""
         q = dim_component(n, d)
         mat = [r for r in mat if any(r)]
-        rank = _rank_mod_p(mat, q)
-        echelon = None
-        if rank == q:  # the reduced form is the identity
-            mat = None
-        elif rank < len(mat):  # dependent modulo the prime: decide exactly
-            echelon = _integer_rref(mat)
-            rank, mat = len(echelon[1]), None
-        # otherwise the rows are independent: a basis, reduced on first use
+        full = len(mat) >= q and _rank_mod_p(mat, q) == q
+        echelon = None if full else _integer_rref(mat)  # the identity is built on first use
         _set = object.__setattr__
         _set(self, "n", n)
         _set(self, "d", d)
-        _set(self, "dim", rank)
-        _set(self, "_basis", mat)
+        _set(self, "dim", q if full else len(echelon[1]))
         _set(self, "_echelon", echelon)
-        _set(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalSubspace is immutable")
 
     def _reduced(self) -> tuple[list[list[int]], list[int]]:
         """The reduced rows as primitive integer rows, and their pivot columns."""
-        if self._echelon is None:
-            if self._basis is None:  # full rank: the identity
-                q = self.dim
-                echelon = [[int(i == j) for j in range(q)] for i in range(q)], list(range(q))
-            else:
-                echelon = _integer_rref(self._basis)
+        if self._echelon is None:  # full: the identity
+            q = self.dim
+            echelon = [[int(i == j) for j in range(q)] for i in range(q)], list(range(q))
             object.__setattr__(self, "_echelon", echelon)
-            object.__setattr__(self, "_basis", None)
         return self._echelon
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows of the reduced echelon form, as exact Fractions."""
-        if self._rows is None:
-            mat, pivots = self._reduced()
-            rows = tuple(tuple(_fraction_row(r, c)) for r, c in zip(mat, pivots))
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        mat, pivots = self._reduced()
+        return tuple(tuple(_fraction_row(r, c)) for r, c in zip(mat, pivots))
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -349,7 +332,8 @@ class RationalSubspace:
             and self.n == other.n
             and self.d == other.d
             and self.dim == other.dim
-            and self._reduced()[0] == other._reduced()[0]
+            # two full spaces are equal; anything else by its reduced rows
+            and (self.codim == 0 or self._reduced()[0] == other._reduced()[0])
         )
 
     def __hash__(self) -> int:
@@ -452,7 +436,8 @@ def linear_multiples(l, n: int, d: int) -> list[list]:
 @lru_cache(maxsize=8)
 def _product_columns(n: int, d1: int, d2: int) -> tuple:
     """Entry [i][j] is the degree-(d1 + d2) column of the product of the
-    i-th degree-d1 and the j-th degree-d2 column."""
+    i-th degree-d1 and the j-th degree-d2 column; its size is weighed first."""
+    errors.check_size(dim_component(n, d1) * dim_component(n, d2), "column products in a table")
     idx = _column_index(n, d1 + d2)
     right = _columns(n, d2)
     return tuple(tuple(idx[tuple(map(add, M, N))] for N in right) for M in _columns(n, d1))
@@ -473,29 +458,38 @@ def _multiply(f: list, g: list, table: tuple, q: int) -> list:
     return row
 
 
+def _product_size(n: int, degree: int, a: int, b: int | None = None) -> int:
+    """The coefficients of a rows times b rows, one row of the given degree
+    per pair; b None is a square, each unordered pair of the a rows once."""
+    return (comb(a + 1, 2) if b is None else a * b) * dim_component(n, degree)
+
+
 def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
     """Span of all pairwise products of the reduced rows of U and V.
 
-    Each integer reduced row becomes its nonzero (column, coefficient)
-    pairs, and each pair of rows is multiplied by `_multiply`, the one
-    product kernel of forms, through the cached table of column products
-    (`_product_columns`), so no exponent tuple is made per term.  A square
-    (V equal to U) takes each unordered pair of rows once.  The rows are
-    int lists that this module built, so the result is certified without
-    the input checks of the public constructor.
+    The coefficients it builds (`_product_size`) are weighed against the
+    default budget before anything is reduced or multiplied.  Each pair of
+    reduced rows, as nonzero (column, coefficient) pairs, is multiplied by
+    `_multiply`, the one product kernel of forms, through the cached table
+    of column products (`_product_columns`), so no exponent tuple is made
+    per term.  A square (V equal to U) takes each unordered pair of rows
+    once.  The rows are int lists that this module built, so the result is
+    certified without the input checks of the public constructor.
     """
     if U.n != V.n:
         raise InvalidInputError(f"mixed variable counts {U.n} and {V.n}")
     dC = U.d + V.d
-    qC = dim_component(U.n, dC)
-    errors.check_size(qC, f"monomials of degree {dC} in a product", PRODUCT_DIM_GUARD, seen=qC)
+    square = V is U or V == U  # then each a_i * a_j once, i <= j
+    size = _product_size(U.n, dC, U.dim, None if square else V.dim)
+    errors.check_size(size, f"coefficients in a product of degree {dC}")
+    table = _product_columns(U.n, U.d, V.d)
     # the integer reduced rows are sparse: 1 + codim entries for a dense U
     rows_U = [*map(_sparse, U._reduced()[0])]
-    if V is U or V == U:  # a square: each a_i * a_j once, i <= j
+    if square:
         pairs = combinations_with_replacement(rows_U, 2)
     else:
         pairs = product(rows_U, map(_sparse, V._reduced()[0]))
-    table = _product_columns(U.n, U.d, V.d)
+    qC = dim_component(U.n, dC)
     rows = [_multiply(f, g, table, qC) for f, g in pairs]
     return RationalSubspace._built(U.n, dC, rows)
 
@@ -532,12 +526,16 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
 
 def _ideal_codims(U: RationalSubspace) -> Iterator[int]:
     """The codimension of the ideal generated by U from degree d on, up to
-    the first 0; each degree is the last one times the linear forms."""
+    the first 0; each degree is the last one times the linear forms.  The
+    coefficients of all the products so far are weighed against the
+    default budget before each."""
     identity = [[int(i == j) for j in range(U.n)] for i in range(U.n)]
     linear = RationalSubspace._built(U.n, 1, identity)
-    current = U
+    current, built = U, 0
     yield current.codim
     while current.codim:
+        built += _product_size(U.n, current.d + 1, current.dim, U.n)
+        errors.check_size(built, "coefficients in the degrees of a Hilbert function", seen=built)
         current = product_rational(current, linear)
         yield current.codim
 

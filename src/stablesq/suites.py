@@ -27,6 +27,7 @@ from .monomial import (
 )
 from .qlinalg import (
     _echelon,
+    _product_size,
     _reduced_power,
     _restriction,
     apolar_perp,
@@ -1071,9 +1072,8 @@ SUITES["conjecture"] = _conjecture_suite
 
 
 def _square_size(n: int, d: int) -> int:
-    """The coefficients of the C(q + 1, 2) products that span (A_d)^2, q = dim A_d."""
-    q = dim_component(n, d)
-    return comb(q + 1, 2) * dim_component(n, 2 * d)
+    """The coefficients of the products that span (A_d)^2, as `product_rational` weighs them."""
+    return _product_size(n, 2 * d, dim_component(n, d))
 
 
 # the coefficients one trial may build in each suite that reads `trials`:

@@ -345,6 +345,12 @@ HUGE_INPUTS = {
     # span(x1^2): the quotient never dies, and its degree i lists 2i + 1
     # monomials outside the ideal
     "x1sq.txt": "3 2 5\n0 2 0\n0 0 2\n1 1 0\n1 0 1\n0 1 1\n",
+    # the rational span of x3^2, x2x3, x1x3, the first three lex columns:
+    # every point of x3 = 0 is a base point, so the climb never fills a degree
+    "bp.json": json.dumps({"n": 3, "d": 2, "rows": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]}),
+    # one binary form of degree 4000: its square is one row, but the table
+    # of column products it would read has 4001^2 entries
+    "wide.json": json.dumps({"n": 2, "d": 4000, "rows": [[1] + [0] * 4000]}),
     "huge.json": json.dumps({"n": 2, "d": 200000000, "complement": [[200000000, 0]]}),
     # JSON keys are strings, so no object row is ever a valid record
     "rows.json": json.dumps({"n": 11, "d": 11, "rows": [{"x": 1}]}),
@@ -408,6 +414,9 @@ HUGE_CASES = [
     # restricts
     (["check", "--suite", "random", "--trials", "10000000"], 1),
     (["conjecture", "--n", "3", "--d", "3", "--k", "2", "--trials", "10000000"], 1),
+    # so is the rational climb, by the coefficients of all its products
+    (["hilbert", "bp.json", "--max-degree", "100000"], 1),
+    (["square", "wide.json"], 1),
 ]
 PREFIX = {1: "budget exceeded: ", 2: "error: bad rational subspace record"}
 

@@ -182,3 +182,61 @@ def calls_of(tree) -> list[tuple[str, float, set | None]]:
             starred = next((j for j, a in enumerate(rest) if isinstance(a, ast.Starred)), None)
             out.append((name(target), len(rest) if starred is None else inf, keywords))
     return out
+
+
+def test_every_size_check_uses_the_one_budget():
+    # a budget argument is absent (the default budget), a `budget`
+    # parameter or option, or derived from errors.MAX_DIGITS, directly or
+    # through a local name: no module keeps a private limit
+    private = []
+    checks = 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Module)):
+                continue
+            for call in calls_in(func):
+                if getattr(call.func, "attr", getattr(call.func, "id", None)) != "check_size":
+                    continue
+                checks += 1
+                budget = [k.value for k in call.keywords if k.arg == "budget"] + call.args[2:3]
+                if budget and not one_budget(budget[0], func):
+                    private.append(f"{path.name}:{call.lineno}")
+    assert checks >= 10
+    assert private == []
+
+
+def calls_in(func):
+    """The calls in a function's own body, not in the functions it defines."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def one_budget(expr, func) -> bool:
+    """Whether a budget expression is the `budget` parameter or option, or
+    is derived from errors.MAX_DIGITS; a local name by what it is assigned."""
+    match expr:
+        case ast.Name(id="budget") | ast.Attribute(attr="budget"):
+            return True
+        case ast.Call(func=ast.Name(id="getattr"), args=[_, ast.Constant(value="budget"), *_]):
+            return True
+        case ast.Name(id=local):
+            values = [
+                node.value
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == local for t in node.targets)
+            ]
+            return bool(values) and all(one_budget(v, func) for v in values)
+    return any(
+        isinstance(node, ast.Attribute)
+        and node.attr == "MAX_DIGITS"
+        and getattr(node.value, "id", None) == "errors"
+        for node in ast.walk(expr)
+    )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stablesq import qlinalg
+from stablesq import errors, qlinalg
 from stablesq.errors import BudgetExceededError, InvalidInputError
 from stablesq.monomial import (
     _basis_tuples,
@@ -444,16 +444,15 @@ def test_random_subspace_is_seeded_and_has_requested_codim():
 
 
 def test_hilbert_function_rational_stops_once_a_degree_is_filled(monkeypatch):
-    import stablesq.qlinalg as q
-
-    # a generic codim-1 quadric space fills degree 3; past that every
-    # product would exceed a guard of 30 (dim A_7 = 36 in 3 variables)
-    monkeypatch.setattr(q, "PRODUCT_DIM_GUARD", 30)
+    # a generic codim-1 quadric space fills degree 3 by one product, 5 rows
+    # times 3 linear forms over the 10 cubics; a budget of 200 coefficients
+    # covers it but not the next product, 6 * 3 rows over the 15 quartics
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 200)
     U = random_subspace(3, 2, 1, random.Random(5))
     assert hilbert_function_rational(U, 9).values == (1, 3, 1) + (0,) * 7
-    # with a base point no degree fills, so the guard still stops the climb
+    # with a base point no degree fills, so the budget stops the climb
     V = monomial_span(MonomialSubspace.from_members(3, 2, [(0, 0, 2), (0, 1, 1), (1, 0, 1)]))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="360 coefficients in the degrees"):
         hilbert_function_rational(V, 9)
 
 
@@ -481,18 +480,28 @@ def test_hilbert_function_rational_makes_one_product_per_degree_it_reports(
     assert len(products) == max(0, min(max_degree, filled) - U.d)
 
 
-def test_square_rational_guard():
+def test_square_rational_guard(monkeypatch):
+    # the 15 products of 5 rows, each over the 15 quartics
+    U = random_subspace(3, 2, 1, random.Random(5))
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 15 * 15)
+    assert square_rational(U).d == 4
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 15 * 15 - 1)
+    with pytest.raises(BudgetExceededError, match="225 coefficients in a product of degree 4"):
+        square_rational(U)
+
+
+def test_a_product_over_the_budget_is_refused_before_anything_is_built(monkeypatch):
     import stablesq.qlinalg as q
 
-    U = random_subspace(3, 2, 1, random.Random(5))
-    assert square_rational(U).d == 4
-    old = q.PRODUCT_DIM_GUARD
-    try:
-        q.PRODUCT_DIM_GUARD = 1
+    full = RationalSubspace(3, 2, [[int(i == j) for j in range(6)] for i in range(6)])
+    V = random_subspace(3, 1, 1, random.Random(5))
+    # full * V is 6 * 2 rows over the 10 cubics, the square of full 21 rows
+    monkeypatch.setattr(errors, "DEFAULT_BUDGET", 6 * 2 * 10 - 1)
+    monkeypatch.setattr(q, "_multiply", lambda *args: pytest.fail("multiplied"))
+    for A, B in ((full, V), (V, full), (full, full)):
         with pytest.raises(BudgetExceededError):
-            square_rational(U)
-    finally:
-        q.PRODUCT_DIM_GUARD = old
+            product_rational(A, B)
+    assert full._echelon is None  # not even the identity was built
 
 
 
@@ -1079,7 +1088,10 @@ def subspace_inputs(draw):
 @given(subspace_inputs())
 @example((1, 0, [[_PRIME]]))
 @example((2, 1, [[1, 0], [1, _PRIME]]))
-def test_certified_dim_and_lazy_rref_match_the_exact_kernels(case):
+@example((2, 1, [[1, 2], [3, 4]]))  # exactly q rows of full rank
+@example((2, 2, [[1, 0, 0], [0, 1, 0], [0, 1, _PRIME]]))  # q rows, rank q only over Q
+@example((2, 2, [[1, 2, 3], [2, 4, 6]]))  # fewer than q rows, dependent
+def test_certified_dim_and_reduced_form_match_the_exact_kernels(case):
     n, d, rows = case
     U = RationalSubspace(n, d, rows)
     want_rows, want_pivots = fraction_rref([[Fraction(x) for x in r] for r in rows])
@@ -1119,12 +1131,22 @@ def test_prime_keeps_the_modular_elimination_in_one_digit_ints():
     assert (_PRIME - 1) ** 2 < 2**30
 
 
-def test_reduced_form_is_built_on_first_use():
-    U = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5]])
-    assert U.dim == 2
-    assert U._echelon is None
-    assert U.pivots == (0, 1)
+def test_full_subspace_builds_its_identity_on_first_use(monkeypatch):
+    import stablesq.qlinalg as q
+
+    counted = []
+    rank_mod_p = q._rank_mod_p
+    monkeypatch.setattr(q, "_rank_mod_p", lambda mat, c: counted.append(len(mat)) or rank_mod_p(mat, c))
+    U = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5], [4, 0, 1]])
+    V = RationalSubspace(2, 2, [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]])
+    assert (U.dim, V.dim, counted) == (3, 3, [3, 4])
+    # two full spaces are equal by their dimension alone
+    assert U == V and U._echelon is None and V._echelon is None
+    assert U.pivots == (0, 1, 2)
     assert U._echelon is not None
+    # fewer rows than columns are reduced at once, with no modular rank
+    W = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5]])
+    assert W._echelon is not None and counted == [3, 4]
 
 
 @given(

@@ -9,9 +9,14 @@ rank modulo the prime 32749 is q = dim A_d; otherwise the exact reduced
 form.  The modular rank never exceeds the rank over Q, so it certifies
 only fullness and is computed only from q rows or more; a full space
 builds its reduced form, the identity, on first use.  The modular
-elimination is lazy and sparse: a row whose leading column is new and
-whose leading entry is a unit modulo the prime is a pivot as it is, and
-every other row is eliminated as a sparse map of its nonzero residues.
+elimination is lazy and sparse.  It reads each row's leading column and
+entry first: a row whose leading column is new and whose leading entry
+is a unit modulo the prime is a pivot as it is, built only when a later
+row meets it, and every other row is built and eliminated against the
+pivots' sparse tails.  In lex the leading monomial of a product
+is the product of the leading monomials, so a product's raw pivots are
+known before anything is multiplied, and a pair of rows is multiplied
+only when the elimination reads its product.
 The prime is the largest below 2^15, so that elimination runs on
 one-digit CPython ints; a smaller one changes only how often the exact
 elimination is reached, never an answer.
@@ -30,11 +35,11 @@ import random
 import re
 from bisect import insort
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations_with_replacement, compress, product
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import errors
 from .errors import InvalidInputError
@@ -166,60 +171,70 @@ def _fraction_row(r: list[int], c: int) -> list[Fraction]:
 _PRIME = 32749
 
 
-def _rank_mod_p(mat: list[list[int]], q: int) -> int:
-    """Rank modulo _PRIME of integer rows with q columns; mat is not changed.
+def _rank_mod_p(leads: list[tuple[int, int]], row: Callable[[int], list[int]], q: int) -> int:
+    """Rank modulo _PRIME of integer rows with q columns, built only when needed.
 
-    A first pass finds each row's leading column over Z.  A row is a raw
-    pivot, taken with no reduction, when its leading column has no pivot
-    yet and its leading entry is a unit modulo the prime: such rows are
-    already in echelon form modulo the prime.  The scan stops once the
-    rank reaches q.  Every other row waits, then is reduced
-    modulo the prime into a sparse {column: residue} map and eliminated
-    from its leading column up.  It meets a raw pivot's tail only through
-    the first row that needs it: the tail is then reduced once, divided by
-    the leading entry, and kept as a {column: multiplier} map.  A waiting
-    row left with a nonzero residue at a column without a pivot becomes
-    one, kept the same way.  A minor that vanishes over Q vanishes modulo
-    the prime, so the result never exceeds the rank over Q, and the caller
-    trusts it only when it equals q.  _PRIME < 2^15 keeps every product
-    below 2^30.
+    Row i leads at column leads[i][0] with the nonzero entry leads[i][1];
+    row(i) returns it as a list of q ints, which is not changed.  A first
+    pass reads only the leads.  A row is a raw pivot, taken with no
+    reduction and not built, when its leading column has no pivot yet and
+    its leading entry is a unit modulo the prime: such rows are already in
+    echelon form modulo the prime.  The scan stops once the rank reaches
+    q, so rows that are not read are never built.  Every other row waits.
+    The waiting rows are taken from the last leading column back, which
+    shortens their scans; each is built, reduced modulo the prime into a
+    list of residues and eliminated from its leading column up.  It meets a
+    raw pivot only through the first row that needs it: that pivot is then
+    built, its tail reduced once, divided by the leading entry, and kept as
+    a sparse {column: multiplier} map.  A waiting row left with a nonzero
+    residue at a column without a pivot becomes one, kept the same way.
+    Rank does not depend on the order of the rows.  A minor that
+    vanishes over Q vanishes modulo the prime, so the result never exceeds
+    the rank over Q, and the caller trusts it only when it equals q.
+    _PRIME < 2^15 keeps every product below 2^30.
     """
     p = _PRIME
-    # column c -> a raw row of mat, or {j: row[j] / row[c]} for j past c; a
-    # dict, as pair tuples would outlive the call in the tuple free list
-    pivots: dict[int, list[int] | dict[int, int]] = {}
+    # column c -> the index of a raw pivot, or {j: row[j] / row[c]} for j
+    # past c; a dict, as pair tuples would outlive the call in the tuple free list
+    pivots: dict[int, int | dict[int, int]] = {}
     waiting = []
-    for row in mat:
-        c = next(compress(range(q), row), q)
-        if c == q or c in pivots or not row[c] % p:
-            waiting.append((c, row))
+    for i, (c, a) in enumerate(leads):
+        if c in pivots or not a % p:
+            waiting.append((c, i))
             continue
-        pivots[c] = row
+        pivots[c] = i
         if len(pivots) == q:
             return q
-    for start, row in waiting:
-        r = {c: row[c] % p for c in compress(range(q), row)}
+    waiting.sort(reverse=True)
+    for start, i in waiting:
+        r = [a % p for a in row(i)]
         for c in range(start, q):
-            f = r.get(c)
+            f = r[c]
             if not f:
                 continue
             tail = pivots.get(c)
             if tail is None:
                 inv = pow(f, -1, p)
-                pivots[c] = {j: b * inv % p for j, b in r.items() if j > c and b}
+                pivots[c] = {j: r[j] * inv % p for j in compress(range(c + 1, q), r[c + 1:])}
                 if len(pivots) == q:
                     return q
                 break
-            if type(tail) is list:  # a raw pivot's first use
-                inv = pow(tail[c], -1, p)
+            if type(tail) is int:  # a raw pivot's first use
+                inv = pow(leads[tail][1], -1, p)
+                tail = row(tail)
                 tail = pivots[c] = {
                     j: b * inv % p
                     for j in compress(range(c + 1, q), tail[c + 1:])
                     if (b := tail[j] % p)
                 }
             for j, b in tail.items():
-                r[j] = (r.get(j, 0) - f * b) % p
+                r[j] = (r[j] - f * b) % p
     return len(pivots)
+
+
+def _leads(mat: list[list[int]], q: int) -> list[tuple[int, int]]:
+    """The leading column and entry of each nonzero row of q columns."""
+    return [(c := next(compress(range(q), r)), r[c]) for r in mat]
 
 
 def _kernel(mat, q: int) -> list[list[int]]:
@@ -271,19 +286,22 @@ class RationalSubspace:
         self._certify(n, d, [_integer_row(_as_vector(r, n, d)) for r in rows])
 
     @classmethod
-    def _built(cls, n: int, d: int, mat: list[list[int]]):
+    def _built(cls, n: int, d: int, mat: list[list[int]] | None, full: bool | None = None):
         """The row space of int rows of length dim A_d that this module built;
-        the rows are certified but not checked."""
+        the rows are certified (`_certify`) but not checked."""
         U = object.__new__(cls)
-        U._certify(n, d, mat)
+        U._certify(n, d, mat, full)
         return U
 
-    def _certify(self, n: int, d: int, mat: list[list[int]]) -> None:
+    def _certify(self, n: int, d: int, mat: list[list[int]] | None, full: bool | None = None):
         """Set the fields from checked int rows: full when there are q rows
-        or more of rank q modulo the prime, else the exact reduced form."""
+        or more of rank q modulo the prime, else the exact reduced form.  A
+        caller that has run the modular rank itself passes its verdict as
+        `full`, and the rows only when it is False."""
         q = dim_component(n, d)
-        mat = [r for r in mat if any(r)]
-        full = len(mat) >= q and _rank_mod_p(mat, q) == q
+        if full is None:
+            mat = [r for r in mat if any(r)]
+            full = len(mat) >= q and _rank_mod_p(_leads(mat, q), mat.__getitem__, q) == q
         echelon = None if full else _integer_rref(mat)  # the identity is built on first use
         _set = object.__setattr__
         _set(self, "n", n)
@@ -464,17 +482,35 @@ def _product_size(n: int, degree: int, a: int, b: int | None = None) -> int:
     return (comb(a + 1, 2) if b is None else a * b) * dim_component(n, degree)
 
 
+def _products(pairs: list, table: tuple, q: int) -> tuple[list[tuple[int, int]], Callable]:
+    """The leads of the products f*g of the (f, g) in pairs, and a function
+    that builds product i by `_multiply` on its first call.
+
+    f and g are nonzero (column, coefficient) pairs in ascending column
+    order, so each leads with its first pair.  In lex the leading monomial
+    of a product is the product of the leading monomials, and no other
+    pair of terms reaches its column: f*g leads at table[f0][g0] with the
+    entry a*b, for the leading terms (f0, a) of f and (g0, b) of g.
+    """
+    leads = [(table[f[0][0]][g[0][0]], f[0][1] * g[0][1]) for f, g in pairs]
+    return leads, cache(lambda i: _multiply(*pairs[i], table, q))
+
+
 def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
     """Span of all pairwise products of the reduced rows of U and V.
 
     The coefficients it builds (`_product_size`) are weighed against the
-    default budget before anything is reduced or multiplied.  Each pair of
-    reduced rows, as nonzero (column, coefficient) pairs, is multiplied by
-    `_multiply`, the one product kernel of forms, through the cached table
-    of column products (`_product_columns`), so no exponent tuple is made
-    per term.  A square (V equal to U) takes each unordered pair of rows
-    once.  The rows are int lists that this module built, so the result is
-    certified without the input checks of the public constructor.
+    default budget before anything is reduced or multiplied.  The reduced
+    rows are taken as nonzero (column, coefficient) pairs, and a square (V
+    equal to U) takes each unordered pair of rows once.  The raw pivots of
+    the modular rank come from the products' leading monomials before any
+    pair is multiplied (`_products`), and a pair is multiplied, by
+    `_multiply` through the cached table of column products
+    (`_product_columns`), only when that rank reads its row.  A full
+    product is certified by the rank alone, often with most pairs never
+    multiplied; any other is reduced exactly from all its rows once.  The
+    rows are int lists that this module built, so the result is certified
+    without the input checks of the public constructor.
     """
     if U.n != V.n:
         raise InvalidInputError(f"mixed variable counts {U.n} and {V.n}")
@@ -486,12 +522,14 @@ def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspa
     # the integer reduced rows are sparse: 1 + codim entries for a dense U
     rows_U = [*map(_sparse, U._reduced()[0])]
     if square:
-        pairs = combinations_with_replacement(rows_U, 2)
+        pairs = [*combinations_with_replacement(rows_U, 2)]
     else:
-        pairs = product(rows_U, map(_sparse, V._reduced()[0]))
+        pairs = [*product(rows_U, map(_sparse, V._reduced()[0]))]
     qC = dim_component(U.n, dC)
-    rows = [_multiply(f, g, table, qC) for f, g in pairs]
-    return RationalSubspace._built(U.n, dC, rows)
+    leads, row = _products(pairs, table, qC)
+    full = len(pairs) >= qC and _rank_mod_p(leads, row, qC) == qC
+    rows = None if full else [*map(row, range(len(pairs)))]
+    return RationalSubspace._built(U.n, dC, rows, full)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:

@@ -206,6 +206,27 @@ def test_every_size_check_uses_the_one_budget():
     assert private == []
 
 
+def test_the_modular_prime_is_read_by_one_function():
+    # the modular elimination is one kernel: a second reader of the prime
+    # would be a second copy of it
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split(':')[0]}:{node.name}"
+        elif isinstance(node, ast.Lambda):
+            owner = f"{owner.split(':')[0]}:<lambda>"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "_PRIME" and isinstance(node.ctx, ast.Load):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), path.stem)
+    assert readers == {"qlinalg:_rank_mod_p"}
+
+
 def calls_in(func):
     """The calls in a function's own body, not in the functions it defines."""
     stack = list(ast.iter_child_nodes(func))

@@ -31,11 +31,14 @@ from stablesq.qlinalg import (
     _integer_row,
     _integer_rref,
     _kernel,
+    _leads,
     _multiply,
     _product_columns,
+    _products,
     _rank_mod_p,
     _reduced_power,
     _restriction,
+    _sparse,
     apolar_dual,
     apolar_perp,
     eliminate_variable,
@@ -1056,10 +1059,77 @@ def test_rank_mod_p_never_exceeds_the_rank(rows):
     mat = [r for r in map(_integer_row, rows) if any(r)]
     q = len(rows[0]) if rows else 0
     before = [list(r) for r in mat]
-    rank = _rank_mod_p(mat, q)
+    rank = _rank_mod_p(_leads(mat, q), mat.__getitem__, q)
     assert mat == before
     assert rank == dense_rank_mod_p(mat, q) == row_at_a_time_rank_mod_p(mat, q)
     assert rank <= len(integer_rref(rows)[1])
+
+
+@st.composite
+def led_forms(draw, n: int, d: int):
+    """Forms over the degree-d columns as nonzero (column, coefficient)
+    pairs in ascending column order.  Either the reduced rows of a dense
+    subspace, of a monomial span or of rows whose pivot entry is a multiple
+    of the prime, or one form led at every column (so the leads of their
+    products cover every column of the product degree), with leading
+    entries that may be multiples of the prime and tails of any size."""
+    q = dim_component(n, d)
+    kind = draw(st.sampled_from(("dense", "monomial", "prime pivots", "every lead")))
+    if kind == "dense":
+        U = draw(dense_subspaces(n, d))
+    elif kind == "monomial":
+        members = draw(st.sets(st.sampled_from(_basis_tuples(n, d)), min_size=1))
+        U = monomial_span(MonomialSubspace.from_members(n, d, members))
+    elif kind == "prime pivots":
+        # the pivot columns are zero off their own row, so these rows are
+        # reduced, and a nonzero tail keeps the pivot entry at the prime
+        pivots = draw(st.sets(st.integers(0, q - 1), min_size=1))
+        free = [c for c in range(q) if c not in pivots]
+        rows = []
+        for c in sorted(pivots):
+            row = [0] * q
+            row[c] = _PRIME
+            for j in (j for j in free if j > c):
+                row[j] = draw(st.integers(-9, 9))
+            rows.append(row)
+        U = RationalSubspace(n, d, rows)
+    else:
+        forms = []
+        for c in range(q):
+            tail = draw(st.dictionaries(st.integers(c, q - 1), nonzero_ints, max_size=3))
+            forms.append([(c, draw(nonzero_ints)), *sorted((j, x) for j, x in tail.items() if j > c)])
+        return forms
+    return [_sparse(r) for r in U._reduced()[0]]
+
+
+@st.composite
+def product_pair_lists(draw):
+    """(n, d, e, pairs): all pairs of forms of degrees d and e, or, when
+    d = e, possibly each unordered pair of one list once, as a square
+    takes them."""
+    n, d, e = draw(st.sampled_from(((2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 2), (3, 2, 2))))
+    F = draw(led_forms(n, d))
+    if d == e and draw(st.booleans()):
+        return n, d, e, [*combinations_with_replacement(F, 2)]
+    return n, d, e, [*product(F, draw(led_forms(n, e)))]
+
+
+@given(product_pair_lists())
+# x and y times the three quadrics in two variables: all four cubics lead
+# a product, so the rank is q from the leads alone
+@example((2, 1, 2, [*product([[(0, 1)], [(1, 1)]], [[(0, 1)], [(1, 1)], [(2, 1)]])]))
+# p*x + y in place of x: the three products of p*x + y lead with a
+# multiple of the prime, wait and meet the raw pivots, which are then
+# built; the rank modulo the prime is 3, one below the rank over Q
+@example((2, 1, 2, [*product([[(0, _PRIME), (1, 1)], [(1, 1)]], [[(0, 1)], [(1, 1)], [(2, 1)]])]))
+def test_lazy_rank_of_products_is_the_dense_rank_of_the_built_rows(case):
+    n, d, e, pairs = case
+    table, q = _product_columns(n, d, e), dim_component(n, d + e)
+    built = [_multiply(f, g, table, q) for f, g in pairs]
+    leads, row = _products(pairs, table, q)
+    # each product leads at the product of the leading monomials
+    assert leads == _leads(built, q)
+    assert _rank_mod_p(leads, row, q) == dense_rank_mod_p(built, q)
 
 
 @st.composite
@@ -1102,7 +1172,7 @@ def test_certified_dim_and_reduced_form_match_the_exact_kernels(case):
 
 
 def test_rank_zero_modulo_the_prime_falls_back_to_exact_elimination():
-    assert _rank_mod_p([[_PRIME]], 1) == 0
+    assert _rank_mod_p([(0, _PRIME)], [[_PRIME]].__getitem__, 1) == 0
     U = RationalSubspace(1, 0, [[_PRIME]])
     assert U._echelon is not None  # built by the fallback, not on first use
     assert U.dim == 1
@@ -1136,7 +1206,9 @@ def test_full_subspace_builds_its_identity_on_first_use(monkeypatch):
 
     counted = []
     rank_mod_p = q._rank_mod_p
-    monkeypatch.setattr(q, "_rank_mod_p", lambda mat, c: counted.append(len(mat)) or rank_mod_p(mat, c))
+    monkeypatch.setattr(
+        q, "_rank_mod_p", lambda leads, row, c: counted.append(len(leads)) or rank_mod_p(leads, row, c)
+    )
     U = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5], [4, 0, 1]])
     V = RationalSubspace(2, 2, [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]])
     assert (U.dim, V.dim, counted) == (3, 3, [3, 4])
@@ -1147,6 +1219,48 @@ def test_full_subspace_builds_its_identity_on_first_use(monkeypatch):
     # fewer rows than columns are reduced at once, with no modular rank
     W = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5]])
     assert W._echelon is not None and counted == [3, 4]
+
+
+def counting(monkeypatch, module, *names) -> dict:
+    """Count the calls of the named functions of module, which still run."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        f = getattr(module, name)
+
+        def counted(*args, _f=f, _name=name):
+            counts[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_square_of_a_full_space_multiplies_no_pair(monkeypatch):
+    full = monomial_span(MonomialSubspace(3, 2, ()))
+    monkeypatch.setattr(qlinalg, "_multiply", lambda *args: pytest.fail("multiplied"))
+    # every quartic is a product of two quadrics, so the leads alone have rank q
+    S = square_rational(full)
+    assert S.codim == 0 and S._echelon is None
+
+
+def test_full_dense_square_multiplies_only_the_pairs_its_rank_reads(monkeypatch):
+    U = random_subspace(3, 3, 1, random.Random(3), bound=9)
+    counts = counting(monkeypatch, qlinalg, "_multiply")
+    # 9 rows, 45 pairs over the 28 sextics
+    S = square_rational(U)
+    assert S.codim == 0 and S._echelon is None
+    assert 0 < counts["_multiply"] < 45
+
+
+def test_a_product_that_is_not_full_is_reduced_exactly_once(monkeypatch):
+    mono = MonomialSubspace(3, 2, [(0, 0, 2)])
+    U = monomial_span(mono)
+    counts = counting(monkeypatch, qlinalg, "_rank_mod_p", "_integer_rref", "_multiply")
+    # 15 pairs over the 15 quartics, of rank 12: one modular pass, then the
+    # exact reduction of the built rows, each pair multiplied once
+    S = square_rational(U)
+    assert S.codim == square(mono).codim == 3
+    assert counts == {"_rank_mod_p": 1, "_integer_rref": 1, "_multiply": 15}
 
 
 @given(

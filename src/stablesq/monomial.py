@@ -103,11 +103,16 @@ def divisors_of_degree(T, d: int) -> list[tuple[int, ...]]:
     if not 0 <= d <= sum(T):
         return []
     # after[i]: the degree left in T past position i, which bounds from
-    # below what position i must take
+    # below what position i must take; the bounds are conditional
+    # expressions, not max and min, which cost a call per partial tuple
     after = list(accumulate(reversed(T)))[-2::-1] + [0]
     level = [((), d)]
     for t, a in zip(T, after):
-        level = [(p + (e,), r - e) for p, r in level for e in range(max(0, r - a), min(t, r) + 1)]
+        level = [
+            (p + (e,), r - e)
+            for p, r in level
+            for e in range(r - a if r > a else 0, (t if t < r else r) + 1)
+        ]
     return [p for p, _ in level]
 
 

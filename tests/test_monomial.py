@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
@@ -101,15 +102,39 @@ def test_multiply_quotient_inverse(M, data):
 
 
 def test_divisors_of_degree_against_brute_force():
-    for T in _basis_tuples(3, 4):
-        for d in (0, 1, 2, 3, 4):
-            got = divisors_of_degree(T, d)
-            brute = sorted(
-                m for m in _basis_tuples(3, d) if all(a <= b for a, b in zip(m, T))
-            )
-            assert got == brute  # in ascending tuple order
-            assert count_divisors(T, d) == len(brute)
-        assert divisors_of_degree(T, -1) == divisors_of_degree(T, 5) == []
+    for n in range(1, 5):
+        for D in range(7):
+            for T in _basis_tuples(n, D):
+                for d in range(D + 1):
+                    got = divisors_of_degree(T, d)
+                    brute = sorted(
+                        m for m in _basis_tuples(n, d) if all(a <= b for a, b in zip(m, T))
+                    )
+                    assert got == brute  # in ascending tuple order
+                    assert count_divisors(T, d) == len(brute)
+                assert divisors_of_degree(T, -1) == divisors_of_degree(T, D + 1) == []
+
+
+def divisors_with_builtin_bounds(T, d):
+    """The level walk of `divisors_of_degree` with its bounds taken by
+    max and min, kept as the oracle of the conditional-expression form."""
+    if not 0 <= d <= sum(T):
+        return []
+    after = list(accumulate(reversed(T)))[-2::-1] + [0]
+    level = [((), d)]
+    for t, a in zip(T, after):
+        level = [(p + (e,), r - e) for p, r in level for e in range(max(0, r - a), min(t, r) + 1)]
+    return [p for p, _ in level]
+
+
+def test_divisors_of_degree_matches_the_walk_with_builtin_bounds():
+    # every T of degree <= 10 in at most 5 variables, 300 of those in 6, and
+    # every d from -1 to deg T + 1, in the same order
+    every = [T for n in range(1, 6) for D in range(11) for T in _basis_tuples(n, D)]
+    sample = random.Random(6).sample([T for D in range(11) for T in _basis_tuples(6, D)], 300)
+    for T in every + sample:
+        for d in range(-1, sum(T) + 2):
+            assert divisors_of_degree(T, d) == divisors_with_builtin_bounds(T, d)
 
 
 def test_ranked_classes_and_arrangements_cover_the_basis():

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 from math import comb, inf
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -297,6 +298,17 @@ def test_sumset_and_class_walk_agree_with_the_naive_product(U):
     assert idx.sumset_missing(U.complement) == sorted(want)
     assert sorted(idx.missing(U.complement)) == sorted(want)
     assert square(U).complement == want
+
+
+def test_carried_codes_are_the_weighted_sums_of_the_listed_monomials():
+    # the list sumset_missing reads, against the listing it replaced
+    for n in range(1, 7):
+        for e in range(13):
+            for base in (e + 1, 2 * e + 1):
+                weights = [base**i for i in range(n)]
+                want = [(M, sum(map(mul, M, weights))) for M in divisors_of_degree((e,) * n, e)]
+                assert subspace._coded(e, weights) == want
+                assert [M for M, _ in want] == sorted(_basis_tuples(n, e))
 
 
 def test_square_selects_its_kernel_by_size():

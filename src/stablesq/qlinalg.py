@@ -8,7 +8,12 @@ A subspace has one of two forms, fixed when it is built: full when the
 rank modulo the prime 32749 is q = dim A_d; otherwise the exact reduced
 form.  The modular rank never exceeds the rank over Q, so it certifies
 only fullness and is computed only from q rows or more; a full space
-builds its reduced form, the identity, on first use.  The modular
+builds its reduced form, the identity, on first use.  The rows it takes
+as pivots are independent over Q, so when they are fewer than q only
+they are reduced exactly, and every other row is then shown to lie in
+their span by its remainder at the free columns (`_remainder`, which
+also serves `contains` and the colon); a row outside it sends all the
+rows to the exact reduction.  The modular
 elimination is lazy and sparse.  It reads each row's leading column and
 entry first: a row whose leading column is new and whose leading entry
 is a unit modulo the prime is a pivot as it is, built only when a later
@@ -20,6 +25,10 @@ only when the elimination reads its product.
 The prime is the largest below 2^15, so that elimination runs on
 one-digit CPython ints; a smaller one changes only how often the exact
 elimination is reached, never an answer.
+A form already known is taken as it is: a kernel (colon spaces, apolar
+perps) comes out reduced, and a monomial span is its unit rows.  The
+square of a monomial span, and its base-point test, are read off its
+monomial subspace (`_monomial`).
 The pivot columns of the reduced row echelon form are the initial
 monomials of the space, and two subspaces are equal exactly when these
 forms coincide.  Elimination is fraction-free over the integers, in one
@@ -45,7 +54,7 @@ from . import errors
 from .errors import InvalidInputError
 from .macaulay import HilbertFunction
 from .monomial import dim_component, enumerate_monomials, exponent_tuple
-from .subspace import MonomialSubspace, _hilbert_function, json_int
+from .subspace import MonomialSubspace, _hilbert_function, is_base_point_free, json_int, square
 
 MAX_TRIES = 100  # draws before a random sampler gives up on degenerate samples
 
@@ -171,40 +180,45 @@ def _fraction_row(r: list[int], c: int) -> list[Fraction]:
 _PRIME = 32749
 
 
-def _rank_mod_p(leads: list[tuple[int, int]], row: Callable[[int], list[int]], q: int) -> int:
-    """Rank modulo _PRIME of integer rows with q columns, built only when needed.
+def _rank_mod_p(leads: list[tuple[int, int]], row: Callable[[int], list[int]], q: int) -> list[int]:
+    """The rows that the elimination modulo _PRIME of integer rows with q
+    columns takes as pivots, by index; the rows are built only when needed.
 
     Row i leads at column leads[i][0] with the nonzero entry leads[i][1];
     row(i) returns it as a list of q ints, which is not changed.  A first
     pass reads only the leads.  A row is a raw pivot, taken with no
     reduction and not built, when its leading column has no pivot yet and
     its leading entry is a unit modulo the prime: such rows are already in
-    echelon form modulo the prime.  The scan stops once the rank reaches
-    q, so rows that are not read are never built.  Every other row waits.
+    echelon form modulo the prime.  The scan stops once q rows are taken,
+    so rows that are not read are never built.  Every other row waits.
     The waiting rows are taken from the last leading column back, which
     shortens their scans; each is built, reduced modulo the prime into a
     list of residues and eliminated from its leading column up.  It meets a
     raw pivot only through the first row that needs it: that pivot is then
     built, its tail reduced once, divided by the leading entry, and kept as
     a sparse {column: multiplier} map.  A waiting row left with a nonzero
-    residue at a column without a pivot becomes one, kept the same way.
-    Rank does not depend on the order of the rows.  A minor that
-    vanishes over Q vanishes modulo the prime, so the result never exceeds
-    the rank over Q, and the caller trusts it only when it equals q.
-    _PRIME < 2^15 keeps every product below 2^30.
+    residue at a column without a pivot is taken, and kept the same way.
+    The number of rows taken is the rank modulo the prime, which does not
+    depend on the order of the rows.  A minor that vanishes over Q vanishes
+    modulo the prime, so the rows taken are independent over Q and their
+    number never exceeds the rank over Q; the caller trusts that number as
+    the rank only when it equals q.  _PRIME < 2^15 keeps every product
+    below 2^30.
     """
     p = _PRIME
     # column c -> the index of a raw pivot, or {j: row[j] / row[c]} for j
     # past c; a dict, as pair tuples would outlive the call in the tuple free list
     pivots: dict[int, int | dict[int, int]] = {}
+    taken = []
     waiting = []
     for i, (c, a) in enumerate(leads):
         if c in pivots or not a % p:
             waiting.append((c, i))
             continue
         pivots[c] = i
-        if len(pivots) == q:
-            return q
+        taken.append(i)
+        if len(taken) == q:
+            return taken
     waiting.sort(reverse=True)
     for start, i in waiting:
         r = [a % p for a in row(i)]
@@ -216,8 +230,9 @@ def _rank_mod_p(leads: list[tuple[int, int]], row: Callable[[int], list[int]], q
             if tail is None:
                 inv = pow(f, -1, p)
                 pivots[c] = {j: r[j] * inv % p for j in compress(range(c + 1, q), r[c + 1:])}
-                if len(pivots) == q:
-                    return q
+                taken.append(i)
+                if len(taken) == q:
+                    return taken
                 break
             if type(tail) is int:  # a raw pivot's first use
                 inv = pow(leads[tail][1], -1, p)
@@ -229,7 +244,7 @@ def _rank_mod_p(leads: list[tuple[int, int]], row: Callable[[int], list[int]], q
                 }
             for j, b in tail.items():
                 r[j] = (r[j] - f * b) % p
-    return len(pivots)
+    return taken
 
 
 def _leads(mat: list[list[int]], q: int) -> list[tuple[int, int]]:
@@ -237,19 +252,74 @@ def _leads(mat: list[list[int]], q: int) -> list[tuple[int, int]]:
     return [(c := next(compress(range(q), r)), r[c]) for r in mat]
 
 
-def _kernel(mat, q: int) -> list[list[int]]:
-    """Integer basis of the right kernel of integer rows with q columns.
+def _remainder(echelon: tuple[list[list[int]], list[int]], q: int) -> Callable[[list[int]], list[int]]:
+    """The remainder of int rows of q columns modulo the row space of a
+    reduced form (rows, pivots), as `_integer_rref` returns it, read at its
+    free columns.
+
+    With S the lcm of the pivot entries p_c of the reduced rows E_c,
+    S*v minus v[c] * (S / p_c) * E_c for each pivot column c is zero at
+    every pivot column, since E_c is zero at the other pivots.  So only its
+    entries at the free columns f, S*v[f] - sum over c of
+    v[c] * (S / p_c) * E_c[f], are formed, and only from the pivot columns
+    where v is nonzero.  v lies in the span exactly when all are zero.
+    """
+    rows, pivots = echelon
+    pivot_set = set(pivots)
+    free = [c for c in range(q) if c not in pivot_set]
+    scale = lcm(*(r[c] for r, c in zip(rows, pivots)))
+    # per pivot column c, the nonzero free entries of E_c times S / p_c
+    tails = {
+        c: [(k, r[f] * (scale // r[c])) for k, f in enumerate(free) if r[f]]
+        for r, c in zip(rows, pivots)
+    }
+
+    def remainder(v: list[int]) -> list[int]:
+        left = [scale * v[f] for f in free]
+        for c in compress(range(q), v):
+            x = v[c]
+            for k, y in tails.get(c, ()):
+                left[k] -= x * y
+        return left
+
+    return remainder
+
+
+def _span_of_taken(mat: list[list[int]], taken: list[int]) -> tuple[list[list[int]], list[int]]:
+    """`_integer_rref(mat)` for nonzero int rows, of which `_rank_mod_p`
+    took the rows `taken` as pivots.
+
+    Those rows are independent over Q, so they alone are reduced exactly,
+    and every other row is shown to lie in their span by its `_remainder`.
+    A row with a nonzero remainder lies outside the span, which happens
+    only when the rank modulo the prime falls short of the rank over Q;
+    then all the rows are reduced.  The reduced form is unique, so both
+    ways give the same rows and pivots.
+    """
+    echelon = _integer_rref([mat[i] for i in taken])
+    remainder = _remainder(echelon, len(mat[0]))
+    taken = set(taken)
+    if any(any(remainder(v)) for i, v in enumerate(mat) if i not in taken):
+        return _integer_rref(mat)
+    return echelon
+
+
+def _kernel(mat, q: int) -> tuple[list[list[int]], list[int]]:
+    """Integer basis of the right kernel of integer rows with q columns,
+    and its leading columns.
 
     Reduced from the last column, each row ends at its pivot, so the vector
-    of a free column f is zero left of f and at the other free columns: the
-    basis comes out as `_integer_rref` would return it, in reduced echelon
-    form with primitive rows.  All vectors share the lcm of the pivots as scale.
+    of a free column f is zero left of f and at the other free columns and
+    leads at f: the basis comes out as `_integer_rref` would return it, in
+    reduced echelon form with primitive rows, and its pivots are the free
+    columns.  All vectors share the lcm of the pivots as scale.
     """
     rows, pivots = _integer_rref([r[::-1] for r in mat])
     scale = lcm(*(r[c] for r, c in zip(rows, pivots)))
     ends = [(r[::-1], q - 1 - c) for r, c in zip(rows, pivots)]
     out = []
-    for f in sorted(set(range(q)).difference(p for _, p in ends)):
+    free = sorted(set(range(q)).difference(p for _, p in ends))
+    for f in free:
         vec = [0] * q
         vec[f] = scale
         for r, p in ends:
@@ -257,19 +327,7 @@ def _kernel(mat, q: int) -> list[list[int]]:
                 vec[p] = -r[f] * (scale // r[p])
         g = gcd(*vec)
         out.append(vec if g == 1 else [a // g for a in vec])
-    return out
-
-
-def _normal_form(vec, echelon, scale: int) -> list[int]:
-    """scale times the remainder of vec modulo the (rows, pivots) of
-    `_integer_rref`; scale is a common multiple of the pivot entries."""
-    out = [scale * a for a in vec]
-    for row, p in zip(*echelon):
-        f = vec[p]
-        if f:
-            f *= scale // row[p]
-            out = [a - f * b for a, b in zip(out, row)]
-    return out
+    return out, free
 
 
 class RationalSubspace:
@@ -286,27 +344,47 @@ class RationalSubspace:
         self._certify(n, d, [_integer_row(_as_vector(r, n, d)) for r in rows])
 
     @classmethod
-    def _built(cls, n: int, d: int, mat: list[list[int]] | None, full: bool | None = None):
+    def _built(cls, n: int, d: int, mat: list[list[int]] | None, taken: list[int] | None = None):
         """The row space of int rows of length dim A_d that this module built;
         the rows are certified (`_certify`) but not checked."""
         U = object.__new__(cls)
-        U._certify(n, d, mat, full)
+        U._certify(n, d, mat, taken)
         return U
 
-    def _certify(self, n: int, d: int, mat: list[list[int]] | None, full: bool | None = None):
-        """Set the fields from checked int rows: full when there are q rows
-        or more of rank q modulo the prime, else the exact reduced form.  A
-        caller that has run the modular rank itself passes its verdict as
-        `full`, and the rows only when it is False."""
+    @classmethod
+    def _reduced_form(cls, n: int, d: int, echelon: tuple[list[list[int]], list[int]] | None):
+        """The row space of int rows that are already its reduced form, with
+        their pivots, as `_integer_rref` returns them; None is the full
+        space.  Nothing is eliminated, and a full form is dropped, since
+        its identity is built on first use."""
+        U = object.__new__(cls)
+        U._store(n, d, None if echelon is None or len(echelon[1]) == dim_component(n, d) else echelon)
+        return U
+
+    def _certify(self, n: int, d: int, mat: list[list[int]] | None, taken: list[int] | None = None):
+        """Set the fields from checked int rows.  Fewer than q = dim A_d
+        nonzero rows are reduced exactly.  From q rows on, the modular rank
+        picks the rows it takes as pivots: q of them make a full space, and
+        otherwise `_span_of_taken` reduces them and shows that the other
+        rows lie in their span.  A caller that has run the modular rank
+        itself on nonzero rows passes the rows it took as `taken`, and the
+        rows only when fewer than q were taken."""
         q = dim_component(n, d)
-        if full is None:
+        if taken is None:
             mat = [r for r in mat if any(r)]
-            full = len(mat) >= q and _rank_mod_p(_leads(mat, q), mat.__getitem__, q) == q
-        echelon = None if full else _integer_rref(mat)  # the identity is built on first use
+            if len(mat) < q:
+                self._store(n, d, _integer_rref(mat))
+                return
+            taken = _rank_mod_p(_leads(mat, q), mat.__getitem__, q)
+        # the identity of a full space is built on first use
+        self._store(n, d, None if len(taken) == q else _span_of_taken(mat, taken))
+
+    def _store(self, n: int, d: int, echelon: tuple[list[list[int]], list[int]] | None):
+        """Set the fields from the reduced form, None for the full space."""
         _set = object.__setattr__
         _set(self, "n", n)
         _set(self, "d", d)
-        _set(self, "dim", q if full else len(echelon[1]))
+        _set(self, "dim", dim_component(n, d) if echelon is None else len(echelon[1]))
         _set(self, "_echelon", echelon)
 
     def __setattr__(self, name, value):
@@ -340,9 +418,7 @@ class RationalSubspace:
 
     def contains(self, vector) -> bool:
         vec = _integer_row(_as_vector(vector, self.n, self.d))
-        rows, pivots = self._reduced()
-        scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
-        return not any(_normal_form(vec, (rows, pivots), scale))
+        return not any(_remainder(self._reduced(), len(vec))(vec))
 
     def __eq__(self, other) -> bool:
         return (
@@ -411,8 +487,31 @@ def span(vectors, n: int, d: int) -> RationalSubspace:
 
 
 def monomial_span(U: MonomialSubspace) -> RationalSubspace:
-    """The same subspace, re-encoded as an echelon matrix."""
-    return span([{M: 1} for M in U.members], U.n, U.d)
+    """The same subspace, as the rational span of its members: one unit row
+    at the column of each member, which is already the reduced form, so
+    nothing is eliminated."""
+    q = dim_component(U.n, U.d)
+    if not U.codim:
+        return RationalSubspace._reduced_form(U.n, U.d, None)
+    idx = _column_index(U.n, U.d)
+    missing = {idx[M] for M in U.complement}
+    pivots = [c for c in range(q) if c not in missing]
+    rows = [[0] * q for _ in pivots]
+    for r, c in zip(rows, pivots):
+        r[c] = 1
+    return RationalSubspace._reduced_form(U.n, U.d, (rows, pivots))
+
+
+def _monomial(U: RationalSubspace) -> MonomialSubspace | None:
+    """The monomial subspace whose span U is, when U has codim >= 1 and
+    every reduced row a single nonzero entry; None otherwise.  This is how
+    `square_rational` and `has_base_point` recognise a monomial span."""
+    if not U.codim:
+        return None
+    zeros = len(U.columns) - 1
+    if any(r.count(0) != zeros for r in U._reduced()[0]):
+        return None
+    return initial_subspace(U)
 
 
 @lru_cache(maxsize=None)
@@ -429,7 +528,7 @@ def apolar_perp(vectors, n: int, d: int) -> RationalSubspace:
     """
     weights = _apolar_weights(n, d)
     rows = [_integer_row(list(map(mul, weights, _as_vector(v, n, d)))) for v in vectors]
-    return RationalSubspace._built(n, d, _kernel(rows, len(weights)))
+    return RationalSubspace._reduced_form(n, d, _kernel(rows, len(weights)))
 
 
 def _linear(l, n: int) -> list:
@@ -499,37 +598,44 @@ def _products(pairs: list, table: tuple, q: int) -> tuple[list[tuple[int, int]],
 def product_rational(U: RationalSubspace, V: RationalSubspace) -> RationalSubspace:
     """Span of all pairwise products of the reduced rows of U and V.
 
-    The coefficients it builds (`_product_size`) are weighed against the
-    default budget before anything is reduced or multiplied.  The reduced
-    rows are taken as nonzero (column, coefficient) pairs, and a square (V
-    equal to U) takes each unordered pair of rows once.  The raw pivots of
-    the modular rank come from the products' leading monomials before any
-    pair is multiplied (`_products`), and a pair is multiplied, by
-    `_multiply` through the cached table of column products
-    (`_product_columns`), only when that rank reads its row.  A full
-    product is certified by the rank alone, often with most pairs never
-    multiplied; any other is reduced exactly from all its rows once.  The
-    rows are int lists that this module built, so the result is certified
-    without the input checks of the public constructor.
+    The coefficients it builds (`_product_size`) and its table of column
+    products (`_product_columns`) are weighed against the default budget
+    before anything is reduced or multiplied.  The square of a monomial
+    span (`_monomial`) is then read off `subspace.square` as unit rows,
+    with no elimination.  Otherwise the reduced rows are taken as nonzero
+    (column, coefficient) pairs, and a square (V equal to U) takes each
+    unordered pair of rows once.  The raw pivots of the modular rank come
+    from the products' leading monomials before any pair is multiplied
+    (`_products`), and a pair is multiplied, by `_multiply` through the
+    table, only when that rank reads its row.  A full product is certified
+    by the rank alone, often with most pairs never multiplied.  Any other
+    builds all its rows, and only those the rank took as pivots are
+    reduced exactly; the rest are shown to lie in their span
+    (`_span_of_taken`).  Fewer products than columns are reduced exactly,
+    with no modular rank.  The rows are int lists that this module built,
+    so the result is certified without the input checks of the public
+    constructor.
     """
     if U.n != V.n:
         raise InvalidInputError(f"mixed variable counts {U.n} and {V.n}")
     dC = U.d + V.d
-    square = V is U or V == U  # then each a_i * a_j once, i <= j
-    size = _product_size(U.n, dC, U.dim, None if square else V.dim)
+    same = V is U or V == U  # then each a_i * a_j once, i <= j
+    size = _product_size(U.n, dC, U.dim, None if same else V.dim)
     errors.check_size(size, f"coefficients in a product of degree {dC}")
     table = _product_columns(U.n, U.d, V.d)
+    if same and (mono := _monomial(U)) is not None:
+        return monomial_span(square(mono))
     # the integer reduced rows are sparse: 1 + codim entries for a dense U
     rows_U = [*map(_sparse, U._reduced()[0])]
-    if square:
+    if same:
         pairs = [*combinations_with_replacement(rows_U, 2)]
     else:
         pairs = [*product(rows_U, map(_sparse, V._reduced()[0]))]
     qC = dim_component(U.n, dC)
     leads, row = _products(pairs, table, qC)
-    full = len(pairs) >= qC and _rank_mod_p(leads, row, qC) == qC
-    rows = None if full else [*map(row, range(len(pairs)))]
-    return RationalSubspace._built(U.n, dC, rows, full)
+    taken = _rank_mod_p(leads, row, qC) if len(pairs) >= qC else None
+    rows = None if taken is not None and len(taken) == qC else [*map(row, range(len(pairs)))]
+    return RationalSubspace._built(U.n, dC, rows, taken)
 
 
 def square_rational(U: RationalSubspace) -> RationalSubspace:
@@ -554,12 +660,11 @@ def quotient_by_linear_form(U: RationalSubspace, l) -> RationalSubspace:
         raise InvalidInputError("the zero form does not define a colon space")
     n, d = U.n, U.d
     # (U : l) is the kernel of mu -> l*mu modulo U: column mu of its matrix
-    # is the normal form of l*mu, all at one scale, so the matrix is a
-    # multiple of the map
-    rows, pivots = U._reduced()
-    scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    forms = [_normal_form(f, (rows, pivots), scale) for f in linear_multiples(l, n, d)]
-    return RationalSubspace._built(n, d - 1, _kernel(list(zip(*forms)), len(forms)))
+    # is the remainder of l*mu at U's free columns, all at one scale, so
+    # the matrix is a multiple of the map
+    remainder = _remainder(U._reduced(), dim_component(n, d))
+    forms = [remainder(f) for f in linear_multiples(l, n, d)]
+    return RationalSubspace._reduced_form(n, d - 1, _kernel(list(zip(*forms)), len(forms)))
 
 
 def _ideal_codims(U: RationalSubspace) -> Iterator[int]:
@@ -567,8 +672,7 @@ def _ideal_codims(U: RationalSubspace) -> Iterator[int]:
     the first 0; each degree is the last one times the linear forms.  The
     coefficients of all the products so far are weighed against the
     default budget before each."""
-    identity = [[int(i == j) for j in range(U.n)] for i in range(U.n)]
-    linear = RationalSubspace._built(U.n, 1, identity)
+    linear = RationalSubspace._reduced_form(U.n, 1, None)
     current, built = U, 0
     yield current.codim
     while current.codim:
@@ -593,7 +697,7 @@ def apolar_dual(U: RationalSubspace) -> list[list[int]]:
     primitive integers with a positive lead.
     """
     weights = _apolar_weights(U.n, U.d)
-    return _kernel([list(map(mul, weights, row)) for row in U._reduced()[0]], len(weights))
+    return _kernel([list(map(mul, weights, row)) for row in U._reduced()[0]], len(weights))[0]
 
 
 @lru_cache(maxsize=None)
@@ -730,7 +834,13 @@ def has_base_point(U: RationalSubspace) -> bool:
     inside the annihilator.  `apolar_dual` returns reduced rows, and these
     already meet the weaker contract of `_reduced_power` (the second row is
     zero at the first row's leading column), so they are taken as they are.
+    A monomial span (`_monomial`) that power detection takes, of degree 1
+    or of degree d > 1 and codimension at most 2, has a base point exactly
+    when its complement holds a pure power (`is_base_point_free`).
     """
+    mono = _monomial(U)
+    if mono is not None and (U.d == 1 or (U.d > 1 and U.codim <= 2)):
+        return not is_base_point_free(mono)
     return _reduced_power(apolar_dual(U), U.n, U.d)
 
 

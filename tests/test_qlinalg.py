@@ -38,6 +38,7 @@ from stablesq.qlinalg import (
     _rank_mod_p,
     _reduced_power,
     _restriction,
+    _span_of_taken,
     _sparse,
     apolar_dual,
     apolar_perp,
@@ -130,16 +131,22 @@ def test_apolar_perp_weights():
     assert not U.contains({(2, 0): 1})
 
 
-def test_product_rational_matches_monomial_product():
+def test_product_rational_matches_monomial_product(monkeypatch):
     for n, d in ((2, 2), (3, 2)):
         basis = _basis_tuples(n, d)
         for size in (1, 2):
             for comp in combinations(basis, size):
                 U = MonomialSubspace(n, d, comp)
-                got = product_rational(monomial_span(U), monomial_span(U))
+                R = monomial_span(U)
+                got = product_rational(R, R)  # read off the monomial square
+                # the rational elimination, with no monomial span recognised
+                with monkeypatch.context() as m:
+                    m.setattr(qlinalg, "_monomial", lambda U: None)
+                    eliminated = product_rational(R, R)
                 want = square(U)
-                assert got.dim == want.dim
-                assert got == monomial_span(want)
+                assert got.dim == eliminated.dim == want.dim
+                assert got == eliminated == monomial_span(want)
+                assert (got.rows, got.pivots) == (eliminated.rows, eliminated.pivots)
 
 
 def test_quotient_matches_variable_quotient():
@@ -228,16 +235,46 @@ def test_power_in_span_three_variables():
     assert power_in_span([f, h], 3, 3)
 
 
-def test_has_base_point_matches_monomial_criterion():
-    # for monomial subspaces a base point forces a missing pure power
+def test_has_base_point_matches_monomial_criterion(monkeypatch):
+    # for monomial subspaces a base point forces a missing pure power; the
+    # power detection on the dual, with no monomial span recognised, is
+    # the oracle of the criterion that has_base_point reads them by
     for n, d in ((2, 2), (2, 3), (3, 2)):
         basis = _basis_tuples(n, d)
         for size in (1, 2):
             for comp in combinations(basis, size):
                 U = MonomialSubspace(n, d, comp)
-                assert has_base_point(monomial_span(U)) == (
+                with monkeypatch.context() as m:
+                    m.setattr(qlinalg, "_monomial", lambda U: None)
+                    detected = has_base_point(monomial_span(U))
+                assert has_base_point(monomial_span(U)) == detected == (
                     not is_base_point_free(U)
                 ), comp
+
+
+@pytest.mark.parametrize(
+    "n, d, comp",
+    [
+        (3, 2, [(2, 0, 0), (1, 1, 0), (0, 1, 1)]),  # degree 2, codim 3: refused
+        (2, 0, [(0, 0)]),  # degree 0: refused
+        (3, 1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),  # degree 1, codim 3: a base point
+        (3, 2, []),  # full: base point free
+    ],
+)
+def test_has_base_point_answers_and_refuses_monomial_spans_as_power_detection_does(
+    monkeypatch, n, d, comp
+):
+    U = monomial_span(MonomialSubspace(n, d, comp))
+
+    def outcome():
+        try:
+            return has_base_point(U)
+        except InvalidInputError as exc:
+            return str(exc)
+
+    got = outcome()
+    monkeypatch.setattr(qlinalg, "_monomial", lambda U: None)
+    assert got == outcome()
 
 
 @st.composite
@@ -543,6 +580,14 @@ def multiply_forms(f: dict, g: dict) -> dict:
 
 def linear_form(l) -> dict:
     return {tuple(int(j == i) for j in range(len(l))): c for i, c in enumerate(l) if c != 0}
+
+
+def power_of(L, d: int) -> dict:
+    lform = linear_form(L)
+    P = {(0,) * len(L): 1}
+    for _ in range(d):
+        P = multiply_forms(P, lform)
+    return P
 
 
 def oracle_multiples(l, n: int, d: int) -> list[dict]:
@@ -1059,10 +1104,12 @@ def test_rank_mod_p_never_exceeds_the_rank(rows):
     mat = [r for r in map(_integer_row, rows) if any(r)]
     q = len(rows[0]) if rows else 0
     before = [list(r) for r in mat]
-    rank = _rank_mod_p(_leads(mat, q), mat.__getitem__, q)
+    taken = _rank_mod_p(_leads(mat, q), mat.__getitem__, q)
     assert mat == before
-    assert rank == dense_rank_mod_p(mat, q) == row_at_a_time_rank_mod_p(mat, q)
-    assert rank <= len(integer_rref(rows)[1])
+    assert len(taken) == dense_rank_mod_p(mat, q) == row_at_a_time_rank_mod_p(mat, q)
+    assert len(taken) <= len(integer_rref(rows)[1])
+    # the rows taken as pivots are distinct and independent over Q
+    assert len(set(taken)) == len(taken) == len(_integer_rref([mat[i] for i in taken])[1])
 
 
 @st.composite
@@ -1129,7 +1176,7 @@ def test_lazy_rank_of_products_is_the_dense_rank_of_the_built_rows(case):
     leads, row = _products(pairs, table, q)
     # each product leads at the product of the leading monomials
     assert leads == _leads(built, q)
-    assert _rank_mod_p(leads, row, q) == dense_rank_mod_p(built, q)
+    assert len(_rank_mod_p(leads, row, q)) == dense_rank_mod_p(built, q)
 
 
 @st.composite
@@ -1172,7 +1219,7 @@ def test_certified_dim_and_reduced_form_match_the_exact_kernels(case):
 
 
 def test_rank_zero_modulo_the_prime_falls_back_to_exact_elimination():
-    assert _rank_mod_p([(0, _PRIME)], [[_PRIME]].__getitem__, 1) == 0
+    assert _rank_mod_p([(0, _PRIME)], [[_PRIME]].__getitem__, 1) == []
     U = RationalSubspace(1, 0, [[_PRIME]])
     assert U._echelon is not None  # built by the fallback, not on first use
     assert U.dim == 1
@@ -1181,18 +1228,35 @@ def test_rank_zero_modulo_the_prime_falls_back_to_exact_elimination():
     assert RationalSubspace(2, 1, [[1, 0], [1, _PRIME]]).dim == 2
 
 
-@pytest.mark.parametrize("n, d", [(4, 4), (5, 3)])
-def test_extremal_square_falls_back_to_exact_elimination(n, d):
-    # the apolar perp of L^d and L^(d-1) M in generic coordinates has
-    # codim U^2 = m(n, d, 2), so its product rows are dependent and fewer
-    # than q are independent: the rank modulo the prime certifies neither
-    # count, and the exact elimination decides
+def extremal_subspace(n: int, d: int) -> RationalSubspace:
+    """The apolar perp of L^d and L^(d-1) M in generic coordinates, whose
+    square has codim m(n, d, 2)."""
     rng = random.Random(f"{n}:{d}")
     L, M = ([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(n)] for _ in "LM")
-    U = apolar_perp([power_of(L, d), multiply_forms(power_of(L, d - 1), linear_form(M))], n, d)
-    S = square_rational(U)
+    return apolar_perp([power_of(L, d), multiply_forms(power_of(L, d - 1), linear_form(M))], n, d)
+
+
+@pytest.mark.parametrize("n, d", [(4, 4), (5, 3), (5, 4)])
+def test_extremal_square_falls_back_to_exact_elimination(n, d):
+    # codim U^2 = m(n, d, 2), so its product rows are dependent and fewer
+    # than q are independent: the rank modulo the prime cannot certify the
+    # square, and the exact reduction of the rows it took decides
+    S = square_rational(extremal_subspace(n, d))
     assert S._echelon is not None  # built by the fallback, not on first use
     assert S.codim == closed_form_m(n, d, 2)
+
+
+def test_extremal_square_reduces_only_as_many_rows_as_its_rank(monkeypatch):
+    U = extremal_subspace(4, 4)
+    reduced = []
+    integer_rref = qlinalg._integer_rref
+    monkeypatch.setattr(
+        qlinalg, "_integer_rref", lambda mat: reduced.append(len(mat)) or integer_rref(mat)
+    )
+    S = square_rational(U)
+    # 561 products of the 33 rows: one exact reduction, of the 163 rows the
+    # modular rank took, and no fallback to all of them
+    assert U.dim == 33 and reduced == [S.dim] == [dim_component(4, 8) - closed_form_m(4, 4, 2)]
 
 
 def test_prime_keeps_the_modular_elimination_in_one_digit_ints():
@@ -1219,6 +1283,119 @@ def test_full_subspace_builds_its_identity_on_first_use(monkeypatch):
     # fewer rows than columns are reduced at once, with no modular rank
     W = RationalSubspace(2, 2, [[1, 2, 3], [0, 1, 5]])
     assert W._echelon is not None and counted == [3, 4]
+
+
+@st.composite
+def near_monomial_spans(draw, n: int, d: int) -> RationalSubspace:
+    """A monomial span, or one whose rows are the members' unit rows with
+    one entry added to one of them.  Half of them miss at most 3 columns,
+    often among them column 0, the power x_n^d, so that their products
+    are often more than q rows and not full."""
+    q = dim_component(n, d)
+    if draw(st.booleans()):
+        members = sorted(draw(st.sets(st.integers(0, q - 1), min_size=1)))
+    else:
+        missing = draw(st.sets(st.integers(0, q - 1), max_size=min(3, q - 1)))
+        if len(missing) < q - 1 and draw(st.booleans()):
+            missing.add(0)
+        members = [c for c in range(q) if c not in missing]
+    rows = [[int(c == m) for c in range(q)] for m in members]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.sampled_from([c for c in range(q) if not row[c]] or [0]))] = draw(nonzero_ints)
+    return RationalSubspace(n, d, rows)
+
+
+def built_products(U: RationalSubspace, V: RationalSubspace) -> list[list[int]]:
+    """Every product row that `product_rational` builds, in its order."""
+    F = [_sparse(r) for r in U._reduced()[0]]
+    pairs = combinations_with_replacement(F, 2) if V is U else product(F, map(_sparse, V._reduced()[0]))
+    table, q = _product_columns(U.n, U.d, V.d), dim_component(U.n, U.d + V.d)
+    return [_multiply(f, g, table, q) for f, g in pairs]
+
+
+@st.composite
+def dependent_rows(draw):
+    """(n, degree, rows, factors): the product rows of two (near-)monomial
+    spans, or of one squared, with the factors; or a record of at least q
+    rows that are integer combinations of fewer, with no factors.  The
+    rows are nonzero and mostly dependent."""
+    if draw(st.booleans()):
+        n, d = draw(st.sampled_from(((2, 1), (2, 2), (3, 1), (2, 3), (3, 2))))
+        q = dim_component(n, d)
+        base = []
+        for _ in range(draw(st.integers(1, max(1, q - 1)))):
+            row = draw(st.lists(st.one_of(st.integers(-9, 9), prime_multiples), min_size=q, max_size=q))
+            row[draw(st.integers(0, q - 1))] = draw(nonzero_ints)
+            base.append(row)
+        combinations = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        rows = base + [
+            [sum(c * b[j] for c, b in zip(cs, base)) for j in range(q)]
+            for cs in draw(st.lists(combinations, min_size=q - len(base), max_size=q - len(base) + 3))
+        ]
+        return n, d, [r for r in rows if any(r)], None
+    n, d, e = draw(st.sampled_from(((2, 1, 2), (2, 2, 2), (3, 1, 1), (3, 1, 2), (3, 2, 1), (3, 2, 2))))
+    U = draw(near_monomial_spans(n, d))
+    V = U if d == e and draw(st.booleans()) else draw(near_monomial_spans(n, e))
+    return n, d + e, built_products(U, V), (U, V)
+
+
+def extremal_square_case(n: int, d: int) -> tuple:
+    U = extremal_subspace(n, d)
+    return n, 2 * d, built_products(U, U), (U, U)
+
+
+@given(dependent_rows())
+@example(extremal_square_case(4, 4))
+@example(extremal_square_case(5, 3))
+def test_reducing_the_rows_the_rank_took_gives_the_reduced_form_of_all_rows(case):
+    n, degree, mat, factors = case
+    q = dim_component(n, degree)
+    want = _integer_rref(mat)  # every row reduced: the oracle
+    taken = _rank_mod_p(_leads(mat, q), mat.__getitem__, q)
+    assert _span_of_taken(mat, taken) == want
+    # the product or record itself, with no monomial span recognised
+    with patch.object(qlinalg, "_monomial", lambda U: None):
+        got = product_rational(*factors) if factors else RationalSubspace._built(n, degree, mat)
+    assert got._reduced() == want
+
+
+def test_a_monomial_square_is_weighed_before_it_is_read_off(monkeypatch):
+    # x2^4000: one product, but a table of 4001^2 column products, refused
+    # with or without the monomial square
+    U = RationalSubspace(2, 4000, [[1] + [0] * 4000])
+    with pytest.raises(BudgetExceededError, match="column products in a table") as fast:
+        square_rational(U)
+    monkeypatch.setattr(qlinalg, "_monomial", lambda U: None)
+    with pytest.raises(BudgetExceededError) as eliminated:
+        square_rational(U)
+    assert str(fast.value) == str(eliminated.value)
+
+
+def test_colon_and_perp_reduce_only_inside_the_kernel(monkeypatch):
+    U = random_subspace(3, 3, 2, random.Random(4), 9)
+    l = [2, -1, 3]
+    want = tracker_quotient(U, l)
+    dual = apolar_dual(U)
+    inside, calls = [], []
+
+    def kernel(*args):
+        inside.append(True)
+        try:
+            return _kernel(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qlinalg, "_kernel", kernel)
+    monkeypatch.setattr(qlinalg, "_integer_rref", lambda mat: calls.append(bool(inside)) or _integer_rref(mat))
+    V = quotient_by_linear_form(U, l)
+    P = apolar_perp(dual, 3, 3)
+    # one exact reduction each, that of the kernel; its rows are the
+    # reduced form, handed over as they are
+    assert calls == [True, True]
+    monkeypatch.undo()
+    assert V == want and (V.rows, V.pivots) == (want.rows, want.pivots)
+    assert P == U and (P.rows, P.pivots) == (U.rows, U.pivots)
 
 
 def counting(monkeypatch, module, *names) -> dict:
@@ -1253,14 +1430,37 @@ def test_full_dense_square_multiplies_only_the_pairs_its_rank_reads(monkeypatch)
 
 
 def test_a_product_that_is_not_full_is_reduced_exactly_once(monkeypatch):
-    mono = MonomialSubspace(3, 2, [(0, 0, 2)])
-    U = monomial_span(mono)
+    # the quadrics through the point (1:2:3), not a monomial span: their
+    # squares vanish to order 2 there, 3 conditions on the quartics
+    U = apolar_perp([power_of([1, 2, 3], 2)], 3, 2)
+    assert qlinalg._monomial(U) is None
     counts = counting(monkeypatch, qlinalg, "_rank_mod_p", "_integer_rref", "_multiply")
     # 15 pairs over the 15 quartics, of rank 12: one modular pass, then the
-    # exact reduction of the built rows, each pair multiplied once
+    # exact reduction of the rows it took, each pair multiplied once
     S = square_rational(U)
-    assert S.codim == square(mono).codim == 3
+    assert S.codim == 3
     assert counts == {"_rank_mod_p": 1, "_integer_rref": 1, "_multiply": 15}
+
+
+def test_a_product_whose_rank_drops_modulo_the_prime_reduces_all_its_rows(monkeypatch):
+    # y(x + p*y) and x^2 times the quadrics: over Q they meet only in
+    # x^2 y(x + p*y), so the 6 products span the 5 quartics; modulo the
+    # prime y(x + p*y) is xy, and they span only x * A_3
+    U = RationalSubspace(2, 2, [[_PRIME, 1, 0], [0, 0, 1]])
+    A2 = monomial_span(MonomialSubspace(2, 2, ()))
+    taken, rows_reduced = [], []
+    rank_mod_p, integer_rref = qlinalg._rank_mod_p, qlinalg._integer_rref
+    monkeypatch.setattr(
+        qlinalg, "_rank_mod_p", lambda *args: taken.append(len(rank_mod_p(*args))) or rank_mod_p(*args)
+    )
+    monkeypatch.setattr(
+        qlinalg, "_integer_rref", lambda mat: rows_reduced.append(len(mat)) or integer_rref(mat)
+    )
+    P = product_rational(U, A2)
+    # the 4 rows taken are reduced, a fifth lies outside their span, and
+    # all 6 are reduced
+    assert taken == [4] and rows_reduced == [4, 6]
+    assert P.dim == 5 and P.pivots == tuple(range(5))
 
 
 @given(
@@ -1283,8 +1483,13 @@ def test_square_rational_is_span_of_all_products(U):
         [[Fraction(fg.get(M, 0)) for M in cols] for fg in products]
     )
     S = square_rational(U)
-    assert S.pivots == tuple(pivots)
-    assert S.rows == tuple(tuple(r) for r in rows)
+    # a monomial span is squared by `subspace.square`; with no monomial
+    # span recognised, it goes through the rational elimination
+    with patch.object(qlinalg, "_monomial", lambda U: None):
+        eliminated = square_rational(U)
+    for got in (S, eliminated):
+        assert got.pivots == tuple(pivots)
+        assert got.rows == tuple(tuple(r) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1489,14 +1694,15 @@ def integer_matrices(draw):
 @example(([[6, 0, 4, 0, 3], [0, 10, 0, 15, 0]], 5))
 def test_kernel_matches_the_fraction_null_space(case):
     rows, q = case
-    kernel = _kernel(rows, q)
+    kernel, pivots = _kernel(rows, q)
     assert all(type(x) is int for v in kernel for x in v)
     assert all(sum(a * b for a, b in zip(v, r)) == 0 for v in kernel for r in rows)
     want = fraction_null_space(rows, q)
     assert len(kernel) == len(want)
     assert fraction_span(kernel) == fraction_span(want)
-    # already the reduced echelon form, primitive with positive leads
-    assert _integer_rref(kernel)[0] == kernel
+    # already the reduced echelon form, primitive with positive leads, and
+    # its pivots are the leading columns
+    assert _integer_rref(kernel) == (kernel, pivots)
 
 
 @given(colon_cases())
@@ -1675,14 +1881,6 @@ def forms(draw, n: int, d: int):
             ),
         )
     )
-
-
-def power_of(L, d: int) -> dict:
-    lform = linear_form(L)
-    P = {(0,) * len(L): 1}
-    for _ in range(d):
-        P = multiply_forms(P, lform)
-    return P
 
 
 nonzero = coefficients.filter(lambda x: x != 0)
